@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -118,12 +119,13 @@ def run_basis(report: Report, d: int) -> None:
     )
     basis = degeneration.hodge_kernel_basis(d)
     stacked = QMatrix([b.vector() for b in basis] + list(degeneration.kernel_of_phi(d)))
+    stacked_rank = rank(stacked)
     report.add(
         f"kernel basis spans d={d}",
         "distinguished kernel basis",
-        len(basis) == kdim and rank(stacked) == kdim,
+        len(basis) == kdim and stacked_rank == kdim,
         basis_size=len(basis),
-        stacked_rank=rank(stacked),
+        stacked_rank=stacked_rank,
     )
 
 
@@ -143,11 +145,12 @@ def run_sing(report: Report, d: int, family: str) -> None:
             all(cl.is_zero() for cl in classes),
             cycles=len(classes),
         )
+        delta_rank = rank(QMatrix([cl.vector() for cl in classes if not cl.is_zero()]))
         report.add(
             f"delta span rank d={d}",
             "no singularity classes from the swapped family",
-            True,
-            rank=0,
+            delta_rank == 0,
+            rank=delta_rank,
         )
         return
     res = span_rank(d, fam)
@@ -298,6 +301,18 @@ def make_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("d must be >= 2")
         return d
 
+    def positive_digits(value):
+        n = int(value)
+        if n < 1:
+            raise argparse.ArgumentTypeError("digits must be >= 1")
+        return n
+
+    def finite_L(value):
+        x = float(value)
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError("L must be finite")
+        return x
+
     b = sub.add_parser("basis", parents=[common], help="presentation and kernel checks")
     b.add_argument("--d", type=positive_d, required=True)
     b.set_defaults(func=cmd_basis)
@@ -309,12 +324,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("aj", parents=[common], help="period closed form and functional equations")
     a.add_argument("--oracle", action="store_true", help="also run the 2D quadrature oracle")
-    a.add_argument("--digits", type=int, default=12, help="report precision (display only)")
+    a.add_argument("--digits", type=positive_digits, default=12, help="report precision (display only)")
     a.set_defaults(func=cmd_aj)
 
     q = sub.add_parser("pairing", parents=[common], help="limit matrix determinant")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--L", type=float, default=None, help="limit invariant; defaults to the period value")
+    q.add_argument("--L", type=finite_L, default=None, help="limit invariant; defaults to the period value")
     q.set_defaults(func=cmd_pairing)
 
     v = sub.add_parser("verify-all", parents=[common], help="run every suite")

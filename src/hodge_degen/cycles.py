@@ -236,10 +236,17 @@ def express_in_B(x: H2Class, d: int) -> SpanExpression:
     """Exact coordinates of x over the distinguished kernel basis.
 
     Basis order matches hodge_kernel_basis: the total-line class first,
-    then the pair classes by (i, j) lex and 1 <= l <= d-1.  When x lies
-    off the kernel, the returned residual is the canonical off-kernel
-    part: the unique combination of l_1..l_{d-1} with the same image
-    under the component pairing, and coeffs is None.
+    then the pair classes by (i, j) lex and 1 <= l <= d-1.  On the kernel
+    the coordinates have a closed form, since only the pair class (i,j,l)
+    carries e^{ij}_l (with coefficient d) and every pair class with j = d
+    puts -1 on l_d:
+
+        c_{ijl} = x[e^{ij}_l] / d,   c_total = x[l_d] + sum_{i<d, l<d} c_{idl};
+
+    the combination is then checked against x exactly.  When x lies off
+    the kernel, the returned residual is the canonical off-kernel part:
+    the unique combination of l_1..l_{d-1} with the same image under the
+    component pairing, and coeffs is None.
     """
     basis = degeneration.hodge_kernel_basis(d)
     phi = degeneration.phi_matrix(d)
@@ -254,8 +261,21 @@ def express_in_B(x: H2Class, d: int) -> SpanExpression:
             raise AssertionError("component pairing image not spanned by line classes")
         residual = H2Class(d, {("l", i + 1): c for i, c in enumerate(coeffs) if c != 0})
         return SpanExpression(False, None, residual)
-    ok, coeffs = in_span([b.vector() for b in basis], x.vector())
-    if not ok:
+    zero = Fraction(0)
+    cx = dict(x.coords)
+    pair = {
+        (i, j, l): cx.get(("e", i, j, l), zero) / d
+        for i, j in combinations(range(1, d + 1), 2)
+        for l in range(1, d)
+    }
+    total = cx.get(("l", d), zero) + sum((pair[i, d, l] for i in range(1, d) for l in range(1, d)), zero)
+    coeffs = (total, *pair.values())
+    acc: dict[tuple, Fraction] = {}
+    for c, b in zip(coeffs, basis):
+        if c:
+            for g, v in b.coords:
+                acc[g] = acc.get(g, zero) + c * v
+    if H2Class(d, acc) != x:
         raise AssertionError("kernel class not expressible in the kernel basis")
     return SpanExpression(True, coeffs, H2Class(d, {}))
 
@@ -311,20 +331,20 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     cycles = family_cycles(d, family)
     classes = [singularity_at_zero(c, d) for c in cycles]
     nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
+    sing = {(c.kind, c.indices): cl for c, cl in zip(cycles, classes)}
     rk = rank(QMatrix(nonzero)) if nonzero else 0
     expected = degeneration.kernel_dim(d)
     verified = True
     if family == "both":
         for i, j in combinations(range(1, d + 1), 2):
             for l in range(1, d + 1):
-                acc = singularity_at_zero(build_cycle("lambda", (i, l)), d)
-                acc = acc - singularity_at_zero(build_cycle("lambda", (j, l)), d)
+                acc = sing["lambda", (i, l)] - sing["lambda", (j, l)]
                 for k in range(1, i):
-                    acc = acc + singularity_at_zero(build_cycle("gamma", (k, i, j, l)), d)
+                    acc = acc + sing["gamma", (k, i, j, l)]
                 for k in range(i + 1, j):
-                    acc = acc - singularity_at_zero(build_cycle("gamma", (i, k, j, l)), d)
+                    acc = acc - sing["gamma", (i, k, j, l)]
                 for k in range(j + 1, d + 1):
-                    acc = acc + singularity_at_zero(build_cycle("gamma", (i, j, k, l)), d)
+                    acc = acc + sing["gamma", (i, j, k, l)]
                 if acc != pair_kernel_class(d, i, j, l):
                     verified = False
     return SpanRankResult(d, family, rk, expected, rk == expected, verified)

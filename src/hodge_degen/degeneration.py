@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -58,6 +59,12 @@ def canonical_generators(d: int) -> list[Generator]:
 
 def canonical_index(d: int) -> dict[Generator, int]:
     return {g: k for k, g in enumerate(canonical_generators(d))}
+
+
+@lru_cache(maxsize=None)
+def _index(d: int) -> dict[Generator, int]:
+    """canonical_index(d), built once per d; shared, so never mutate it."""
+    return canonical_index(d)
 
 
 def coordinate_dim(d: int) -> int:
@@ -108,7 +115,7 @@ class H2Class:
         return H2Class(self.d, {g: c * Fraction(f) for g, c in self.coords})
 
     def vector(self) -> QVector:
-        idx = canonical_index(self.d)
+        idx = _index(self.d)
         v = [Fraction(0)] * coordinate_dim(self.d)
         for g, c in self.coords:
             v[idx[g]] = c
@@ -246,27 +253,29 @@ def kernel_dim(d: int) -> int:
     return 1 + (d - 1) * (d * (d - 1) // 2)
 
 
-def hodge_kernel_basis(d: int) -> list[H2Class]:
+def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
     """The distinguished kernel basis: sum_i l_i, then for each pair i < j
     and 1 <= l <= d-1 the class sum_{l'}(e^{ij}_l - e^{ij}_{l'}).
 
     In canonical coordinates the pair classes read d*e^{ij}_l - l_j + l_i.
-    The routine verifies membership in ker(phi), linear independence and
-    the dimension count cols - rank(phi); failure of any of these is a
-    hard internal error.
+    The basis is built and verified once per d: membership in ker(phi),
+    linear independence (see :func:`independence_certificate`) and the
+    dimension count cols - rank(phi); failure of any of these is a hard
+    internal error.
     """
     _require_d(d)
-    basis: list[H2Class] = []
-    total = {("l", i): Fraction(1) for i in range(1, d + 1)}
-    basis.append(H2Class(d, total))
-    for i, j in combinations(range(1, d + 1), 2):
-        for l in range(1, d):
-            coords = {
-                ("e", i, j, l): Fraction(d),
-                ("l", j): Fraction(-1),
-                ("l", i): Fraction(1),
-            }
-            basis.append(H2Class(d, coords))
+    return _verified_kernel_basis(d)
+
+
+@lru_cache(maxsize=None)
+def _verified_kernel_basis(d: int) -> tuple[H2Class, ...]:
+    total = H2Class(d, {("l", i): Fraction(1) for i in range(1, d + 1)})
+    pairs = [
+        H2Class(d, {("e", i, j, l): Fraction(d), ("l", j): Fraction(-1), ("l", i): Fraction(1)})
+        for i, j in combinations(range(1, d + 1), 2)
+        for l in range(1, d)
+    ]
+    basis = (total, *pairs)
 
     phi = phi_matrix(d)
     for b in basis:
@@ -275,11 +284,35 @@ def hodge_kernel_basis(d: int) -> list[H2Class]:
     expected = kernel_dim(d)
     if len(basis) != expected:
         raise AssertionError("kernel basis has wrong cardinality")
-    if rank(QMatrix([b.vector() for b in basis])) != expected:
+    if not independence_certificate(d, basis):
         raise AssertionError("kernel basis is linearly dependent")
     if phi.cols - rank(phi) != expected:
         raise AssertionError("kernel dimension mismatch against phi")
     return basis
+
+
+def independence_certificate(d: int, basis: Sequence[H2Class]) -> bool:
+    """Exact proof that a candidate kernel basis is linearly independent.
+
+    The certificate holds when basis[0] is a nonzero class without
+    e-coordinates and, for the k-th exceptional generator e^{ij}_l in
+    canonical order, basis[k] is the only element with a nonzero
+    e^{ij}_l coordinate.  Then the e-columns of the stacked vectors form
+    a diagonal block under a zero row, so in any vanishing combination
+    every pair coefficient is 0, and then so is the total-line one.
+    """
+    exc = canonical_generators(d)[d:]
+    if len(basis) != 1 + len(exc):
+        return False
+    total = basis[0]
+    if total.is_zero() or any(g[0] == "e" for g, _ in total.coords):
+        return False
+    owners: dict[Generator, list[int]] = {}
+    for k, b in enumerate(basis):
+        for g, _ in b.coords:
+            if g[0] == "e":
+                owners.setdefault(g, []).append(k)
+    return all(owners.get(g) == [k] for k, g in enumerate(exc, start=1))
 
 
 def kernel_of_phi(d: int) -> list[QVector]:

@@ -145,20 +145,22 @@ class QMatrix:
         return self.entries[i]
 
     def mul_vector(self, v: Sequence[Fraction]) -> QVector:
+        """m v, summing only over the nonzero coordinates of v."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in self.entries)
 
 
 def _int_rows(m: QMatrix) -> list[dict[int, int]]:
     """Rows as sparse {col: int}, each scaled by the lcm of its denominators."""
     out = []
     for row in m.entries:
+        support = [(j, x) for j, x in enumerate(row) if x]
         scale = 1
-        for x in row:
+        for _, x in support:
             scale = scale * x.denominator // gcd(scale, x.denominator)
-        r = {j: int(x * scale) for j, x in enumerate(row) if x != 0}
-        out.append(r)
+        out.append({j: int(x * scale) for j, x in support})
     return out
 
 

@@ -33,6 +33,20 @@ class TestExitCodes:
         code = main(["pairing", "--L", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_pairing_nonfinite_L(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pairing", f"--L={value}"])
+        assert exc.value.code == 2
+        assert "L must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_aj_digits_below_one(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["aj", "--digits", value])
+        assert exc.value.code == 2
+        assert "digits must be >= 1" in capsys.readouterr().err
+
     def test_sing_needs_three_planes(self, capsys):
         code = main(["sing", "--d", "2"])
         assert code == 2
@@ -111,6 +125,18 @@ class TestSingCommand:
         doc = json.loads(out)
         by_name = {c["name"]: c["data"] for c in doc["checks"]}
         assert by_name["delta span rank d=4"]["rank"] == 0
+
+    def test_delta_span_rank_can_fail(self, capsys, monkeypatch):
+        # a nonzero residue must show up as a positive rank and a failed check
+        from hodge_degen import cli
+        from hodge_degen.degeneration import H2Class
+
+        fake = H2Class(4, {("e", 1, 2, 1): 1, ("l", 1): -1})
+        monkeypatch.setattr(cli, "singularity_at_zero", lambda c, d: fake)
+        code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "delta")
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["delta span rank d=4"]
+        assert check["status"] == "fail" and check["data"]["rank"] == 1
 
     def test_lambda_family_rank(self, capsys):
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "lambda")

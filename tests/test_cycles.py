@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from hodge_degen import degeneration
 from hodge_degen.cycles import (
     HigherCycle,
     MarkerCancellationError,
@@ -26,6 +27,7 @@ from hodge_degen.cycles import (
     threefold_boundary,
 )
 from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
+from hodge_degen.exactlin import in_span
 
 
 def gamma_closed_form(d, i, j, k, l):
@@ -189,15 +191,32 @@ class TestExpressInB:
         res = express_in_B(H2Class(4, {}), 4)
         assert res.in_span and all(c == 0 for c in res.coeffs)
 
-    def test_left_inverse(self):
-        rng = random.Random(5)
-        basis = hodge_kernel_basis(4)
-        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in basis]
-        combo = H2Class(4, {})
-        for c, b in zip(coeffs, basis):
-            combo = combo + b.scale(c)
-        res = express_in_B(combo, 4)
-        assert res.in_span and list(res.coeffs) == coeffs
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_left_inverse(self, d):
+        # closed-form coordinates against the generic elimination oracle
+        rng = random.Random(5 + d)
+        basis = hodge_kernel_basis(d)
+        vectors = [b.vector() for b in basis]
+        for _ in range(2):
+            coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4)) for _ in basis]
+            combo = H2Class(d, {})
+            for c, b in zip(coeffs, basis):
+                combo = combo + b.scale(c)
+            assert any(g[0] == "e" and g[2] == d for g, _ in combo.coords)
+            res = express_in_B(combo, d)
+            ok, oracle = in_span(vectors, combo.vector())
+            assert res.in_span and ok
+            assert list(res.coeffs) == list(oracle) == coeffs
+
+    def test_combination_checked_against_class(self, monkeypatch):
+        # a basis that disagrees with the closed form is caught by the
+        # exact reconstruction, not returned as coordinates
+        basis = list(hodge_kernel_basis(4))
+        basis[1] = basis[1].scale(Fraction(2))
+        monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: tuple(basis))
+        cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
+        with pytest.raises(AssertionError):
+            express_in_B(cls, 4)
 
     def test_off_kernel_residual(self):
         x = H2Class(4, {("l", 1): Fraction(1)})

@@ -13,6 +13,7 @@ from hodge_degen.degeneration import (
     canonical_generators,
     coordinate_dim,
     hodge_kernel_basis,
+    independence_certificate,
     kernel_dim,
     kernel_of_phi,
     phi_apply_raw,
@@ -172,6 +173,41 @@ class TestKernelBasis:
         phi = phi_matrix(d)
         for b in hodge_kernel_basis(d):
             assert all(x == 0 for x in phi.mul_vector(b.vector()))
+
+    def test_built_once_per_d(self):
+        basis = hodge_kernel_basis(5)
+        assert isinstance(basis, tuple)
+        assert hodge_kernel_basis(5) is basis
+
+    def test_d_too_small(self):
+        with pytest.raises(ValueError):
+            hodge_kernel_basis(1)
+
+
+class TestIndependenceCertificate:
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_accepts_basis(self, d):
+        assert independence_certificate(d, hodge_kernel_basis(d))
+
+    def test_rejects_duplicated_pair_class(self):
+        basis = list(hodge_kernel_basis(4))
+        basis[2] = basis[1]
+        assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
+        assert not independence_certificate(4, basis)
+
+    def test_rejects_zero_total_class(self):
+        basis = list(hodge_kernel_basis(4))
+        basis[0] = H2Class(4, {})
+        assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
+        assert not independence_certificate(4, basis)
+
+    def test_rejects_total_with_exceptional_part(self):
+        basis = list(hodge_kernel_basis(4))
+        basis[0] = basis[0] + basis[1]
+        assert not independence_certificate(4, basis)
+
+    def test_rejects_wrong_length(self):
+        assert not independence_certificate(4, hodge_kernel_basis(4)[:-1])
 
 
 class TestH2Class:

@@ -1,15 +1,19 @@
 """Exact scalar and linear algebra tests.
 
 Rank and kernel results are cross-checked against a plain Fraction
-Gaussian elimination implemented here, independent of the package's
+Gaussian elimination implemented here and against sympy's exact
+``Matrix.rank`` / ``nullspace``, both independent of the package's
 fraction-free routine.
 """
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from hodge_degen.degeneration import phi_matrix
 
 from hodge_degen.exactlin import (
     MU,
@@ -41,6 +45,24 @@ def gauss_rank(rows):
 
 
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+# mostly zeros, so the zero-skipping paths of mul_vector and elimination run
+sparse_entry = st.integers(0, 2).flatmap(lambda k: small_fraction if k == 0 else st.just(Fraction(0)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 7))
+    return draw(st.lists(st.lists(sparse_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(column):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in column)
 
 
 class TestCycloNumber:
@@ -144,6 +166,37 @@ class TestRankKernel:
         for v in basis:
             assert all(x == 0 for x in m.mul_vector(v))
         assert rank(QMatrix(basis)) == len(basis) if basis else True
+
+
+class TestSympyOracle:
+    """rank, kernel_basis and mul_vector against sympy's exact arithmetic.
+
+    Both kernels are built the same way from the reduced row echelon form
+    (one vector per free column, 1 at that column), which is unique, so
+    the bases agree vector for vector.
+    """
+
+    def assert_agrees(self, rows):
+        m = QMatrix(rows)
+        sm = to_sympy(m.entries)
+        assert rank(m) == sm.rank()
+        assert kernel_basis(m) == [from_sympy(v) for v in sm.nullspace()]
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_phi_matrix(self, d):
+        self.assert_agrees(phi_matrix(d).entries)
+
+    @given(sparse_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_matrices(self, rows):
+        self.assert_agrees(rows)
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mul_vector(self, rows, data):
+        m = QMatrix(rows)
+        v = data.draw(st.lists(sparse_entry, min_size=m.cols, max_size=m.cols))
+        assert m.mul_vector(v) == from_sympy(to_sympy(m.entries) * to_sympy([[x] for x in v]))
 
 
 class TestInSpan:
