@@ -91,12 +91,6 @@ class H2Class:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coords", tuple(items))
 
-    def coefficient(self, g: Generator) -> Fraction:
-        for h, c in self.coords:
-            if h == g:
-                return c
-        return Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.coords
 
@@ -227,9 +221,15 @@ def phi_matrix(d: int) -> QMatrix:
     Column of l_i: 1 at every row except -(d-1) at row i.  Column of
     e^{ij}_l (l < d): +1 at row i, -1 at row j.  Columns for e^{ij}_d are
     already rewritten away by the canonical coordinates; phi kills each
-    relation, so the matrix is well defined on the quotient.
+    relation, so the matrix is well defined on the quotient.  Built once
+    per d; the returned matrix is immutable and shared.
     """
     _require_d(d)
+    return _phi_matrix(d)
+
+
+@lru_cache(maxsize=None)
+def _phi_matrix(d: int) -> QMatrix:
     gens = canonical_generators(d)
     rows = []
     for comp in range(1, d + 1):

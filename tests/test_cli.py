@@ -1,9 +1,13 @@
 """Command line interface: exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hodge_degen
 from hodge_degen.cli import main
 
 
@@ -89,6 +93,7 @@ class TestBasisCommand:
         doc = json.loads(out)
         by_name = {c["name"]: c["data"] for c in doc["checks"]}
         assert by_name["presentation dimension d=4"]["dim"] == 22
+        assert by_name["presentation dimension d=4"]["relation_rank"] == 6
         assert by_name["kernel dimension d=4"]["kernel_dim"] == 19
 
     def test_d6_kernel(self, capsys):
@@ -97,6 +102,25 @@ class TestBasisCommand:
         doc = json.loads(out)
         by_name = {c["name"]: c["data"] for c in doc["checks"]}
         assert by_name["kernel dimension d=6"]["kernel_dim"] == 1 + 5 * 15
+
+    def test_dependent_relations_fail(self, capsys, monkeypatch):
+        # a presentation that repeats a relation in place of another
+        # presents a larger space than its claimed dim
+        from hodge_degen import degeneration
+
+        real = degeneration.presentation
+
+        def duplicated(d):
+            gens, relations, dim = real(d)
+            relations[1] = relations[0]
+            return gens, relations, dim
+
+        monkeypatch.setattr(degeneration, "presentation", duplicated)
+        code, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["presentation dimension d=4"]
+        assert check["status"] == "fail"
+        assert check["data"]["relations"] == 6 and check["data"]["relation_rank"] == 5
 
     def test_flag_position_equivalent(self, capsys):
         _, first = run(capsys, "--format", "json", "basis", "--d", "3")
@@ -186,3 +210,37 @@ class TestPairingCommand:
             doc = json.loads(out)
             by_name = {c["name"]: c["data"] for c in doc["checks"]}
             assert by_name["seeded limit matrix"]["verdict"] == "independent"
+
+    def test_small_L(self, capsys):
+        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
+        assert code == 0
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    def test_det_bound_relative_to_small_L(self, capsys, monkeypatch):
+        # |det + L| = 2e-12 passes an absolute 1e-3 bound; relative to L it is 2e-3
+        from hodge_degen import limits
+
+        def off_by_2e_3(frame, L, seed=None, t_sequence=None):
+            return limits.IndependenceResult(((0j,),), complex(-L * (1 + 2e-3)), L, "independent")
+
+        monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
+        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
+        assert code == 1
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
+
+
+def test_cli_without_pairing_never_imports_numpy():
+    # numpy only draws the seeded tails of pairing; every other job starts without it
+    code = (
+        "import contextlib, io, sys\n"
+        "import hodge_degen.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['basis', '--d', '2']), cli.main(['aj'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'numpy' not in sys.modules, 'main'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -148,6 +148,11 @@ class TestPhi:
         assert (m.rows, m.cols) == (4, 22)
         assert coordinate_dim(4) == 22
 
+    def test_built_once_per_d(self):
+        assert phi_matrix(5) is phi_matrix(5)
+        with pytest.raises(ValueError):
+            phi_matrix(1)
+
 
 class TestKernelBasis:
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 7), (4, 19), (5, 41)])
