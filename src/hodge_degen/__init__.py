@@ -15,10 +15,8 @@ from .arrangement import (
 )
 from .cycles import (
     HigherCycle,
-    boundary_divisor,
     build_cycle,
     express_in_B,
-    singularity_at_infinity,
     singularity_at_zero,
     span_rank,
     threefold_boundary,
@@ -30,7 +28,7 @@ from .degeneration import (
     presentation,
     reduce_raw,
 )
-from .exactlin import MU, CycloNumber, QMatrix, Rational, cyclo_embed, in_span, kernel_basis, rank
+from .exactlin import MU, CycloNumber, QMatrix, cyclo_embed, in_span, kernel_basis, rank
 from .limits import (
     EtaModel,
     Frame,

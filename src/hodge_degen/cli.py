@@ -137,6 +137,22 @@ def cmd_basis(args, report: Report) -> None:
     run_basis(report, args.d)
 
 
+def single_family_rank(d: int, family: str) -> int:
+    """Rank of the residue classes of one family, in closed form.
+
+    gamma: for fixed l < d the class of gamma(i<j<k; l) is the coboundary
+    e^{ij}_l + e^{jk}_l - e^{ik}_l of the triangle ijk of the complete
+    graph K_d, and triangle coboundaries span C(d,2) - (d-1) = C(d-1,2)
+    dimensions; the classes with l = d are minus the sum over l < d, so
+    the rank is (d-1) C(d-1,2).  lambda: every row and column sum of the
+    d x d array lambda(i; l) is sum_i l_i, and these 2(d-1) relations are
+    all, so the rank is d^2 - 2(d-1) = (d-1)^2 + 1.
+    """
+    if family == "gamma":
+        return (d - 1) * ((d - 1) * (d - 2) // 2)
+    return (d - 1) ** 2 + 1
+
+
 def run_sing(report: Report, d: int, family: str) -> None:
     if family in ("gamma", "delta", "both", "all") and d < 3:
         raise SystemExit("sing needs --d >= 3 for triple-index families")
@@ -158,14 +174,21 @@ def run_sing(report: Report, d: int, family: str) -> None:
         )
         return
     res = span_rank(d, fam)
-    # single-family ranks are informational; only the full family must span
+    if fam == "both":
+        anchor, ok, extra = "residue classes span the pairing kernel", res.spanning, {}
+    else:
+        # a single family cannot span the kernel; its rank has a closed form
+        family_rank = single_family_rank(d, fam)
+        anchor = "single-family residue rank matches its closed form"
+        ok, extra = res.rank == family_rank, {"family_rank": family_rank}
     report.add(
         f"span rank d={d} family={fam}",
-        "residue classes span the pairing kernel",
-        res.spanning if fam == "both" else True,
+        anchor,
+        ok,
         rank=res.rank,
         expected=res.expected,
         spanning=res.spanning,
+        **extra,
     )
     if fam == "both":
         report.add(
@@ -177,12 +200,12 @@ def run_sing(report: Report, d: int, family: str) -> None:
         shown = family_cycles(d, "both")
         for c in shown[: min(len(shown), 6)]:
             cls = singularity_at_zero(c, d)
-            expr = express_in_B(cls, d)
+            coeffs = express_in_B(cls, d)
             table.append(
                 {
                     "cycle": c.to_json_dict(),
                     "class": json.loads(cls.to_json()),
-                    "in_B": [str(x) for x in expr.coeffs] if expr.coeffs else None,
+                    "in_B": [str(x) for x in coeffs] if coeffs is not None else None,
                 }
             )
         report.add(

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal, Mapping
+from typing import Literal
 
 from . import degeneration
 from .degeneration import H2Class, reduce_raw
-from .exactlin import QMatrix, in_span, rank
+from .exactlin import QMatrix, rank
 
 FormSel = tuple[str, int]
 
@@ -45,7 +45,6 @@ class Precycle:
     support: tuple[int, int]
     func_zero: FormSel | None
     func_pole: FormSel | None
-    weight: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,24 +55,6 @@ class HigherCycle:
 
     def to_json_dict(self):
         return {"kind": self.kind, "indices": list(self.indices)}
-
-
-@dataclass(frozen=True)
-class DivisorOnLines:
-    """Formal Q-combination of triple points; exact cancellation decidable.
-
-    Point symbols: ("p", i, j, l) for the node of L_i, L_j, M_l (i < j) and
-    ("q", i, l, m) for L_i with M_l, M_m (l < m).
-    """
-
-    points: tuple[tuple[tuple, Fraction], ...]
-
-    def __init__(self, points: Mapping[tuple, Fraction] | None = None):
-        items = sorted((k, Fraction(v)) for k, v in (points or {}).items() if v != 0)
-        object.__setattr__(self, "points", tuple(items))
-
-    def is_zero(self) -> bool:
-        return not self.points
 
 
 def _ordered_pair(a: int, b: int) -> tuple[int, int]:
@@ -118,34 +99,6 @@ def build_cycle(kind: str, indices: tuple[int, ...]) -> HigherCycle:
     raise ValueError(f"unknown cycle kind {kind!r}")
 
 
-def _term_boundary_points(t: Precycle):
-    """Zero and pole point symbols of one ratio term."""
-    a, b = t.support
-    out = []
-    for sel, sign in ((t.func_zero, 1), (t.func_pole, -1)):
-        kind, idx = sel
-        if kind == "L":
-            i, j = _ordered_pair(a, idx)
-            out.append((("p", i, j, b), sign))
-        else:
-            l, m = _ordered_pair(b, idx)
-            out.append((("q", a, l, m), sign))
-    return out
-
-
-def boundary_divisor(c: HigherCycle) -> DivisorOnLines:
-    """Formal sum of zeros minus poles over all terms; lambda terms use the
-    pencil parameter, invertible away from the degenerate fibers, so they
-    contribute nothing."""
-    acc: dict[tuple, Fraction] = {}
-    for t in c.terms:
-        if t.func_zero is None:
-            continue
-        for sym, sign in _term_boundary_points(t):
-            acc[sym] = acc.get(sym, Fraction(0)) + sign * t.weight
-    return DivisorOnLines(acc)
-
-
 def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
     """Class of the cycle's residue on the degenerate fiber, canonical form.
 
@@ -167,16 +120,14 @@ def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
     for t in c.terms:
         if t.func_zero is None:
             i, l = t.support
-            add_raw(("l", i), t.weight)
+            add_raw(("l", i), 1)
             for a in range(1, i):
-                add_raw(("e", a, i, l), -t.weight)
+                add_raw(("e", a, i, l), -1)
             for a in range(i + 1, d + 1):
-                add_raw(("e", i, a, l), t.weight)
+                add_raw(("e", i, a, l), 1)
             continue
         a, l = t.support
-        for sel, sign in ((t.func_zero, 1), (t.func_pole, -1)):
-            kind, b = sel
-            w = sign * t.weight
+        for (kind, b), w in ((t.func_zero, 1), (t.func_pole, -1)):
             if kind == "L":
                 lo, hi = _ordered_pair(a, b)
                 if a < b:
@@ -194,29 +145,6 @@ def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
     return reduce_raw(d, raw)
 
 
-def _swap_cycle(c: HigherCycle) -> HigherCycle:
-    """Relabel L <-> M, mapping each kind to its mirror."""
-    if c.kind == "gamma":
-        i, j, k, l = c.indices
-        return build_cycle("delta", (l, i, j, k))
-    if c.kind == "delta":
-        i, l, m, n = c.indices
-        return build_cycle("gamma", (l, m, n, i))
-    i, l = c.indices
-    return build_cycle("lambda", (l, i))
-
-
-def singularity_at_infinity(c: HigherCycle, d: int) -> H2Class:
-    """Residue class at the opposite degenerate fiber.
-
-    Obtained by the relabeling symmetry: swap the roles of the two form
-    families and compute at zero.  The returned class lives in the swapped
-    model, whose generators index the M-planes.  This literal relabeling
-    is a convention, not a derivation.
-    """
-    return singularity_at_zero(_swap_cycle(c), d)
-
-
 def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
     """sum_{l'} (e^{ij}_l - e^{ij}_{l'}) in canonical form, any 1 <= l <= d."""
     raw: dict[tuple, Fraction] = {("e", i, j, l): Fraction(d)}
@@ -225,15 +153,9 @@ def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
     return reduce_raw(d, raw)
 
 
-@dataclass(frozen=True)
-class SpanExpression:
-    in_span: bool
-    coeffs: tuple[Fraction, ...] | None
-    residual: H2Class
-
-
-def express_in_B(x: H2Class, d: int) -> SpanExpression:
-    """Exact coordinates of x over the distinguished kernel basis.
+def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
+    """Exact coordinates of x over the distinguished kernel basis, or None
+    when x lies off the kernel.
 
     Basis order matches hodge_kernel_basis: the total-line class first,
     then the pair classes by (i, j) lex and 1 <= l <= d-1.  On the kernel
@@ -243,24 +165,11 @@ def express_in_B(x: H2Class, d: int) -> SpanExpression:
 
         c_{ijl} = x[e^{ij}_l] / d,   c_total = x[l_d] + sum_{i<d, l<d} c_{idl};
 
-    the combination is then checked against x exactly.  When x lies off
-    the kernel, the returned residual is the canonical off-kernel part:
-    the unique combination of l_1..l_{d-1} with the same image under the
-    component pairing, and coeffs is None.
+    the combination is then checked against x exactly.
     """
     basis = degeneration.hodge_kernel_basis(d)
-    phi = degeneration.phi_matrix(d)
-    obstruction = phi.mul_vector(x.vector())
-    if any(v != 0 for v in obstruction):
-        unit_cols = []
-        for i in range(1, d):
-            cls = H2Class(d, {("l", i): Fraction(1)})
-            unit_cols.append(phi.mul_vector(cls.vector()))
-        ok, coeffs = in_span(unit_cols, obstruction)
-        if not ok:
-            raise AssertionError("component pairing image not spanned by line classes")
-        residual = H2Class(d, {("l", i + 1): c for i, c in enumerate(coeffs) if c != 0})
-        return SpanExpression(False, None, residual)
+    if any(degeneration.phi_matrix(d).mul_vector(x.vector())):
+        return None
     zero = Fraction(0)
     cx = dict(x.coords)
     pair = {
@@ -277,7 +186,7 @@ def express_in_B(x: H2Class, d: int) -> SpanExpression:
                 acc[g] = acc.get(g, zero) + c * v
     if H2Class(d, acc) != x:
         raise AssertionError("kernel class not expressible in the kernel basis")
-    return SpanExpression(True, coeffs, H2Class(d, {}))
+    return coeffs
 
 
 def family_cycles(d: int, family: str) -> list[HigherCycle]:

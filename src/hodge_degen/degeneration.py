@@ -26,16 +26,6 @@ from .exactlin import QMatrix, QVector, kernel_basis, rank
 Generator = tuple
 
 
-def line_gen(i: int) -> Generator:
-    return ("l", i)
-
-
-def exc_gen(i: int, j: int, l: int) -> Generator:
-    if not i < j:
-        raise ValueError(f"exceptional index needs i < j, got ({i},{j})")
-    return ("e", i, j, l)
-
-
 def _check_gen(g: Generator, d: int) -> None:
     if g[0] == "l":
         if not 1 <= g[1] <= d:
@@ -57,14 +47,11 @@ def canonical_generators(d: int) -> list[Generator]:
     return gens
 
 
-def canonical_index(d: int) -> dict[Generator, int]:
-    return {g: k for k, g in enumerate(canonical_generators(d))}
-
-
 @lru_cache(maxsize=None)
 def _index(d: int) -> dict[Generator, int]:
-    """canonical_index(d), built once per d; shared, so never mutate it."""
-    return canonical_index(d)
+    """Position of each canonical generator, built once per d; shared, so
+    never mutate it."""
+    return {g: k for k, g in enumerate(canonical_generators(d))}
 
 
 def coordinate_dim(d: int) -> int:
@@ -115,22 +102,9 @@ class H2Class:
             v[idx[g]] = c
         return tuple(v)
 
-    @classmethod
-    def from_vector(cls, d: int, v: Sequence[Fraction]) -> "H2Class":
-        gens = canonical_generators(d)
-        if len(v) != len(gens):
-            raise ValueError("vector length mismatch")
-        return cls(d, {g: Fraction(c) for g, c in zip(gens, v) if c != 0})
-
     def to_json(self) -> str:
         rows = [{"gen": _gen_label(g), "val": str(c)} for g, c in self.coords]
         return json.dumps({"d": self.d, "coords": rows})
-
-    @classmethod
-    def from_json(cls, s: str) -> "H2Class":
-        data = json.loads(s)
-        coords = {_parse_label(r["gen"]): Fraction(r["val"]) for r in data["coords"]}
-        return cls(data["d"], coords)
 
     def __repr__(self):
         if not self.coords:
@@ -149,15 +123,6 @@ def _gen_label(g: Generator) -> str:
     return f"e_{g[1]}_{g[2]}_{g[3]}"
 
 
-def _parse_label(s: str) -> Generator:
-    parts = s.split("_")
-    if parts[0] == "l" and len(parts) == 2:
-        return ("l", int(parts[1]))
-    if parts[0] == "e" and len(parts) == 4:
-        return ("e", int(parts[1]), int(parts[2]), int(parts[3]))
-    raise ValueError(f"bad generator label {s!r}")
-
-
 def _require_d(d: int) -> None:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -167,14 +132,12 @@ def presentation(d: int):
     """Generators, relations and the dimension of the presented space.
 
     Returns (generators, relations, dim) where generators lists every l_i
-    and e^{ij}_l (all l up to d), each relation is the coefficient map of
+    and e^{ij}_l (all l up to d: the canonical generators, then each
+    e^{ij}_d), each relation is the coefficient map of
     l_j - l_i - sum_l e^{ij}_l, and dim = d + d*C(d,2) - C(d,2).
     """
     _require_d(d)
-    gens: list[Generator] = [("l", i) for i in range(1, d + 1)]
-    for i, j in combinations(range(1, d + 1), 2):
-        for l in range(1, d + 1):
-            gens.append(("e", i, j, l))
+    gens = canonical_generators(d) + [("e", i, j, d) for i, j in combinations(range(1, d + 1), 2)]
     relations = []
     for i, j in combinations(range(1, d + 1), 2):
         rel: dict[Generator, Fraction] = {
@@ -242,11 +205,6 @@ def _phi_matrix(d: int) -> QMatrix:
                 row.append(Fraction(1) if comp == i else Fraction(-1) if comp == j else Fraction(0))
         rows.append(row)
     return QMatrix(rows)
-
-
-def phi_apply_raw(d: int, raw: Mapping[Generator, Fraction]) -> QVector:
-    """phi of a raw coefficient map, through canonical reduction."""
-    return phi_matrix(d).mul_vector(reduce_raw(d, raw).vector())
 
 
 def kernel_dim(d: int) -> int:

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, sqrt
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 QVector = tuple[Fraction, ...]
 
 _SQRT3_2 = sqrt(3.0) / 2.0
@@ -111,7 +109,6 @@ class CycloNumber:
 
 MU = CycloNumber(0, 1)
 CYCLO_ONE = CycloNumber(1, 0)
-CYCLO_ZERO = CycloNumber(0, 0)
 
 
 def cyclo_embed(x: CycloNumber) -> complex:
@@ -140,9 +137,6 @@ class QMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> QVector:
-        return self.entries[i]
 
     def mul_vector(self, v: Sequence[Fraction]) -> QVector:
         """m v, summing only over the nonzero coordinates of v."""

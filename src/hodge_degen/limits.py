@@ -216,6 +216,33 @@ class PairingLimit:
     residuals: tuple[float, ...]
 
 
+def _t_samples(t_sequence: Sequence[complex] | None) -> tuple[complex, ...]:
+    """The given (or default) t sequence, checked: nonzero, |t| strictly decreasing."""
+    ts =tuple(t_sequence) if t_sequence is not None else default_t_sequence()
+    if len(ts) < 3:
+        raise ValueError("need at least 3 sample points")
+    mags = [abs(t) for t in ts]
+    if any(m == 0 for m in mags) or any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
+        raise ValueError("t sequence must be nonzero with strictly decreasing |t|")
+    return ts
+
+
+def _extrapolate(kind: str, ts: Sequence[complex], values: Sequence[complex]) -> PairingLimit:
+    """Neville extrapolation of pairing values sampled along ts to t = 0.
+
+    The extrapolation variable is 1/log|t| for the singular models
+    (kind "Ri"), whose error terms decay that slowly, and |t| itself for
+    the limit-type model, whose error terms are O(t polylog t).  Residuals
+    that grow instead of settling raise :class:`ExtrapolationError`.
+    """
+    xs = [1.0 / math.log(abs(t)) for t in ts] if kind == "Ri" else [abs(t) for t in ts]
+    value, residuals = _neville_to_zero(xs, values)
+    scale = max(1.0, abs(value))
+    if residuals and residuals[-1] > max(1e-6 * scale, min(residuals)) and residuals[-1] >= residuals[0]:
+        raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
+    return PairingLimit(value, tuple(values), tuple(residuals))
+
+
 def limit_of_pairing(
     nf: NormalFunctionModel,
     target,
@@ -224,31 +251,18 @@ def limit_of_pairing(
 ) -> PairingLimit:
     """Extrapolated limit of the pairing along a shrinking t sequence.
 
-    ``target`` is an :class:`EtaModel` or a 1-based d-class index.  The
-    extrapolation variable is 1/log|t| for the singular models, whose
-    error terms decay that slowly, and |t| itself for the limit-type
-    model, whose error terms are O(t polylog t).  Residuals that grow
-    instead of settling raise :class:`ExtrapolationError`.
+    ``target`` is an :class:`EtaModel` or a 1-based d-class index; see
+    :func:`_extrapolate` for the extrapolation and its convergence test.
     """
-    ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence()
-    if len(ts) < 3:
-        raise ValueError("need at least 3 sample points")
-    mags = [abs(t) for t in ts]
-    if any(m == 0 for m in mags) or any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
-        raise ValueError("t sequence must be nonzero with strictly decreasing |t|")
+    ts = _t_samples(t_sequence)
 
     def target_at(t: complex) -> FrameVector:
         if isinstance(target, EtaModel):
             return target.at(t, frame)
         return frame.basis("d", int(target))
 
-    vals = [pair(nf.pairing_vector(t, frame), target_at(t), frame) for t in ts]
-    xs = [1.0 / math.log(abs(t)) for t in ts] if nf.kind == "Ri" else [abs(t) for t in ts]
-    value, residuals = _neville_to_zero(xs, vals)
-    scale = max(1.0, abs(value))
-    if residuals and residuals[-1] > max(1e-6 * scale, min(residuals)) and residuals[-1] >= residuals[0]:
-        raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
-    return PairingLimit(value, tuple(vals), tuple(residuals))
+    values = [pair(nf.pairing_vector(t, frame), target_at(t), frame) for t in ts]
+    return _extrapolate(nf.kind, ts, values)
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -316,13 +330,18 @@ def independence_matrix(
     eta = EtaModel.build(frame, rng)
     r_model = NormalFunctionModel.limit_type(L, frame, rng)
     singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
-    ts = tuple(t_sequence) if t_sequence is not None else default_t_sequence()
+    ts = _t_samples(t_sequence)
+    etas = [eta.at(t, frame) for t in ts]
 
-    targets = [eta, *range(1, frame.dk + 1)]
-    mat = tuple(
-        tuple(limit_of_pairing(model, tg, frame, ts).value for tg in targets)
-        for model in (r_model, *singular)
-    )
+    def row(model: NormalFunctionModel) -> tuple[complex, ...]:
+        # the same limits as limit_of_pairing, from one pairing vector per t:
+        # pairing with the unit class d_j reads off coordinate 2 + j
+        vecs = [model.pairing_vector(t, frame) for t in ts]
+        columns = [[pair(v, e, frame) for v, e in zip(vecs, etas)]]
+        columns += [[v[2 + j] for v in vecs] for j in range(1, frame.dk + 1)]
+        return tuple(_extrapolate(model.kind, ts, values).value for values in columns)
+
+    mat = tuple(row(model) for model in (r_model, *singular))
     det = _det(mat)
     verdict = "independent" if abs(det) > 0.1 * abs(L) else "fail"
     return IndependenceResult(mat, det, L, verdict)

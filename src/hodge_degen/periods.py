@@ -111,31 +111,6 @@ def aj_closed_form() -> complex:
     return complex(-ZETA2, -6.0 * dilog(-MU_C).imag)
 
 
-def antiderivative(a: complex, b: complex, z: complex) -> complex:
-    """Pointwise antiderivative of log(a + b z)/z, principal branches:
-
-        -Li_2(-(b/a) z) + log(z) (log(a + b z) - log(1 + (b/a) z)).
-
-    Only d/dz is branch-free; definite integrals must transport branches,
-    see log_line_integral.
-    """
-    w = (b / a) * z
-    return -dilog(-w) + cmath.log(z) * (cmath.log(a + b * z) - cmath.log(1.0 + w))
-
-
-@dataclass(frozen=True)
-class Segment:
-    z0: complex
-    z1: complex
-
-    def __post_init__(self):
-        if self.z0 == self.z1:
-            raise ValueError("degenerate segment")
-
-    def at(self, s: float) -> complex:
-        return self.z0 + s * (self.z1 - self.z0)
-
-
 def _segment_distance_to_zero(z0: complex, z1: complex) -> float:
     d = z1 - z0
     n2 = abs(d) ** 2
@@ -157,19 +132,16 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
     return None
 
 
-def log_line_integral(a: complex, b: complex, seg: Segment, tol: float = 1e-12) -> complex:
-    """Integral of log(a + b z)/z along seg, log branch continued.
+def log_line_integral(a: complex, b: complex, z0: complex, z1: complex, tol: float = 1e-12) -> complex:
+    """Integral of log(a + b z)/z along the segment [z0, z1], log branch
+    continued.
 
-    Starts on the principal branch at seg.z0.  The argument a + b z moves
+    Starts on the principal branch at z0.  The argument a + b z moves
     along a straight segment, so it crosses the negative real axis at most
     once; the integration is split there and the branch offset transported
     across.  The path must stay clear of z = 0 and of the zero of a + b z.
     """
-    value, _ = _log_line_integral_cont(complex(a), complex(b), seg.z0, seg.z1, 0, tol)
-    return value
-
-
-def _log_line_integral_cont(a, b, z0, z1, k0: int, tol: float):
+    a, b, z0, z1 = complex(a), complex(b), complex(z0), complex(z1)
     if _segment_distance_to_zero(z0, z1) < 1e-9:
         raise PathSingularityError(f"path [{z0}, {z1}] passes through z = 0")
     w0 = a + b * z0
@@ -178,9 +150,9 @@ def _log_line_integral_cont(a, b, z0, z1, k0: int, tol: float):
         raise PathSingularityError(f"log argument vanishes on path: a={a}, b={b}")
     dz = z1 - z0
     s_cross = _cut_crossing(w0, w1)
-    pieces = [(0.0, 1.0, k0)] if s_cross is None else [
-        (0.0, s_cross, k0),
-        (s_cross, 1.0, k0 + (1 if (w1 - w0).imag < 0 else -1)),
+    pieces = [(0.0, 1.0, 0)] if s_cross is None else [
+        (0.0, s_cross, 0),
+        (s_cross, 1.0, 1 if (w1 - w0).imag < 0 else -1),
     ]
     total = 0j
     for s_lo, s_hi, k in pieces:
@@ -191,7 +163,7 @@ def _log_line_integral_cont(a, b, z0, z1, k0: int, tol: float):
             return (cmath.log(a + b * z) + shift) / z * dz
 
         total += adaptive_quad(f, s_lo, s_hi, tol)
-    return total, pieces[-1][2]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +263,8 @@ def membrane_integral(vertices, tol: float = 1e-12) -> complex:
     for lower, upper, legs in _sweep_pieces(v1, v2, v3):
         _check_piece_clearance(lower, upper, legs)
         for y0, y1 in legs:
-            seg = Segment(y0, y1)
-            total += log_line_integral(upper.p, upper.q, seg, tol)
-            total -= log_line_integral(lower.p, lower.q, seg, tol)
+            total += log_line_integral(upper.p, upper.q, y0, y1, tol)
+            total -= log_line_integral(lower.p, lower.q, y0, y1, tol)
     return total
 
 

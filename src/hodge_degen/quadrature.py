@@ -91,29 +91,13 @@ def adaptive_quad(
     return sum(p[3] for p in panels)
 
 
-def segment_integral(
-    f: Callable[[complex], complex],
-    z0: complex,
-    z1: complex,
-    tol: float = 1e-12,
-) -> complex:
-    """Contour integral of f along the straight segment from z0 to z1."""
-    dz = z1 - z0
-    return adaptive_quad(lambda s: f(z0 + s * dz) * dz, 0.0, 1.0, tol)
-
-
-def double_integral(
-    f: Callable[[float, float], complex],
-    tol: float = 1e-10,
-    inner_tol_factor: float = 0.05,
-) -> complex:
+def double_integral(f: Callable[[float, float], complex], tol: float = 1e-10) -> complex:
     """Integrate f over the unit square, inner variable first.
 
     The outer pass integrates s -> int_0^1 f(s, t) dt adaptively; inner
-    integrals run at a tightened tolerance so the outer estimate stays
-    honest.
+    integrals run at tol / 20 so the outer estimate stays honest.
     """
-    inner_tol = tol * inner_tol_factor
+    inner_tol = tol * 0.05
 
     def outer(s: float) -> complex:
         return adaptive_quad(lambda t: f(s, t), 0.0, 1.0, inner_tol)

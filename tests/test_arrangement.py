@@ -34,7 +34,6 @@ class TestTempered:
         assert tempered.M[3].coeffs == (ONE, ONE, ONE, -MU)
 
     def test_certified(self, tempered):
-        assert tempered.certified
         assert validate_general_position(tempered).ok
 
     def test_triple_points_distinct(self, tempered):
@@ -130,18 +129,3 @@ class TestTriangle:
         # vertices on the L3 plane have Z = 0
         with pytest.raises(ChartError):
             triangle_vertices(tempered, 3, 1, 2, 4)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tempered):
-        s = tempered.to_json()
-        again = Arrangement.from_json(s)
-        assert again.to_json() == s
-        assert again.L == tempered.L and again.M == tempered.M
-
-    def test_fractions_survive(self):
-        arr = Arrangement(
-            [LinearForm([CycloNumber(Fraction(2, 7), Fraction(-1, 3)), 1, 0, 0]), LinearForm([0, 1, 0, 0])],
-            [LinearForm([0, 0, 1, 0]), LinearForm([0, 0, 0, 1])],
-        )
-        assert Arrangement.from_json(arr.to_json()).L == arr.L

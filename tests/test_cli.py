@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report schema, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -169,6 +170,37 @@ class TestSingCommand:
         by_name = {c["name"]: c["data"] for c in doc["checks"]}
         assert by_name["span rank d=4 family=lambda"]["rank"] == 10
 
+    @pytest.mark.parametrize(
+        "d,family", [(d, "lambda") for d in range(2, 8)] + [(d, "gamma") for d in range(3, 8)]
+    )
+    def test_single_family_rank_closed_form(self, d, family):
+        from hodge_degen.cli import single_family_rank
+        from hodge_degen.cycles import span_rank
+
+        assert span_rank(d, family).rank == single_family_rank(d, family)
+
+    def test_single_family_check_passes(self, capsys):
+        code, out = run(capsys, "--format", "json", "sing", "--d", "5", "--family", "gamma")
+        assert code == 0
+        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["span rank d=5 family=gamma"]
+        assert data["rank"] == data["family_rank"] == 24
+
+    def test_single_family_rank_can_fail(self, capsys, monkeypatch):
+        # one class too many (or too few) is no longer reported as a pass
+        from hodge_degen import cli
+        from hodge_degen.cycles import span_rank
+
+        def off_by_one(d, family):
+            res = span_rank(d, family)
+            return dataclasses.replace(res, rank=res.rank + 1)
+
+        monkeypatch.setattr(cli, "span_rank", off_by_one)
+        code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "lambda")
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["span rank d=4 family=lambda"]
+        assert check["status"] == "fail"
+        assert check["data"]["rank"] == 11 and check["data"]["family_rank"] == 10
+
 
 class TestAjCommand:
     def test_aj_without_oracle(self, capsys):
@@ -190,6 +222,18 @@ class TestAjCommand:
         data = by_name["quadrature oracle"]["data"]
         assert data["abs_diff"] < 1e-6
         assert len(data["quadrature"]) == 2
+
+    def test_arrangement_check_can_fail(self, capsys, monkeypatch):
+        from hodge_degen import cli
+        from hodge_degen.arrangement import GeneralPositionReport
+
+        violation = GeneralPositionReport(False, (("L", 1), ("M", 1), ("M", 2)), "three forms share a line")
+        monkeypatch.setattr(cli, "validate_general_position", lambda arr: violation)
+        code, out = run(capsys, "--format", "json", "aj")
+        assert code == 1
+        by_name = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert by_name["tempered arrangement certified"] == "fail"
+        assert by_name["closed form vs membrane"] == "pass"
 
 
 class TestPairingCommand:

@@ -1,4 +1,4 @@
-"""Cycle construction, boundary accounting, residue classes, span checks.
+"""Cycle construction, marker cancellation, residue classes, span checks.
 
 The residue derivation goes through the local blow-up rules; the closed
 forms (exceptional three-term class for gamma, line degeneration class
@@ -16,12 +16,10 @@ from hodge_degen.cycles import (
     HigherCycle,
     MarkerCancellationError,
     Precycle,
-    boundary_divisor,
     build_cycle,
     express_in_B,
     family_cycles,
     pair_kernel_class,
-    singularity_at_infinity,
     singularity_at_zero,
     span_rank,
     threefold_boundary,
@@ -74,17 +72,31 @@ class TestBuildCycle:
 
 class TestBoundary:
     def test_single_term(self):
+        # the zero and the pole of a lone ratio term stay as markers
         term = Precycle((1, 2), ("L", 2), ("L", 3))
-        div = boundary_divisor(HigherCycle("gamma", (), (term,)))
-        assert dict(div.points) == {("p", 1, 2, 2): 1, ("p", 1, 3, 2): -1}
+        with pytest.raises(MarkerCancellationError) as exc:
+            singularity_at_zero(HigherCycle("gamma", (), (term,)), 4)
+        assert str(exc.value) == (
+            "markers do not cancel: {('p', 1, 2, 2): Fraction(1, 1), ('p', 1, 3, 2): Fraction(-1, 1)}"
+        )
 
     @pytest.mark.parametrize("d", range(3, 7))
     def test_gamma_and_delta_close(self, d):
+        # every cycle closes, and dropping any one of its terms breaks that
         for c in family_cycles(d, "gamma") + family_cycles(d, "delta"):
-            assert boundary_divisor(c).is_zero()
+            singularity_at_zero(c, d)
+            for k in range(len(c.terms)):
+                part = HigherCycle(c.kind, c.indices, c.terms[:k] + c.terms[k + 1 :])
+                with pytest.raises(MarkerCancellationError):
+                    singularity_at_zero(part, d)
 
     def test_lambda_closes(self):
-        assert boundary_divisor(build_cycle("lambda", (1, 1))).is_zero()
+        # the pencil parameter carries no markers, so a lambda term joins
+        # a closed gamma cycle without breaking it, and classes add
+        g = build_cycle("gamma", (1, 2, 3, 1))
+        lam = build_cycle("lambda", (1, 1))
+        both = HigherCycle("gamma", g.indices, g.terms + lam.terms)
+        assert singularity_at_zero(both, 4) == singularity_at_zero(g, 4) + singularity_at_zero(lam, 4)
 
 
 class TestSingularity:
@@ -146,50 +158,28 @@ class TestSingularity:
             singularity_at_zero(build_cycle("gamma", (1, 2, 5, 1)), 4)
 
 
-class TestRelabelingSymmetry:
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_delta_at_infinity_is_swapped_gamma(self, d):
-        for i in range(1, d + 1):
-            for l, m, n in combinations(range(1, d + 1), 3):
-                dl = build_cycle("delta", (i, l, m, n))
-                gm = build_cycle("gamma", (l, m, n, i))
-                assert singularity_at_infinity(dl, d) == singularity_at_zero(gm, d)
-
-    def test_gamma_trivial_at_infinity(self):
-        g = build_cycle("gamma", (1, 2, 3, 1))
-        assert singularity_at_infinity(g, 4).is_zero()
-
-    def test_lambda_swaps_indices(self):
-        lam = build_cycle("lambda", (2, 3))
-        swapped = build_cycle("lambda", (3, 2))
-        assert singularity_at_infinity(lam, 4) == singularity_at_zero(swapped, 4)
-
-
 class TestExpressInB:
     def test_gamma_quarter_pattern(self):
         cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
-        res = express_in_B(cls, 4)
-        assert res.in_span and res.residual.is_zero()
         # basis order: total, then (i,j) lex with l = 1..3
         expected = [Fraction(0)] * 19
         expected[1] = Fraction(1, 4)   # pair (1,2), l=1
         expected[4] = Fraction(-1, 4)  # pair (1,3), l=1
         expected[10] = Fraction(1, 4)  # pair (2,3), l=1
-        assert list(res.coeffs) == expected
+        assert list(express_in_B(cls, 4)) == expected
 
     def test_lambda_quarter_pattern(self):
         cls = singularity_at_zero(build_cycle("lambda", (1, 1)), 4)
-        res = express_in_B(cls, 4)
         expected = [Fraction(0)] * 19
         expected[0] = Fraction(1, 4)
         expected[1] = Fraction(1, 4)   # (1,2), l=1
         expected[4] = Fraction(1, 4)   # (1,3), l=1
         expected[7] = Fraction(1, 4)   # (1,4), l=1
-        assert list(res.coeffs) == expected
+        assert list(express_in_B(cls, 4)) == expected
 
     def test_zero_class(self):
-        res = express_in_B(H2Class(4, {}), 4)
-        assert res.in_span and all(c == 0 for c in res.coeffs)
+        coeffs = express_in_B(H2Class(4, {}), 4)
+        assert coeffs is not None and all(c == 0 for c in coeffs)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_left_inverse(self, d):
@@ -203,10 +193,9 @@ class TestExpressInB:
             for c, b in zip(coeffs, basis):
                 combo = combo + b.scale(c)
             assert any(g[0] == "e" and g[2] == d for g, _ in combo.coords)
-            res = express_in_B(combo, d)
             ok, oracle = in_span(vectors, combo.vector())
-            assert res.in_span and ok
-            assert list(res.coeffs) == list(oracle) == coeffs
+            assert ok
+            assert list(express_in_B(combo, d)) == list(oracle) == coeffs
 
     def test_combination_checked_against_class(self, monkeypatch):
         # a basis that disagrees with the closed form is caught by the
@@ -219,11 +208,10 @@ class TestExpressInB:
             express_in_B(cls, 4)
 
     def test_off_kernel_residual(self):
+        # l_1 pairs nontrivially with the components: no coordinates
         x = H2Class(4, {("l", 1): Fraction(1)})
-        res = express_in_B(x, 4)
-        assert not res.in_span and res.coeffs is None
-        phi = phi_matrix(4)
-        assert phi.mul_vector(res.residual.vector()) == phi.mul_vector(x.vector())
+        assert any(phi_matrix(4).mul_vector(x.vector()))
+        assert express_in_B(x, 4) is None
 
 
 class TestSpanRank:

@@ -16,7 +16,6 @@ from hodge_degen.degeneration import (
     independence_certificate,
     kernel_dim,
     kernel_of_phi,
-    phi_apply_raw,
     phi_matrix,
     presentation,
     reduce_raw,
@@ -116,7 +115,7 @@ class TestPhi:
     def test_relations_annihilated(self, d):
         _, relations, _ = presentation(d)
         for rel in relations:
-            assert all(x == 0 for x in phi_apply_raw(d, rel))
+            assert all(x == 0 for x in phi_matrix(d).mul_vector(reduce_raw(d, rel).vector()))
 
     def test_well_defined_on_raw_coordinates(self):
         # phi after reduction equals the direct intersection table, so the
@@ -137,7 +136,7 @@ class TestPhi:
                     _, i, j, _ = g
                     direct[i - 1] += c
                     direct[j - 1] -= c
-            assert list(phi_apply_raw(d, raw)) == direct
+            assert list(phi_matrix(d).mul_vector(reduce_raw(d, raw).vector())) == direct
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_rank(self, d):
@@ -216,9 +215,11 @@ class TestIndependenceCertificate:
 
 
 class TestH2Class:
-    def test_json_round_trip(self):
-        x = H2Class(4, {("l", 2): Fraction(-7, 3), ("e", 1, 3, 2): Fraction(1, 4)})
-        assert H2Class.from_json(x.to_json()) == x
+    def test_to_json_document(self):
+        x = H2Class(4, {("e", 1, 3, 2): Fraction(1, 4), ("l", 2): Fraction(-7, 3)})
+        assert x.to_json() == (
+            '{"d": 4, "coords": [{"gen": "l_2", "val": "-7/3"}, {"gen": "e_1_3_2", "val": "1/4"}]}'
+        )
 
     def test_canonical_rejects_last_column(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,38 @@ class TestIndependenceMatrix:
         with pytest.raises(ValueError):
             independence_matrix(frame, 0.0)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 7])
+    def test_matches_entrywise_limits(self, frame, seed):
+        # sharing the pairing vectors of a model across its row gives the
+        # matrix of separate limit_of_pairing calls bit for bit
+        rng = None if seed is None else np.random.default_rng(seed)
+        eta = EtaModel.build(frame, rng)
+        r_model = NormalFunctionModel.limit_type(L_VALUE, frame, rng)
+        singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
+        targets = [eta, *range(1, frame.dk + 1)]
+        want = tuple(
+            tuple(limit_of_pairing(model, tg, frame).value for tg in targets) for model in (r_model, *singular)
+        )
+        res = independence_matrix(frame, L_VALUE, seed=seed)
+        assert repr(res.matrix) == repr(want)
+        assert res.det == limits._det(want)
+
+    def test_unsettled_seed_raises(self, frame):
+        with pytest.raises(ExtrapolationError):
+            independence_matrix(frame, L_VALUE, seed=10)
+
+    def test_one_pairing_vector_per_model_and_t(self, frame, monkeypatch):
+        calls = []
+        real = NormalFunctionModel.pairing_vector
+
+        def counted(self, t, frame):
+            calls.append((self.kind, self.i, t))
+            return real(self, t, frame)
+
+        monkeypatch.setattr(NormalFunctionModel, "pairing_vector", counted)
+        independence_matrix(frame, L_VALUE, seed=0)
+        assert len(calls) == len(set(calls)) == (1 + frame.dk) * len(default_t_sequence())
+
     def test_json_dict_schema(self, small_frame):
         ts = default_t_sequence()
         res = independence_matrix(small_frame, 1.5, seed=0, t_sequence=ts)

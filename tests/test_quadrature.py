@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hodge_degen.quadrature import adaptive_quad, double_integral, segment_integral
+from hodge_degen.quadrature import adaptive_quad, double_integral
 
 
 def test_polynomial():
@@ -22,18 +22,6 @@ def test_peaked():
     got = adaptive_quad(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, tol=1e-11)
     want = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
     assert abs(got - want) < 1e-8
-
-
-def test_segment_log_derivative():
-    got = segment_integral(lambda z: 1.0 / z, 1.0 + 0j, 2.0 + 0j)
-    assert got == pytest.approx(math.log(2.0), abs=1e-13)
-
-
-def test_segment_off_axis():
-    z0, z1 = 1 + 1j, 2 - 1j
-    got = segment_integral(lambda z: z * z, z0, z1)
-    want = (z1 ** 3 - z0 ** 3) / 3
-    assert abs(got - want) < 1e-13
 
 
 def test_double_integral_separable():
