@@ -1,7 +1,8 @@
 """Plane arrangements in P^3 over Q(mu).
 
 Holds the 2d linear forms cutting out the degenerating pencil, certifies
-general position exactly, and computes the triple intersection points and
+general position exactly by determinants over Z[mu] (each form scaled to
+integer coefficients), and computes the triple intersection points and
 the chart coordinates of the period triangle.  The distinguished d = 4
 arrangement with sixth-root-of-unity coefficients is built by
 :func:`tempered_arrangement`.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .exactlin import CYCLO_ONE, MU, CycloNumber
@@ -108,18 +110,31 @@ class Arrangement:
         return [("L", i) for i in range(1, self.d + 1)] + [("M", l) for l in range(1, self.d + 1)]
 
 
-def _det(rows: list[list[CycloNumber]]) -> CycloNumber:
-    n = len(rows)
-    if n == 1:
+ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
+
+
+def _integer_coeffs(form: LinearForm) -> list[ZMu]:
+    """The form's coefficients scaled by the lcm of their denominators.
+
+    A positive rational multiple of a form cuts the same plane, so general
+    position and the normalised intersection points do not change.
+    """
+    m = lcm(*(q.denominator for c in form.coeffs for q in (c.a, c.b)))
+    return [(int(c.a * m), int(c.b * m)) for c in form.coeffs]
+
+
+def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
+    """Laplace expansion along the first row, exactly in Z[mu]."""
+    if len(rows) == 1:
         return rows[0][0]
-    acc = CycloNumber(0)
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    acc_a = acc_b = 0
+    for j, (a, b) in enumerate(rows[0]):
+        c, d = _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        # (a + b mu)(c + d mu) = (ac - bd) + (ad + bc + bd) mu
+        sign = -1 if j % 2 else 1
+        acc_a += sign * (a * c - b * d)
+        acc_b += sign * (a * d + b * c + b * d)
+    return (acc_a, acc_b)
 
 
 @dataclass(frozen=True)
@@ -138,16 +153,16 @@ def validate_general_position(a: Arrangement) -> GeneralPositionReport:
     selector subset is reported.
     """
     sels = a.all_selectors()
-    mats = {s: [c for c in a.form(s).coeffs] for s in sels}
+    mats = {s: _integer_coeffs(a.form(s)) for s in sels}
     for tri in combinations(sels, 3):
         rows = [mats[s] for s in tri]
         if not any(
-            not _det([[rows[r][c] for c in cset] for r in range(3)]).is_zero()
+            _det([[row[c] for c in cset] for row in rows]) != (0, 0)
             for cset in combinations(range(4), 3)
         ):
             return GeneralPositionReport(False, tri, "three forms share a line")
     for quad in combinations(sels, 4):
-        if _det([mats[s] for s in quad]).is_zero():
+        if _det([mats[s] for s in quad]) == (0, 0):
             return GeneralPositionReport(False, quad, "four forms share a point")
     return GeneralPositionReport(True)
 
@@ -157,14 +172,12 @@ def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: F
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(sels)
-    rows = [list(a.form(s).coeffs) for s in sels]
+    rows = [_integer_coeffs(a.form(s)) for s in sels]
     coords = []
-    sign = 1
     for k in range(4):
-        minor = [[row[c] for c in range(4) if c != k] for row in rows]
-        m = _det(minor)
-        coords.append(m if sign > 0 else -m)
-        sign = -sign
+        m_a, m_b = _det([row[:k] + row[k + 1 :] for row in rows])
+        sign = -1 if k % 2 else 1
+        coords.append(CycloNumber(sign * m_a, sign * m_b))
     if all(c.is_zero() for c in coords):
         raise DegenerateIntersectionError(sels)
     p = P3Point(coords)

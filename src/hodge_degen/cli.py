@@ -290,6 +290,7 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
         abs(res0.det + L) < det_tol,
         det=[res0.det.real, res0.det.imag],
         L=L,
+        max_residual=res0.max_residual,
     )
     res = limits_mod.independence_matrix(frame, L, seed=seed, t_sequence=ts)
     report.add(
@@ -297,6 +298,7 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
         "pairing limits with generic holomorphic tails",
         res.verdict == "independent" and abs(res.det + L) < det_tol,
         **res.to_json_dict(ts),
+        max_residual=res.max_residual,
     )
 
 

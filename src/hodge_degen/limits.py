@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -232,13 +233,18 @@ def _extrapolate(kind: str, ts: Sequence[complex], values: Sequence[complex]) ->
 
     The extrapolation variable is 1/log|t| for the singular models
     (kind "Ri"), whose error terms decay that slowly, and |t| itself for
-    the limit-type model, whose error terms are O(t polylog t).  Residuals
-    that grow instead of settling raise :class:`ExtrapolationError`.
+    the limit-type model, whose error terms are O(t polylog t).
+
+    The last residual, the change made by the highest-order step, is the
+    error estimate of the limit; unless it is below 1e-3 max(1, |limit|)
+    the limit is not trusted and :class:`ExtrapolationError` is raised.
+    Earlier residuals are not compared with it: the coarsest sample also
+    carries tail terms such as O(t / log t) that are not polynomial in the
+    extrapolation variable, so its residual can be small by accident.
     """
     xs = [1.0 / math.log(abs(t)) for t in ts] if kind == "Ri" else [abs(t) for t in ts]
     value, residuals = _neville_to_zero(xs, values)
-    scale = max(1.0, abs(value))
-    if residuals and residuals[-1] > max(1e-6 * scale, min(residuals)) and residuals[-1] >= residuals[0]:
+    if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
         raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
     return PairingLimit(value, tuple(values), tuple(residuals))
 
@@ -292,6 +298,7 @@ class IndependenceResult:
     det: complex
     L: float
     verdict: Literal["independent", "fail"]
+    max_residual: float  # worst final Neville residual over the entries
 
     def to_json_dict(self, t_sequence):
         return {
@@ -313,35 +320,30 @@ def independence_matrix(
 
     Row 0 pairs the limit-type model against (eta, d_1..d_dk); row i pairs
     the i-th singular model.  With zero tails (seed None) the matrix is
-    exactly block triangular with determinant -L; seeded tails perturb it
-    by the extrapolation error only.  L must be nonzero for the argument
-    to show anything.
+    exactly block triangular with determinant -L; seeded tails, drawn from
+    ``random.Random(seed)``, perturb it by the extrapolation error only.
+    L must be nonzero for the argument to show anything.
     """
     if L == 0:
         raise ValueError("the independence argument needs L != 0")
-    rng = None
-    if seed is not None:
-        # numpy's PCG64 stream defines the tails behind each seed.  Another
-        # generator would hand some seeds tails on which the convergence
-        # test of limit_of_pairing misfires, so numpy stays until it is fixed.
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+    rng = None if seed is None else random.Random(seed)
     eta = EtaModel.build(frame, rng)
     r_model = NormalFunctionModel.limit_type(L, frame, rng)
     singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
     ts = _t_samples(t_sequence)
     etas = [eta.at(t, frame) for t in ts]
 
-    def row(model: NormalFunctionModel) -> tuple[complex, ...]:
+    def row(model: NormalFunctionModel) -> list[PairingLimit]:
         # the same limits as limit_of_pairing, from one pairing vector per t:
         # pairing with the unit class d_j reads off coordinate 2 + j
         vecs = [model.pairing_vector(t, frame) for t in ts]
         columns = [[pair(v, e, frame) for v, e in zip(vecs, etas)]]
         columns += [[v[2 + j] for v in vecs] for j in range(1, frame.dk + 1)]
-        return tuple(_extrapolate(model.kind, ts, values).value for values in columns)
+        return [_extrapolate(model.kind, ts, values) for values in columns]
 
-    mat = tuple(row(model) for model in (r_model, *singular))
+    entries = [row(model) for model in (r_model, *singular)]
+    mat = tuple(tuple(lim.value for lim in r) for r in entries)
     det = _det(mat)
     verdict = "independent" if abs(det) > 0.1 * abs(L) else "fail"
-    return IndependenceResult(mat, det, L, verdict)
+    max_residual = max(lim.residuals[-1] for r in entries for lim in r)
+    return IndependenceResult(mat, det, L, verdict, max_residual)

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from typing import Callable
 
+
+class QuadratureError(RuntimeError):
+    """The panel budget ran out before the error estimate met the tolerance."""
+
+
 _XK = (
     0.991455371120813,
     0.949107912342759,
@@ -63,8 +68,11 @@ def adaptive_quad(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Globally adaptive: the panel with the worst error estimate is bisected
-    until the total estimate meets tol or the panel budget is exhausted.
-    Deterministic for fixed inputs; the final sum runs in interval order.
+    until the total estimate meets tol.  Panels at the roundoff floor stop
+    counting towards the estimate.  If the panel budget runs out first,
+    :class:`QuadratureError` is raised rather than an unconverged value
+    returned.  Deterministic for fixed inputs; the final sum runs in
+    interval order.
     """
     import heapq
 
@@ -87,6 +95,10 @@ def adaptive_quad(
         heapq.heappush(heap, (-e1, pa, m, v1))
         heapq.heappush(heap, (-e2, m, pb, v2))
         total_err += e1 + e2 - worst
+    if not total_err <= tol:  # also catches a NaN estimate
+        raise QuadratureError(
+            f"error estimate {total_err:.3g} above tol {tol:.3g} after {len(heap)} panels on [{a}, {b}]"
+        )
     panels = sorted(heap, key=lambda p: p[1])
     return sum(p[3] for p in panels)
 

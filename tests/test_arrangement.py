@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hodge_degen import arrangement
 from hodge_degen.arrangement import (
     Arrangement,
     ChartError,
@@ -25,6 +28,52 @@ THIRD = Fraction(1, 3)
 @pytest.fixture(scope="module")
 def tempered():
     return tempered_arrangement()
+
+
+def cyclo_det(rows):
+    """Oracle: Laplace expansion over Q(mu) with CycloNumber arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = CycloNumber(0)
+    for j in range(len(rows)):
+        term = rows[0][j] * cyclo_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        acc = acc + (-term if j % 2 else term)
+    return acc
+
+
+small_zmu = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def zmu_matrices(draw):
+    """Square 3x3 or 4x4 matrices over Z[mu]; about half made singular by
+    replacing the last row with a Z[mu]-combination of the others."""
+    n = draw(st.sampled_from([3, 4]))
+    rows = [draw(st.lists(small_zmu, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        coeffs = [CycloNumber(*draw(small_zmu)) for _ in range(n - 1)]
+        last = [sum((c * CycloNumber(*r[k]) for c, r in zip(coeffs, rows)), CycloNumber(0)) for k in range(n)]
+        rows[-1] = [(int(x.a), int(x.b)) for x in last]
+    return rows
+
+
+class TestDeterminant:
+    @given(zmu_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cyclo_laplace(self, rows):
+        a, b = arrangement._det(rows)
+        assert CycloNumber(a, b) == cyclo_det([[CycloNumber(*x) for x in r] for r in rows])
+
+    def test_singular_examples(self):
+        row = [(1, 2), (0, -1), (3, 0)]
+        assert arrangement._det([row, [(2, -1), (1, 1), (0, 0)], row]) == (0, 0)
+        # mu times a row: (a + b mu) mu = -b + (a + b) mu
+        mu_row = [(-b, a + b) for a, b in row]
+        assert arrangement._det([row, mu_row, [(5, 1), (0, 2), (1, -1)]]) == (0, 0)
+
+    def test_integer_scaling(self):
+        form = LinearForm([Fraction(1, 2), CycloNumber(Fraction(1, 3), Fraction(-1, 4)), 0, 2])
+        assert arrangement._integer_coeffs(form) == [(6, 0), (4, -3), (0, 0), (24, 0)]
 
 
 class TestTempered:

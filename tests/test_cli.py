@@ -255,6 +255,14 @@ class TestPairingCommand:
             by_name = {c["name"]: c["data"] for c in doc["checks"]}
             assert by_name["seeded limit matrix"]["verdict"] == "independent"
 
+    def test_reports_max_residual(self, capsys):
+        code, out = run(capsys, "--format", "json", "pairing", "--seed", "3")
+        assert code == 0
+        by_name = {c["name"]: c["data"] for c in json.loads(out)["checks"]}
+        # zero tails are constant along t; seeded ones leave an extrapolation error
+        assert by_name["structural determinant (zero tails)"]["max_residual"] < 1e-12
+        assert 0 < by_name["seeded limit matrix"]["max_residual"] < 1e-3
+
     def test_small_L(self, capsys):
         code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
         assert code == 0
@@ -265,7 +273,7 @@ class TestPairingCommand:
         from hodge_degen import limits
 
         def off_by_2e_3(frame, L, seed=None, t_sequence=None):
-            return limits.IndependenceResult(((0j,),), complex(-L * (1 + 2e-3)), L, "independent")
+            return limits.IndependenceResult(((0j,),), complex(-L * (1 + 2e-3)), L, "independent", 0.0)
 
         monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
         code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
@@ -273,15 +281,16 @@ class TestPairingCommand:
         assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
 
 
-def test_cli_without_pairing_never_imports_numpy():
-    # numpy only draws the seeded tails of pairing; every other job starts without it
+def test_cli_never_imports_numpy():
+    # numpy is a test oracle only; no job of the CLI loads it
     code = (
         "import contextlib, io, sys\n"
         "import hodge_degen.cli as cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['basis', '--d', '2']), cli.main(['aj'])]\n"
-        "assert codes == [0, 0], codes\n"
+        "    codes = [cli.main(['basis', '--d', '2']), cli.main(['aj']),\n"
+        "             cli.main(['pairing', '--seed', '0']), cli.main(['verify-all'])]\n"
+        "assert codes == [0, 0, 0, 0], codes\n"
         "assert 'numpy' not in sys.modules, 'main'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hodge_degen.quadrature import adaptive_quad, double_integral
+from hodge_degen.quadrature import QuadratureError, adaptive_quad, double_integral
 
 
 def test_polynomial():
@@ -22,6 +22,12 @@ def test_peaked():
     got = adaptive_quad(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, tol=1e-11)
     want = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
     assert abs(got - want) < 1e-8
+
+
+def test_exhausted_budget_raises():
+    # 50 panels leave 1/sqrt(x) about 2e-9 off, far above tol; no value comes back
+    with pytest.raises(QuadratureError):
+        adaptive_quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-14, max_panels=50)
 
 
 def test_double_integral_separable():
