@@ -6,6 +6,12 @@ span), ``aj`` (the period closed form against quadrature), ``pairing``
 (the limit matrix determinant), and ``verify-all``.  Reports render as
 markdown or deterministic JSON; exit status 0 means every check passed,
 1 a failed check, 2 a usage error.
+
+The ranks that ``basis`` and ``sing`` state are proved by short exact
+witnesses (see :mod:`hodge_degen.degeneration` and
+:func:`hodge_degen.cycles.span_rank`); each check names its witness and
+the witness size.  Only when a witness fails is the rank computed by
+elimination, so a failing report still states the true rank.
 """
 
 from __future__ import annotations
@@ -36,20 +42,36 @@ class Check:
     anchor: str
     status: str
     data: dict = field(default_factory=dict)
+    elapsed_ms: int = 0
 
 
 @dataclass
 class Report:
+    """Checks in order.  Under ``timing`` each check carries the wall time
+    since the previous check (or the start), which is the time spent
+    computing it; otherwise no time appears and the JSON is deterministic."""
+
     command: str
+    timing: bool = False
     checks: list[Check] = field(default_factory=list)
     elapsed_ms: int = 0
+    started: float = field(default_factory=time.monotonic)
+    _mark: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._mark = self.started
+
+    def _append(self, name: str, anchor: str, status: str, data: dict) -> None:
+        now = time.monotonic()
+        self.checks.append(Check(name, anchor, status, data, int((now - self._mark) * 1000)))
+        self._mark = now
 
     def add(self, name: str, anchor: str, ok: bool, **data) -> bool:
-        self.checks.append(Check(name, anchor, "pass" if ok else "fail", data))
+        self._append(name, anchor, "pass" if ok else "fail", data)
         return ok
 
     def skip(self, name: str, anchor: str, **data):
-        self.checks.append(Check(name, anchor, "skipped", data))
+        self._append(name, anchor, "skipped", data)
 
     @property
     def ok(self) -> bool:
@@ -62,6 +84,7 @@ class Report:
             "command": self.command,
             "checks": [
                 {"name": c.name, "anchor": c.anchor, "status": c.status, "data": c.data}
+                | ({"elapsed_ms": c.elapsed_ms} if self.timing else {})
                 for c in self.checks
             ],
             "elapsed_ms": self.elapsed_ms,
@@ -84,16 +107,28 @@ class Report:
         return "\n".join(lines)
 
 
-def _emit(report: Report, fmt: str, started: float, timing: bool) -> int:
-    report.elapsed_ms = int((time.monotonic() - started) * 1000) if timing else 0
+def _emit(report: Report, fmt: str) -> int:
+    report.elapsed_ms = int((time.monotonic() - report.started) * 1000) if report.timing else 0
     print(report.to_json() if fmt == "json" else report.to_markdown())
     return 0 if report.ok else 1
+
+
+def _witnessed(kind: str, size: int) -> dict:
+    return {"witness": kind, "witness_size": size}
+
+
+def _eliminated(m: QMatrix) -> tuple[int, dict]:
+    """Rank by elimination, for an input whose witness failed."""
+    return rank(m), _witnessed("elimination", m.rows * m.cols)
 
 
 def run_basis(report: Report, d: int) -> None:
     gens, relations, dim = degeneration.presentation(d)
     pairs = d * (d - 1) // 2
-    relation_rank = rank(QMatrix([[rel.get(g, 0) for g in gens] for rel in relations]))
+    if degeneration.relation_block_holds(d, gens, relations):
+        relation_rank, witness = len(relations), _witnessed("signed identity block", len(relations))
+    else:
+        relation_rank, witness = _eliminated(QMatrix([[rel.get(g, 0) for g in gens] for rel in relations]))
     report.add(
         f"presentation dimension d={d}",
         "H2 presentation of the degenerate fiber",
@@ -104,16 +139,21 @@ def run_basis(report: Report, d: int) -> None:
         relations=len(relations),
         dim=dim,
         relation_rank=relation_rank,
+        **witness,
     )
-    phi = degeneration.phi_matrix(d)
-    rk = rank(phi)
+    cols = degeneration.phi_columns(d)
+    if degeneration.phi_rank_holds(d, cols):
+        rk, witness = d - 1, _witnessed("zero row sum + unit differences", d - 1)
+    else:
+        rk, witness = _eliminated(QMatrix([[col.get(c, 0) for col in cols.values()] for c in range(1, d + 1)]))
     report.add(
         f"component pairing rank d={d}",
         "intersection matrix against components",
         rk == d - 1,
         rank=rk,
+        **witness,
     )
-    kdim = phi.cols - rk
+    kdim = len(cols) - rk
     report.add(
         f"kernel dimension d={d}",
         "Hodge classes killed by the pairing",
@@ -122,14 +162,19 @@ def run_basis(report: Report, d: int) -> None:
         expected=degeneration.kernel_dim(d),
     )
     basis = degeneration.hodge_kernel_basis(d)
-    stacked = QMatrix([b.vector() for b in basis] + list(degeneration.kernel_of_phi(d)))
-    stacked_rank = rank(stacked)
+    if degeneration.spans_kernel(d, basis):
+        stacked_rank, witness = kdim, _witnessed("membership + diagonal certificate", len(basis))
+    else:
+        stacked_rank, witness = _eliminated(
+            QMatrix([b.vector() for b in basis] + list(degeneration.kernel_of_phi(d)))
+        )
     report.add(
         f"kernel basis spans d={d}",
         "distinguished kernel basis",
         len(basis) == kdim and stacked_rank == kdim,
         basis_size=len(basis),
         stacked_rank=stacked_rank,
+        **witness,
     )
 
 
@@ -165,12 +210,17 @@ def run_sing(report: Report, d: int, family: str) -> None:
             all(cl.is_zero() for cl in classes),
             cycles=len(classes),
         )
-        delta_rank = rank(QMatrix([cl.vector() for cl in classes if not cl.is_zero()]))
+        nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
+        if nonzero:
+            delta_rank, witness = _eliminated(QMatrix(nonzero))
+        else:
+            delta_rank, witness = 0, _witnessed("all classes zero", len(classes))
         report.add(
             f"delta span rank d={d}",
             "no singularity classes from the swapped family",
             delta_rank == 0,
             rank=delta_rank,
+            **witness,
         )
         return
     res = span_rank(d, fam)
@@ -189,6 +239,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
         expected=res.expected,
         spanning=res.spanning,
         **extra,
+        **_witnessed(res.witness, res.witness_size),
     )
     if fam == "both":
         report.add(
@@ -372,8 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    report = Report(args.command)
-    started = time.monotonic()
+    report = Report(args.command, args.timing)
     try:
         args.func(args, report)
     except SystemExit as e:
@@ -381,7 +431,7 @@ def main(argv=None) -> int:
             print(f"error: {e.code}", file=sys.stderr)
             return USAGE_ERROR
         raise
-    return _emit(report, args.format, started, args.timing)
+    return _emit(report, args.format)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,14 @@ Canonical coordinates eliminate e^{ij}_d through that relation, so the
 coordinate space has dimension d + (d-1)*C(d,2).  The intersection map
 ``phi`` pairs a class against the d components; its kernel carries the
 distinguished basis returned by :func:`hodge_kernel_basis`.
+
+Every rank stated about these objects has a short exact witness, checked
+in closed form: the relations by a signed identity block
+(:func:`relation_block_holds`), phi by its zero row sum and d-1 unit
+difference columns (:func:`phi_rank_holds`), and the kernel basis by
+membership, the diagonal-block certificate and the dimension count
+(:func:`spans_kernel`).  Coefficients are ``int`` unless a class is
+genuinely rational.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exactlin import QMatrix, QVector, kernel_basis, rank
+from .exactlin import QMatrix, QVector, _as_fraction, kernel_basis
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -58,21 +66,33 @@ def coordinate_dim(d: int) -> int:
     return d + (d - 1) * (d * (d - 1) // 2)
 
 
+def _exact(c) -> int | Fraction:
+    """An exact coefficient: int when integral, else a Fraction.  Floats and
+    other inexact values raise TypeError."""
+    if type(c) is int:
+        return c
+    c = _as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class H2Class:
-    """A class in canonical coordinates: no e-generator with l = d appears."""
+    """A class in canonical coordinates: no e-generator with l = d appears.
+
+    Integral coefficients are stored as ``int``, others as ``Fraction``.
+    """
 
     d: int
-    coords: tuple[tuple[Generator, Fraction], ...]
+    coords: tuple[tuple[Generator, int | Fraction], ...]
 
-    def __init__(self, d: int, coords: Mapping[Generator, Fraction] | None = None):
+    def __init__(self, d: int, coords: Mapping[Generator, int | Fraction] | None = None):
         items = []
         for g, c in (coords or {}).items():
             _check_gen(g, d)
             if g[0] == "e" and g[3] == d:
                 raise ValueError("canonical form must not reference l = d; use reduce_raw")
-            c = Fraction(c)
-            if c != 0:
+            c = _exact(c)
+            if c:
                 items.append((g, c))
         items.sort(key=lambda t: _gen_sort_key(t[0]))
         object.__setattr__(self, "d", d)
@@ -84,20 +104,20 @@ class H2Class:
     def __add__(self, other: "H2Class") -> "H2Class":
         if self.d != other.d:
             raise ValueError("mixed d")
-        acc = {g: c for g, c in self.coords}
+        acc = dict(self.coords)
         for g, c in other.coords:
-            acc[g] = acc.get(g, Fraction(0)) + c
+            acc[g] = acc.get(g, 0) + c
         return H2Class(self.d, acc)
 
     def __sub__(self, other: "H2Class") -> "H2Class":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, f: Fraction) -> "H2Class":
-        return H2Class(self.d, {g: c * Fraction(f) for g, c in self.coords})
+    def scale(self, f: int | Fraction) -> "H2Class":
+        return H2Class(self.d, {g: c * f for g, c in self.coords})
 
     def vector(self) -> QVector:
         idx = _index(self.d)
-        v = [Fraction(0)] * coordinate_dim(self.d)
+        v = [0] * coordinate_dim(self.d)
         for g, c in self.coords:
             v[idx[g]] = c
         return tuple(v)
@@ -140,33 +160,50 @@ def presentation(d: int):
     gens = canonical_generators(d) + [("e", i, j, d) for i, j in combinations(range(1, d + 1), 2)]
     relations = []
     for i, j in combinations(range(1, d + 1), 2):
-        rel: dict[Generator, Fraction] = {
-            ("l", j): Fraction(1),
-            ("l", i): Fraction(-1),
-        }
+        rel: dict[Generator, int] = {("l", j): 1, ("l", i): -1}
         for l in range(1, d + 1):
-            rel[("e", i, j, l)] = Fraction(-1)
+            rel[("e", i, j, l)] = -1
         relations.append(rel)
     pairs = d * (d - 1) // 2
     dim = d + d * pairs - pairs
     return gens, relations, dim
 
 
-def reduce_raw(d: int, raw: Mapping[Generator, Fraction]) -> H2Class:
+def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[Mapping]) -> bool:
+    """Witness that the relations are independent, so that their rank is
+    their number.
+
+    With the pairs i < j in lex order, relation k must read -1 at the k-th
+    column e^{ij}_d and 0 at every other relation's e^{ij}_d column: those
+    columns of the relation matrix then form minus an identity block.
+    """
+    block = [("e", i, j, d) for i, j in combinations(range(1, d + 1), 2)]
+    return (
+        len(block) == len(relations)
+        and set(block) <= set(gens)
+        and all(
+            rel.get(g, 0) == (-1 if k == m else 0)
+            for k, rel in enumerate(relations)
+            for m, g in enumerate(block)
+        )
+    )
+
+
+def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> H2Class:
     """Rewrite a raw coefficient map into canonical form.
 
     e^{ij}_d is replaced by l_j - l_i - sum_{l<d} e^{ij}_l.  Linear and
     idempotent.
     """
     _require_d(d)
-    acc: dict[Generator, Fraction] = {}
+    acc: dict[Generator, int | Fraction] = {}
 
     def add(g, c):
-        acc[g] = acc.get(g, Fraction(0)) + c
+        acc[g] = acc.get(g, 0) + c
 
     for g, c in raw.items():
         _check_gen(g, d)
-        c = Fraction(c)
+        c = _exact(c)
         if g[0] == "e" and g[3] == d:
             _, i, j, _ = g
             add(("l", j), c)
@@ -178,33 +215,66 @@ def reduce_raw(d: int, raw: Mapping[Generator, Fraction]) -> H2Class:
     return H2Class(d, acc)
 
 
-def phi_matrix(d: int) -> QMatrix:
-    """Intersection pairing against the d components, canonical columns.
+def phi_columns(d: int) -> dict[Generator, dict[int, int]]:
+    """Intersection pairing against the d components, as sparse columns
+    {component: entry} in canonical generator order.
 
-    Column of l_i: 1 at every row except -(d-1) at row i.  Column of
-    e^{ij}_l (l < d): +1 at row i, -1 at row j.  Columns for e^{ij}_d are
-    already rewritten away by the canonical coordinates; phi kills each
-    relation, so the matrix is well defined on the quotient.  Built once
-    per d; the returned matrix is immutable and shared.
+    Column of l_i: 1 at every component except -(d-1) at i.  Column of
+    e^{ij}_l (l < d): +1 at i, -1 at j.  Columns for e^{ij}_d are already
+    rewritten away by the canonical coordinates; phi kills each relation,
+    so the map is well defined on the quotient.  Built once per d; shared,
+    so never mutate it.
     """
+    _require_d(d)
+    return _phi_columns(d)
+
+
+@lru_cache(maxsize=None)
+def _phi_columns(d: int) -> dict[Generator, dict[int, int]]:
+    cols = {}
+    for g in canonical_generators(d):
+        if g[0] == "l":
+            cols[g] = {comp: -(d - 1) if comp == g[1] else 1 for comp in range(1, d + 1)}
+        else:
+            cols[g] = {g[1]: 1, g[2]: -1}
+    return cols
+
+
+def phi_matrix(d: int) -> QMatrix:
+    """phi as a dense d x coordinate_dim(d) matrix (see :func:`phi_columns`),
+    for elimination cross checks.  Built once per d; immutable and shared."""
     _require_d(d)
     return _phi_matrix(d)
 
 
 @lru_cache(maxsize=None)
 def _phi_matrix(d: int) -> QMatrix:
-    gens = canonical_generators(d)
-    rows = []
-    for comp in range(1, d + 1):
-        row = []
-        for g in gens:
-            if g[0] == "l":
-                row.append(Fraction(-(d - 1)) if g[1] == comp else Fraction(1))
-            else:
-                _, i, j, _ = g
-                row.append(Fraction(1) if comp == i else Fraction(-1) if comp == j else Fraction(0))
-        rows.append(row)
-    return QMatrix(rows)
+    cols = list(_phi_columns(d).values())
+    return QMatrix([[col.get(comp, 0) for col in cols] for comp in range(1, d + 1)])
+
+
+def phi_rank_holds(d: int, columns: Mapping[Generator, Mapping[int, int]]) -> bool:
+    """Witness that phi has rank d - 1.
+
+    Every column is supported on the components 1..d and sums to zero, so
+    the rows of phi sum to zero and the rank is at most d - 1; the columns
+    of e^{id}_1 (i < d) are the independent differences e_i - e_d, so it
+    is at least d - 1.
+    """
+    comps = set(range(1, d + 1))
+    return all(col.keys() <= comps and sum(col.values()) == 0 for col in columns.values()) and all(
+        columns.get(("e", i, d, 1)) == {i: 1, d: -1} for i in range(1, d)
+    )
+
+
+def in_kernel(x: H2Class) -> bool:
+    """phi x = 0, by the sparse product of x's coordinates with phi's columns."""
+    cols = _phi_columns(x.d)
+    acc: dict[int, int | Fraction] = {}
+    for g, c in x.coords:
+        for comp, v in cols[g].items():
+            acc[comp] = acc.get(comp, 0) + c * v
+    return not any(acc.values())
 
 
 def kernel_dim(d: int) -> int:
@@ -216,10 +286,8 @@ def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
     and 1 <= l <= d-1 the class sum_{l'}(e^{ij}_l - e^{ij}_{l'}).
 
     In canonical coordinates the pair classes read d*e^{ij}_l - l_j + l_i.
-    The basis is built and verified once per d: membership in ker(phi),
-    linear independence (see :func:`independence_certificate`) and the
-    dimension count cols - rank(phi); failure of any of these is a hard
-    internal error.
+    The basis is built once per d and checked by :func:`spans_kernel`;
+    a failed check is a hard internal error.
     """
     _require_d(d)
     return _verified_kernel_basis(d)
@@ -227,26 +295,33 @@ def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
 
 @lru_cache(maxsize=None)
 def _verified_kernel_basis(d: int) -> tuple[H2Class, ...]:
-    total = H2Class(d, {("l", i): Fraction(1) for i in range(1, d + 1)})
+    total = H2Class(d, {("l", i): 1 for i in range(1, d + 1)})
     pairs = [
-        H2Class(d, {("e", i, j, l): Fraction(d), ("l", j): Fraction(-1), ("l", i): Fraction(1)})
+        H2Class(d, {("e", i, j, l): d, ("l", j): -1, ("l", i): 1})
         for i, j in combinations(range(1, d + 1), 2)
         for l in range(1, d)
     ]
     basis = (total, *pairs)
-
-    phi = phi_matrix(d)
-    for b in basis:
-        if any(x != 0 for x in phi.mul_vector(b.vector())):
-            raise AssertionError("kernel basis element not annihilated by phi")
-    expected = kernel_dim(d)
-    if len(basis) != expected:
-        raise AssertionError("kernel basis has wrong cardinality")
-    if not independence_certificate(d, basis):
-        raise AssertionError("kernel basis is linearly dependent")
-    if phi.cols - rank(phi) != expected:
-        raise AssertionError("kernel dimension mismatch against phi")
+    if not spans_kernel(d, basis):
+        raise AssertionError("kernel basis fails its witness")
     return basis
+
+
+def spans_kernel(d: int, basis: Sequence[H2Class]) -> bool:
+    """Witness that ``basis`` is a basis of ker(phi).
+
+    phi has rank d - 1 (:func:`phi_rank_holds`), so ker(phi) has dimension
+    cols - (d - 1); the basis has that many elements, each lies in
+    ker(phi) (:func:`in_kernel`), and they are linearly independent
+    (:func:`independence_certificate`).
+    """
+    cols = phi_columns(d)
+    return (
+        phi_rank_holds(d, cols)
+        and len(basis) == len(cols) - (d - 1)
+        and all(in_kernel(b) for b in basis)
+        and independence_certificate(d, basis)
+    )
 
 
 def independence_certificate(d: int, basis: Sequence[H2Class]) -> bool:

@@ -83,6 +83,18 @@ class TestReports:
         _, out = run(capsys, "--format", "json", "basis", "--d", "2")
         assert json.loads(out)["elapsed_ms"] == 0
 
+    def test_per_check_time_under_timing(self, capsys):
+        for argv in (["sing", "--d", "4"], ["aj"]):
+            code, out = run(capsys, "--format", "json", "--timing", *argv)
+            assert code == 0
+            for check in json.loads(out)["checks"]:
+                assert type(check["elapsed_ms"]) is int and check["elapsed_ms"] >= 0
+
+    def test_no_per_check_time_without_timing(self, capsys):
+        for argv in (["sing", "--d", "4"], ["aj"]):
+            _, out = run(capsys, "--format", "json", *argv)
+            assert all("elapsed_ms" not in c for c in json.loads(out)["checks"])
+
     def test_markdown_includes_anchor(self, capsys):
         _, out = run(capsys, "basis", "--d", "2")
         assert "(H2 presentation of the degenerate fiber)" in out
@@ -122,6 +134,36 @@ class TestBasisCommand:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["presentation dimension d=4"]
         assert check["status"] == "fail"
         assert check["data"]["relations"] == 6 and check["data"]["relation_rank"] == 5
+
+    def test_witness_fields(self, capsys):
+        _, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        by_name = {c["name"]: c["data"] for c in json.loads(out)["checks"]}
+        witnesses = [(data.get("witness"), data.get("witness_size")) for data in by_name.values()]
+        assert witnesses == [
+            ("signed identity block", 6),
+            ("zero row sum + unit differences", 3),
+            (None, None),
+            ("membership + diagonal certificate", 19),
+        ]
+
+    def test_broken_witness_reports_eliminated_rank(self, capsys, monkeypatch):
+        # a sign slip keeps the relations independent but breaks the block:
+        # the rank then comes from elimination and the check still passes
+        from hodge_degen import degeneration
+
+        real = degeneration.presentation
+
+        def slipped(d):
+            gens, relations, dim = real(d)
+            relations[2] = {**relations[2], ("e", 1, 4, 4): 1}
+            return gens, relations, dim
+
+        monkeypatch.setattr(degeneration, "presentation", slipped)
+        code, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        assert code == 0
+        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["presentation dimension d=4"]
+        assert data["relation_rank"] == 6
+        assert (data["witness"], data["witness_size"]) == ("elimination", 6 * 28)
 
     def test_flag_position_equivalent(self, capsys):
         _, first = run(capsys, "--format", "json", "basis", "--d", "3")
@@ -279,6 +321,23 @@ class TestPairingCommand:
         code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
         assert code == 1
         assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
+
+
+def test_report_path_runs_no_elimination(capsys, monkeypatch):
+    # passing basis and sing reports rest on witnesses alone
+    from hodge_degen import exactlin
+
+    def refuse(rows):
+        raise AssertionError("elimination on the report path")
+
+    monkeypatch.setattr(exactlin, "_echelon", refuse)
+    for d in range(2, 11):
+        assert run(capsys, "--format", "json", "basis", "--d", str(d))[0] == 0
+    for d in range(3, 9):
+        for family in ("all", "delta"):
+            assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
+    with pytest.raises(AssertionError):
+        exactlin.rank(exactlin.QMatrix([[1]]))  # the patch is live
 
 
 def test_cli_never_imports_numpy():

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from hodge_degen import degeneration
+from hodge_degen import cycles, degeneration
 from hodge_degen.cycles import (
     HigherCycle,
     MarkerCancellationError,
@@ -19,13 +19,16 @@ from hodge_degen.cycles import (
     build_cycle,
     express_in_B,
     family_cycles,
+    pair_combination,
     pair_kernel_class,
+    replay,
     singularity_at_zero,
     span_rank,
     threefold_boundary,
+    total_combination,
 )
 from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
-from hodge_degen.exactlin import in_span
+from hodge_degen.exactlin import QMatrix, in_span, rank
 
 
 def gamma_closed_form(d, i, j, k, l):
@@ -77,7 +80,7 @@ class TestBoundary:
         with pytest.raises(MarkerCancellationError) as exc:
             singularity_at_zero(HigherCycle("gamma", (), (term,)), 4)
         assert str(exc.value) == (
-            "markers do not cancel: {('p', 1, 2, 2): Fraction(1, 1), ('p', 1, 3, 2): Fraction(-1, 1)}"
+            "markers do not cancel: {('p', 1, 2, 2): 1, ('p', 1, 3, 2): -1}"
         )
 
     @pytest.mark.parametrize("d", range(3, 7))
@@ -247,6 +250,95 @@ class TestSpanRank:
                 for k in range(j + 1, d + 1):
                     acc = acc + singularity_at_zero(build_cycle("gamma", (i, j, k, l)), d)
                 assert acc == pair_kernel_class(d, i, j, l)
+
+
+def residues(d):
+    return {(c.kind, c.indices): singularity_at_zero(c, d) for c in family_cycles(d, "both")}
+
+
+class TestSpanWitness:
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_witness_rank_matches_elimination(self, d):
+        res = span_rank(d, "both")
+        assert res.witness == "replay + membership + diagonal certificate"
+        assert res.witness_size == d * (d * (d - 1) // 2) + d
+        nonzero = [cl.vector() for cl in residues(d).values() if not cl.is_zero()]
+        assert res.rank == rank(QMatrix(nonzero)) == res.expected
+
+    def test_residue_coordinates_are_int(self):
+        assert all(type(c) is int for cl in residues(5).values() for _, c in cl.coords)
+
+    def test_dropped_gamma_term_fails_replay(self):
+        d, sing = 5, residues(5)
+        combo = pair_combination(d, 2, 4, 1)
+        assert replay(sing, combo, pair_kernel_class(d, 2, 4, 1))
+        for k, (_, key) in enumerate(combo):
+            if key[0] == "gamma":
+                assert not replay(sing, combo[:k] + combo[k + 1 :], pair_kernel_class(d, 2, 4, 1))
+
+    def test_total_replay_missing_lambda_fails(self):
+        d, sing = 5, residues(5)
+        total = hodge_kernel_basis(d)[0]
+        for l in range(1, d + 1):
+            combo = total_combination(d, l)
+            assert replay(sing, combo, total)
+            assert not replay(sing, combo[1:], total)
+
+    def tampered_rank(self, monkeypatch, d, shift):
+        """span_rank over residues shifted by shift(cycle, d), against the
+        elimination rank of the shifted classes."""
+        real = cycles.singularity_at_zero
+
+        def shifted(c, d):
+            return real(c, d) + shift(c, d)
+
+        monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
+        res = span_rank(d, "both")
+        classes = [shifted(c, d) for c in family_cycles(d, "both")]
+        return res, rank(QMatrix([cl.vector() for cl in classes if not cl.is_zero()]))
+
+    def test_class_off_kernel_fails_membership(self, monkeypatch):
+        # l_1 times the boundary of the tetrahedron 1234 on the gammas with
+        # l = 2: every pair replay cancels it, only membership sees it
+        signs = {(1, 2, 3, 2): 1, (1, 2, 4, 2): -1, (1, 3, 4, 2): 1, (2, 3, 4, 2): -1}
+
+        def shift(c, d):
+            return H2Class(d, {("l", 1): signs.get(c.indices, 0) if c.kind == "gamma" else 0})
+
+        res, oracle = self.tampered_rank(monkeypatch, 5, shift)
+        assert res.combination_verified
+        assert res.witness == "elimination"
+        assert res.rank == oracle == res.expected + 1 and not res.spanning
+
+    def test_total_class_missing_fails_total_replay(self, monkeypatch):
+        # every lambda_il minus B_0 / d: pair replays and membership hold,
+        # but the lambda column sums vanish and B_0 leaves the span
+        def shift(c, d):
+            return hodge_kernel_basis(d)[0].scale(Fraction(-1, d)) if c.kind == "lambda" else H2Class(d, {})
+
+        res, oracle = self.tampered_rank(monkeypatch, 5, shift)
+        assert res.combination_verified
+        assert res.witness == "elimination"
+        assert res.rank == oracle == res.expected - 1 and not res.spanning
+
+    def test_broken_witness_falls_back_to_elimination(self, monkeypatch):
+        # a slipped sign fails the witness; the rank is then eliminated,
+        # so it is still the true one
+        real = cycles.pair_combination
+
+        def slipped(d, i, j, l):
+            c, key = real(d, i, j, l)[0]
+            return [(-c, key)] + real(d, i, j, l)[1:]
+
+        monkeypatch.setattr(cycles, "pair_combination", slipped)
+        res = span_rank(4, "both")
+        assert not res.combination_verified
+        assert res.witness == "elimination"
+        assert res.rank == res.expected == 19
+
+    def test_single_family_keeps_elimination(self):
+        res = span_rank(4, "gamma")
+        assert res.witness == "elimination" and res.rank == 9
 
 
 class TestThreefoldBoundary:

@@ -1,7 +1,9 @@
 """Presentation, component pairing and kernel basis tests.
 
 Dimension counts are cross-checked by an independent route: the number of
-generators minus the exact rank of the relation matrix.
+generators minus the exact rank of the relation matrix.  Every rank
+witness is checked against exact elimination for d <= 10, and tampered
+witnesses must fail.
 """
 
 from fractions import Fraction
@@ -13,12 +15,17 @@ from hodge_degen.degeneration import (
     canonical_generators,
     coordinate_dim,
     hodge_kernel_basis,
+    in_kernel,
     independence_certificate,
     kernel_dim,
     kernel_of_phi,
+    phi_columns,
     phi_matrix,
+    phi_rank_holds,
     presentation,
     reduce_raw,
+    relation_block_holds,
+    spans_kernel,
 )
 from hodge_degen.exactlin import QMatrix, rank
 
@@ -43,12 +50,24 @@ class TestPresentation:
         assert got == dim
         assert 2 * got == d * (2 + (d - 1) ** 2)
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_dimension_via_relation_rank(self, d):
         ngens, rk = relation_rank(d)
-        _, relations, dim = presentation(d)
+        gens, relations, dim = presentation(d)
         assert rk == len(relations)  # relations independent
+        assert relation_block_holds(d, gens, relations)  # and the witness says so
         assert dim == ngens - rk
+
+    def test_relation_sign_slip_breaks_block(self):
+        # relation 2 is the pair (1, 4); +1 at its own e^{14}_4 column
+        gens, relations, _ = presentation(4)
+        relations[2] = {**relations[2], ("e", 1, 4, 4): 1}
+        assert not relation_block_holds(4, gens, relations)
+
+    def test_duplicated_relation_breaks_block(self):
+        gens, relations, _ = presentation(4)
+        relations[1] = relations[0]
+        assert not relation_block_holds(4, gens, relations)
 
     def test_d2_generators(self):
         gens, relations, dim = presentation(2)
@@ -97,6 +116,10 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_raw(4, {("e", 1, 5, 1): Fraction(1)})
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            reduce_raw(4, {("e", 1, 2, 4): 0.5})
+
 
 class TestPhi:
     def test_d4_line_column(self):
@@ -138,9 +161,29 @@ class TestPhi:
                     direct[j - 1] -= c
             assert list(phi_matrix(d).mul_vector(reduce_raw(d, raw).vector())) == direct
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_rank(self, d):
         assert rank(phi_matrix(d)) == d - 1
+        assert phi_rank_holds(d, phi_columns(d))
+
+    @pytest.mark.parametrize("g,comp", [(("e", 1, 4, 1), 1), (("e", 2, 3, 2), 3), (("l", 2), 3)])
+    def test_column_off_by_one_breaks_witness(self, g, comp):
+        cols = {h: dict(col) for h, col in phi_columns(4).items()}
+        cols[g][comp] = cols[g].get(comp, 0) + 1
+        assert not phi_rank_holds(4, cols)
+
+    def test_sparse_membership_matches_dense_product(self):
+        import random
+
+        rng = random.Random(11)
+        for d in (3, 5):
+            gens = canonical_generators(d)
+            basis = hodge_kernel_basis(d)
+            for _ in range(30):
+                x = H2Class(d, {g: rng.randint(-3, 3) for g in rng.sample(gens, 4)})
+                if rng.random() < 0.5:  # half of them on the kernel
+                    x = sum((b.scale(rng.randint(-2, 2)) for b in rng.sample(basis, 3)), H2Class(d, {}))
+                assert in_kernel(x) == (not any(phi_matrix(d).mul_vector(x.vector())))
 
     def test_shape(self):
         m = phi_matrix(4)
@@ -164,13 +207,27 @@ class TestKernelBasis:
         # second element is e^{12}_1 - e^{12}_2 in canonical coordinates
         assert basis[1] == reduce_raw(2, {("e", 1, 2, 1): Fraction(1), ("e", 1, 2, 2): Fraction(-1)})
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_spans_kernel_exactly(self, d):
         basis = hodge_kernel_basis(d)
         elim = kernel_of_phi(d)
         assert len(elim) == len(basis)
         stacked = QMatrix([b.vector() for b in basis] + list(elim))
         assert rank(stacked) == len(basis)
+        assert spans_kernel(d, basis)
+
+    def test_element_off_kernel_breaks_witness(self):
+        basis = list(hodge_kernel_basis(4))
+        basis[5] = basis[5] + H2Class(4, {("l", 1): 1})
+        assert independence_certificate(4, basis)  # still independent
+        assert not in_kernel(basis[5])
+        assert not spans_kernel(4, basis)
+        # elimination sees the direction outside the kernel
+        stacked = QMatrix([b.vector() for b in basis] + list(kernel_of_phi(4)))
+        assert rank(stacked) == len(basis) + 1
+
+    def test_short_basis_breaks_witness(self):
+        assert not spans_kernel(4, hodge_kernel_basis(4)[:-1])
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_in_kernel(self, d):
@@ -224,6 +281,19 @@ class TestH2Class:
     def test_canonical_rejects_last_column(self):
         with pytest.raises(ValueError):
             H2Class(4, {("e", 1, 2, 4): Fraction(1)})
+
+    def test_float_coefficient_rejected(self):
+        # the same error as QMatrix([[0.1]]), not a silent binary fraction
+        with pytest.raises(TypeError, match="not an exact rational"):
+            H2Class(4, {("l", 1): 0.1})
+        with pytest.raises(TypeError, match="not an exact rational"):
+            H2Class(4, {("l", 1): 1}).scale(0.5)
+
+    def test_integral_coefficients_are_int(self):
+        x = H2Class(4, {("l", 1): Fraction(6, 3), ("l", 2): Fraction(1, 2), ("l", 3): 3})
+        assert [type(c) for _, c in x.coords] == [int, Fraction, int]
+        assert x == H2Class(4, {("l", 1): 2, ("l", 2): Fraction(1, 2), ("l", 3): Fraction(3)})
+        assert all(type(c) is int for b in hodge_kernel_basis(5) for _, c in b.coords)
 
     def test_arithmetic(self):
         x = H2Class(3, {("l", 1): Fraction(1)})
