@@ -248,9 +248,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
             res.combination_verified,
         )
         table = []
-        shown = family_cycles(d, "both")
-        for c in shown[: min(len(shown), 6)]:
-            cls = singularity_at_zero(c, d)
+        for c, cls in res.residues[:6]:
             coeffs = express_in_B(cls, d)
             table.append(
                 {
@@ -391,8 +389,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     def finite_L(value):
         x = float(value)
-        if not math.isfinite(x):
-            raise argparse.ArgumentTypeError("L must be finite")
+        # the frame conjugation doubles L
+        if not math.isfinite(2 * x):
+            raise argparse.ArgumentTypeError("L must be finite (and so must 2*L)")
         return x
 
     b = sub.add_parser("basis", parents=[common], help="presentation and kernel checks")

@@ -17,7 +17,7 @@ their failure to cancel falsifies the construction and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Literal
@@ -179,12 +179,7 @@ def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
     }
     total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
     coeffs = (Fraction(total), *pair.values())
-    acc: dict[tuple, Fraction] = {}
-    for c, b in zip(coeffs, basis):
-        if c:
-            for g, v in b.coords:
-                acc[g] = acc.get(g, 0) + c * v
-    if H2Class(d, acc) != x:
+    if H2Class._sum(d, ((c, b.coords) for c, b in zip(coeffs, basis) if c)) != x:
         raise AssertionError("kernel class not expressible in the kernel basis")
     return coeffs
 
@@ -257,6 +252,8 @@ class SpanRankResult:
     combination_verified: bool
     witness: str
     witness_size: int
+    # (cycle, residue class) in family_cycles order, for reports to reuse
+    residues: tuple[tuple[HigherCycle, H2Class], ...] = field(compare=False, repr=False)
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
@@ -277,15 +274,16 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
 
     ``combination_verified`` records the pair replays alone.  When any part
     of the witness fails, and for a single family, the rank comes from
-    exact elimination over the nonzero classes.
+    exact elimination over the nonzero classes.  ``residues`` hands the
+    (cycle, class) pairs on, so a report need not build them again.
     """
-    cycles = family_cycles(d, family)
-    classes = [singularity_at_zero(c, d) for c in cycles]
+    residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
+    classes = [cl for _, cl in residues]
     expected = degeneration.kernel_dim(d)
     verified = True
     witness = False
     if family == "both":
-        sing = {(c.kind, c.indices): cl for c, cl in zip(cycles, classes)}
+        sing = {(c.kind, c.indices): cl for c, cl in residues}
         basis = degeneration.hodge_kernel_basis(d)
         k = 0
         for i, j in combinations(range(1, d + 1), 2):
@@ -308,7 +306,7 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
         nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
         rk = rank(QMatrix(nonzero)) if nonzero else 0
         kind, size = "elimination", len(nonzero) * degeneration.coordinate_dim(d)
-    return SpanRankResult(d, family, rk, expected, rk == expected, verified, kind, size)
+    return SpanRankResult(d, family, rk, expected, rk == expected, verified, kind, size, residues)
 
 
 @dataclass(frozen=True)

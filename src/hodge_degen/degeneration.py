@@ -6,7 +6,9 @@ the triple point of planes i, j and the form M_l), modulo one relation
 l_j - l_i = sum_l e^{ij}_l per pair i < j.
 
 Canonical coordinates eliminate e^{ij}_d through that relation, so the
-coordinate space has dimension d + (d-1)*C(d,2).  The intersection map
+coordinate space has dimension d + (d-1)*C(d,2).  One table per d lists
+every generator with its column and its canonical rewrite; validation,
+column order and :func:`reduce_raw` all read it.  The intersection map
 ``phi`` pairs a class against the d components; its kernel carries the
 distinguished basis returned by :func:`hodge_kernel_basis`.
 
@@ -34,32 +36,27 @@ from .exactlin import QMatrix, QVector, _as_fraction, kernel_basis
 Generator = tuple
 
 
-def _check_gen(g: Generator, d: int) -> None:
-    if g[0] == "l":
-        if not 1 <= g[1] <= d:
-            raise ValueError(f"line index out of range: {g}")
-    elif g[0] == "e":
-        _, i, j, l = g
-        if not (1 <= i < j <= d and 1 <= l <= d):
-            raise ValueError(f"exceptional index out of range: {g}")
-    else:
-        raise ValueError(f"unknown generator {g!r}")
-
-
 def canonical_generators(d: int) -> list[Generator]:
     """Column order: l_1..l_d, then e^{ij}_l by (i,j) lex with l < d."""
-    gens: list[Generator] = [("l", i) for i in range(1, d + 1)]
-    for i, j in combinations(range(1, d + 1), 2):
-        for l in range(1, d):
-            gens.append(("e", i, j, l))
-    return gens
+    return list(_table(d))[: coordinate_dim(d)]
 
 
 @lru_cache(maxsize=None)
-def _index(d: int) -> dict[Generator, int]:
-    """Position of each canonical generator, built once per d; shared, so
-    never mutate it."""
-    return {g: k for k, g in enumerate(canonical_generators(d))}
+def _table(d: int) -> dict[Generator, tuple[int | None, tuple[tuple[Generator, int], ...]]]:
+    """Every presentation generator -> (column, canonical rewrite).
+
+    The canonical generators come first, in column order, each rewriting
+    to itself; then each e^{ij}_d, with no column, rewriting to
+    l_j - l_i - sum_{l<d} e^{ij}_l.  This table is the only validator of
+    generators.  Built once per d; shared, so never mutate it.
+    """
+    pairs = list(combinations(range(1, d + 1), 2))
+    gens = [("l", i) for i in range(1, d + 1)] + [("e", i, j, l) for i, j in pairs for l in range(1, d)]
+    table = {g: (k, ((g, 1),)) for k, g in enumerate(gens)}
+    for i, j in pairs:
+        rewrite = ((("l", j), 1), (("l", i), -1), *((("e", i, j, l), -1) for l in range(1, d)))
+        table["e", i, j, d] = (None, rewrite)
+    return table
 
 
 def coordinate_dim(d: int) -> int:
@@ -86,17 +83,32 @@ class H2Class:
     coords: tuple[tuple[Generator, int | Fraction], ...]
 
     def __init__(self, d: int, coords: Mapping[Generator, int | Fraction] | None = None):
-        items = []
-        for g, c in (coords or {}).items():
-            _check_gen(g, d)
-            if g[0] == "e" and g[3] == d:
-                raise ValueError("canonical form must not reference l = d; use reduce_raw")
-            c = _exact(c)
-            if c:
-                items.append((g, c))
-        items.sort(key=lambda t: _gen_sort_key(t[0]))
+        coords = coords or {}
+        table = _table(d)
+        for g in coords:
+            if table.get(g, (None,))[0] is None:
+                raise ValueError(f"not a canonical generator for d={d}: {g!r} (rewrite e^{{ij}}_d by reduce_raw)")
+        self._store(d, coords.items())
+
+    @classmethod
+    def _sum(cls, d: int, terms) -> "H2Class":
+        """sum of c * x over the (c, x) terms, each x a sequence of
+        (canonical generator, coefficient) pairs that is already checked:
+        the one accumulator behind every class built from others."""
+        acc: dict[Generator, int | Fraction] = {}
+        for c, x in terms:
+            for g, v in x:
+                acc[g] = acc.get(g, 0) + c * v
+        new = object.__new__(cls)
+        new._store(d, acc.items())
+        return new
+
+    def _store(self, d: int, items) -> None:
+        """Keep the nonzero exact coefficients, in column order."""
+        table = _table(d)
+        kept = sorted(((g, e) for g, c in items if (e := _exact(c))), key=lambda t: table[t[0]][0])
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coords", tuple(items))
+        object.__setattr__(self, "coords", tuple(kept))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -104,22 +116,19 @@ class H2Class:
     def __add__(self, other: "H2Class") -> "H2Class":
         if self.d != other.d:
             raise ValueError("mixed d")
-        acc = dict(self.coords)
-        for g, c in other.coords:
-            acc[g] = acc.get(g, 0) + c
-        return H2Class(self.d, acc)
+        return H2Class._sum(self.d, ((1, self.coords), (1, other.coords)))
 
     def __sub__(self, other: "H2Class") -> "H2Class":
         return self + other.scale(-1)
 
     def scale(self, f: int | Fraction) -> "H2Class":
-        return H2Class(self.d, {g: c * f for g, c in self.coords})
+        return H2Class._sum(self.d, ((_exact(f), self.coords),))
 
     def vector(self) -> QVector:
-        idx = _index(self.d)
+        table = _table(self.d)
         v = [0] * coordinate_dim(self.d)
         for g, c in self.coords:
-            v[idx[g]] = c
+            v[table[g][0]] = c
         return tuple(v)
 
     def to_json(self) -> str:
@@ -131,10 +140,6 @@ class H2Class:
             return "H2Class(0)"
         parts = [f"{c}*{_gen_label(g)}" for g, c in self.coords]
         return "H2Class(" + " + ".join(parts) + ")"
-
-
-def _gen_sort_key(g: Generator):
-    return (0, g[1], 0, 0) if g[0] == "l" else (1, g[1], g[2], g[3])
 
 
 def _gen_label(g: Generator) -> str:
@@ -157,7 +162,7 @@ def presentation(d: int):
     l_j - l_i - sum_l e^{ij}_l, and dim = d + d*C(d,2) - C(d,2).
     """
     _require_d(d)
-    gens = canonical_generators(d) + [("e", i, j, d) for i, j in combinations(range(1, d + 1), 2)]
+    gens = list(_table(d))
     relations = []
     for i, j in combinations(range(1, d + 1), 2):
         rel: dict[Generator, int] = {("l", j): 1, ("l", i): -1}
@@ -192,27 +197,17 @@ def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[
 def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> H2Class:
     """Rewrite a raw coefficient map into canonical form.
 
-    e^{ij}_d is replaced by l_j - l_i - sum_{l<d} e^{ij}_l.  Linear and
-    idempotent.
+    Each generator is replaced by its rewrite in the generator table:
+    e^{ij}_d by l_j - l_i - sum_{l<d} e^{ij}_l, the others by themselves.
+    Linear and idempotent.
     """
     _require_d(d)
-    acc: dict[Generator, int | Fraction] = {}
-
-    def add(g, c):
-        acc[g] = acc.get(g, 0) + c
-
-    for g, c in raw.items():
-        _check_gen(g, d)
-        c = _exact(c)
-        if g[0] == "e" and g[3] == d:
-            _, i, j, _ = g
-            add(("l", j), c)
-            add(("l", i), -c)
-            for l in range(1, d):
-                add(("e", i, j, l), -c)
-        else:
-            add(g, c)
-    return H2Class(d, acc)
+    table = _table(d)
+    try:
+        terms = [(_exact(c), table[g][1]) for g, c in raw.items()]
+    except KeyError as e:
+        raise ValueError(f"not a presentation generator for d={d}: {e.args[0]!r}") from None
+    return H2Class._sum(d, terms)
 
 
 def phi_columns(d: int) -> dict[Generator, dict[int, int]]:

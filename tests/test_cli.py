@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ class TestExitCodes:
         code = main(["pairing", "--L", "0"])
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "9e307", "-9e307"])
     def test_pairing_nonfinite_L(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pairing", f"--L={value}"])
@@ -338,6 +339,24 @@ def test_report_path_runs_no_elimination(capsys, monkeypatch):
             assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
     with pytest.raises(AssertionError):
         exactlin.rank(exactlin.QMatrix([[1]]))  # the patch is live
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_sing_builds_each_residue_once(d, capsys, monkeypatch):
+    # the sample table reuses span_rank's residues instead of rebuilding them
+    from hodge_degen import cli, cycles
+
+    calls = {"singularity_at_zero": 0, "family_cycles": 0}
+    for name, real in [(name, getattr(cycles, name)) for name in calls]:
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cycles, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", "all")[0] == 0
+    assert calls == {"singularity_at_zero": d * math.comb(d, 3) + d * d, "family_cycles": 1}
 
 
 def test_cli_never_imports_numpy():

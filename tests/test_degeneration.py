@@ -9,6 +9,8 @@ witnesses must fail.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hodge_degen.degeneration import (
     H2Class,
@@ -301,3 +303,77 @@ class TestH2Class:
         assert (x + y) == H2Class(3, {("e", 1, 2, 1): Fraction(2)})
         assert (x - x).is_zero()
         assert x.scale(Fraction(3, 2)) == H2Class(3, {("l", 1): Fraction(3, 2)})
+
+
+def is_canonical(g, d):
+    """Oracle: l_i, or e^{ij}_l with i < j and l < d."""
+    if g[0] == "l":
+        return len(g) == 2 and 1 <= g[1] <= d
+    return g[0] == "e" and len(g) == 4 and 1 <= g[1] < g[2] <= d and 1 <= g[3] < d
+
+
+def is_presented(g, d):
+    """Oracle: a canonical generator or some e^{ij}_d."""
+    return is_canonical(g, d) or (g[0] == "e" and len(g) == 4 and 1 <= g[1] < g[2] <= d and g[3] == d)
+
+
+@st.composite
+def generators(draw):
+    """(d, tuple): well-formed lines and exceptionals (l = d included), and
+    arbitrary tags, lengths and indices around the valid range."""
+    d = draw(st.integers(2, 6))
+    i, j = sorted(draw(st.lists(st.integers(1, d), min_size=2, max_size=2, unique=True)))
+    g = draw(
+        st.one_of(
+            st.tuples(st.just("l"), st.integers(1, d)),
+            st.tuples(st.just("e"), st.just(i), st.just(j), st.integers(1, d)),
+            st.tuples(st.sampled_from(("l", "e", "x")), st.lists(st.integers(-1, d + 1), max_size=4)).map(
+                lambda t: (t[0], *t[1])
+            ),
+        )
+    )
+    return d, g
+
+
+@st.composite
+def raw_maps(draw):
+    """(d, a coefficient on every presentation generator of d)."""
+    d = draw(st.integers(2, 6))
+    gens = presentation(d)[0]
+    return d, dict(zip(gens, draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))))
+
+
+class TestGeneratorTable:
+    @given(generators(), st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None)
+    @example((4, ("x", 1)), 1)  # wrong tag
+    @example((4, ("l", 1, 2)), 1)  # wrong length
+    @example((4, ("e", 1, 2)), 1)
+    @example((4, ("l", 5)), 1)  # out of range
+    @example((4, ("e", 0, 2, 1)), 1)
+    @example((4, ("e", 1, 2, 5)), 1)
+    @example((4, ("e", 2, 2, 1)), 1)  # i >= j
+    @example((4, ("e", 3, 2, 1)), 1)
+    @example((4, ("e", 1, 2, 4)), 0)  # l = d, zero coefficient
+    def test_table_is_the_only_validator(self, dg, c):
+        d, g = dg
+        if is_canonical(g, d):
+            assert H2Class(d, {g: c}).coords == (((g, c),) if c else ())
+        else:
+            with pytest.raises(ValueError):
+                H2Class(d, {g: c})
+        if is_presented(g, d):
+            assert reduce_raw(d, {g: c}) == reduce_raw(d, {g: 1}).scale(c)
+        else:
+            with pytest.raises(ValueError):
+                reduce_raw(d, {g: c})
+
+    @given(raw_maps())
+    @settings(max_examples=100, deadline=None)
+    def test_coords_follow_vector_columns(self, d_raw):
+        d, raw = d_raw
+        x = reduce_raw(d, raw)
+        v = x.vector()
+        nonzero = [k for k, c in enumerate(v) if c]
+        assert [g for g, _ in x.coords] == [canonical_generators(d)[k] for k in nonzero]
+        assert [c for _, c in x.coords] == [v[k] for k in nonzero]
