@@ -28,7 +28,7 @@ from . import degeneration
 from . import limits as limits_mod
 from . import periods
 from .arrangement import sweep_vertices, tempered_arrangement, validate_general_position
-from .cycles import express_in_B, family_cycles, singularity_at_zero, span_rank
+from .cycles import express_in_B, span_rank
 from .exactlin import QMatrix, cyclo_embed, rank
 
 TOOL = "hodge-degen"
@@ -202,28 +202,22 @@ def run_sing(report: Report, d: int, family: str) -> None:
     if family in ("gamma", "delta", "both", "all") and d < 3:
         raise SystemExit("sing needs --d >= 3 for triple-index families")
     fam = "both" if family == "all" else family
+    res = span_rank(d, fam)
     if fam == "delta":
-        classes = [singularity_at_zero(c, d) for c in family_cycles(d, "delta")]
         report.add(
             f"delta residues vanish d={d}",
             "swapped-family cycles are regular at the degenerate fiber",
-            all(cl.is_zero() for cl in classes),
-            cycles=len(classes),
+            all(cl.is_zero() for _, cl in res.residues),
+            cycles=len(res.residues),
         )
-        nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
-        if nonzero:
-            delta_rank, witness = _eliminated(QMatrix(nonzero))
-        else:
-            delta_rank, witness = 0, _witnessed("all classes zero", len(classes))
         report.add(
             f"delta span rank d={d}",
             "no singularity classes from the swapped family",
-            delta_rank == 0,
-            rank=delta_rank,
-            **witness,
+            res.rank == 0,
+            rank=res.rank,
+            **_witnessed(res.witness, res.witness_size),
         )
         return
-    res = span_rank(d, fam)
     if fam == "both":
         anchor, ok, extra = "residue classes span the pairing kernel", res.spanning, {}
     else:

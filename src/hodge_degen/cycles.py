@@ -272,10 +272,13 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
 
     The span is then ker(phi) and the rank is |B|.
 
-    ``combination_verified`` records the pair replays alone.  When any part
-    of the witness fails, and for a single family, the rank comes from
-    exact elimination over the nonzero classes.  ``residues`` hands the
-    (cycle, class) pairs on, so a report need not build them again.
+    When every class is zero (the delta family), the rank is 0 with the
+    witness "all classes zero", of size the number of classes.  Otherwise,
+    when any part of the witness fails, and for a single family, the rank
+    comes from exact elimination over the nonzero classes; only that branch
+    builds dense vectors.  ``combination_verified`` records the pair
+    replays alone.  ``residues`` hands the (cycle, class) pairs on, so a
+    report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
     classes = [cl for _, cl in residues]
@@ -302,10 +305,11 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
         )
     if witness:
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
+    elif all(cl.is_zero() for cl in classes):
+        rk, kind, size = 0, "all classes zero", len(classes)
     else:
         nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
-        rk = rank(QMatrix(nonzero)) if nonzero else 0
-        kind, size = "elimination", len(nonzero) * degeneration.coordinate_dim(d)
+        rk, kind, size = rank(QMatrix(nonzero)), "elimination", len(nonzero) * degeneration.coordinate_dim(d)
     return SpanRankResult(d, family, rk, expected, rk == expected, verified, kind, size, residues)
 
 

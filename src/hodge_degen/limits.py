@@ -28,14 +28,13 @@ class ExtrapolationError(RuntimeError):
 
 
 DEFAULT_DK = 19
-DEFAULT_ARG = 0.3
 
 FrameVector = tuple[complex, ...]
 
 
-def default_t_sequence(arg: float = DEFAULT_ARG) -> tuple[complex, ...]:
-    """|t| = 1e-2 .. 1e-12 in decade-squared steps, fixed argument."""
-    phase = cmath.exp(1j * arg)
+def default_t_sequence() -> tuple[complex, ...]:
+    """|t| = 1e-2 .. 1e-12 in decade-squared steps, at the fixed argument 0.3."""
+    phase = cmath.exp(0.3j)
     return tuple(10.0 ** (-2 * k) * phase for k in range(1, 7))
 
 
@@ -114,14 +113,14 @@ class PolyTail:
         return acc
 
 
-def _seeded_tails(rng, count: int, degree: int = 3):
-    """Tails with coefficients drawn by rng.uniform(lo, hi), real parts first."""
+def _seeded_tails(rng, count: int):
+    """Cubic tails with coefficients drawn by rng.uniform(lo, hi), real parts first."""
     if rng is None:
         return [PolyTail() for _ in range(count)]
     out = []
     for _ in range(count):
-        re = [rng.uniform(-0.7, 0.7) for _ in range(degree + 1)]
-        im = [rng.uniform(-0.7, 0.7) for _ in range(degree + 1)]
+        re = [rng.uniform(-0.7, 0.7) for _ in range(4)]
+        im = [rng.uniform(-0.7, 0.7) for _ in range(4)]
         out.append(PolyTail(tuple(map(complex, re, im))))
     return out
 
@@ -213,7 +212,6 @@ def _neville_to_zero(xs: Sequence[float], ys: Sequence[complex]):
 @dataclass(frozen=True)
 class PairingLimit:
     value: complex
-    samples: tuple[complex, ...]
     residuals: tuple[float, ...]
 
 
@@ -246,7 +244,7 @@ def _extrapolate(kind: str, ts: Sequence[complex], values: Sequence[complex]) ->
     value, residuals = _neville_to_zero(xs, values)
     if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
         raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
-    return PairingLimit(value, tuple(values), tuple(residuals))
+    return PairingLimit(value, tuple(residuals))
 
 
 def limit_of_pairing(

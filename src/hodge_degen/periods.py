@@ -26,6 +26,13 @@ MU_C = complex(0.5, math.sqrt(3.0) / 2.0)
 
 _BERNOULLI_N = 36
 
+# error tolerance of each edge-log integral (so of membrane_integral) and
+# of each leg of the 2D oracle membrane_quadrature
+_LOG_TOL = 1e-12
+_ORACLE_LEG_TOL = 1e-9 / 3.0
+# points per leg at which each ruling is checked for clearance from x = 0
+_CLEARANCE_SAMPLES = 160
+
 
 class PathSingularityError(ValueError):
     """An integration path runs into a pole or a log singularity."""
@@ -132,14 +139,17 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
     return None
 
 
-def log_line_integral(a: complex, b: complex, z0: complex, z1: complex, tol: float = 1e-12) -> complex:
+def log_line_integral(a: complex, b: complex, z0: complex, z1: complex) -> complex:
     """Integral of log(a + b z)/z along the segment [z0, z1], log branch
-    continued.
+    continued, to within ``_LOG_TOL``.
 
     Starts on the principal branch at z0.  The argument a + b z moves
     along a straight segment, so it crosses the negative real axis at most
     once; the integration is split there and the branch offset transported
-    across.  The path must stay clear of z = 0 and of the zero of a + b z.
+    across.  The path must stay clear of z = 0 and of the zero of a + b z,
+    and must not run along the cut: when both ends of a + b z lie on the
+    negative real axis the branch is undefined on the whole path, and
+    :class:`PathSingularityError` is raised.  One end on the cut is fine.
     """
     a, b, z0, z1 = complex(a), complex(b), complex(z0), complex(z1)
     if _segment_distance_to_zero(z0, z1) < 1e-9:
@@ -148,6 +158,8 @@ def log_line_integral(a: complex, b: complex, z0: complex, z1: complex, tol: flo
     w1 = a + b * z1
     if _segment_distance_to_zero(w0, w1) < 1e-9:
         raise PathSingularityError(f"log argument vanishes on path: a={a}, b={b}")
+    if all(w.real < 0 and abs(w.imag) <= 1e-12 * abs(w) for w in (w0, w1)):
+        raise PathSingularityError(f"log argument runs along its cut: a={a}, b={b}")
     dz = z1 - z0
     s_cross = _cut_crossing(w0, w1)
     pieces = [(0.0, 1.0, 0)] if s_cross is None else [
@@ -162,7 +174,7 @@ def log_line_integral(a: complex, b: complex, z0: complex, z1: complex, tol: flo
             z = z0 + s * dz
             return (cmath.log(a + b * z) + shift) / z * dz
 
-        total += adaptive_quad(f, s_lo, s_hi, tol)
+        total += adaptive_quad(f, s_lo, s_hi, _LOG_TOL)
     return total
 
 
@@ -237,18 +249,31 @@ def _check_vertices(vertices):
     return vs
 
 
-def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs, samples: int = 160):
+def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs):
     """The swept rulings and the y path must stay clear of x = 0 and y = 0."""
     for y0, y1 in legs:
         if _segment_distance_to_zero(y0, y1) < 1e-9:
             raise PathSingularityError("sweep path passes through y = 0")
-        for k in range(samples + 1):
-            y = y0 + (k / samples) * (y1 - y0)
+        for k in range(_CLEARANCE_SAMPLES + 1):
+            y = y0 + (k / _CLEARANCE_SAMPLES) * (y1 - y0)
             if _segment_distance_to_zero(lower.x_at(y), upper.x_at(y)) < 1e-9:
                 raise PathSingularityError("ruling passes through x = 0")
 
 
-def membrane_integral(vertices, tol: float = 1e-12) -> complex:
+def _membrane_legs(vertices):
+    """The checked legs of the membrane, as (lower, upper, y0, y1).
+
+    The vertices are validated and both sweep pieces are cleared of x = 0
+    and y = 0 before any leg is handed out, so neither the integral nor
+    its oracle starts integrating a membrane that is later refused.
+    """
+    pieces = _sweep_pieces(*_check_vertices(vertices))
+    for lower, upper, legs in pieces:
+        _check_piece_clearance(lower, upper, legs)
+    return [(lower, upper, y0, y1) for lower, upper, legs in pieces for y0, y1 in legs]
+
+
+def membrane_integral(vertices) -> complex:
     """Integral of dx/x ^ dy/y over the membrane spanned by the triangle.
 
     ``vertices`` are three chart points (x, y); the sweep runs from the
@@ -257,35 +282,40 @@ def membrane_integral(vertices, tol: float = 1e-12) -> complex:
     integral reduces to a difference of edge logarithms, all kept on the
     principal branch by the waypoint routing, so the value reproduces the
     endpoint evaluation of the dilogarithm antiderivatives term by term.
+
+    The inner integral over a ruling is Log(x_u / x_l), which differs from
+    Log x_u - Log x_l by 2 pi i k.  Neither log crosses its cut inside a
+    leg and the ruling misses x = 0, so k is constant on a leg and is read
+    at its midpoint; it is nonzero when the two edges leave a vertex on
+    the cut of x to opposite sides, and the leg then gains
+    -2 pi i k Log(y1 / y0).
     """
-    v1, v2, v3 = _check_vertices(vertices)
     total = 0j
-    for lower, upper, legs in _sweep_pieces(v1, v2, v3):
-        _check_piece_clearance(lower, upper, legs)
-        for y0, y1 in legs:
-            total += log_line_integral(upper.p, upper.q, y0, y1, tol)
-            total -= log_line_integral(lower.p, lower.q, y0, y1, tol)
+    for lower, upper, y0, y1 in _membrane_legs(vertices):
+        total += log_line_integral(upper.p, upper.q, y0, y1)
+        total -= log_line_integral(lower.p, lower.q, y0, y1)
+        xl, xu = lower.x_at(0.5 * (y0 + y1)), upper.x_at(0.5 * (y0 + y1))
+        k = round((cmath.log(xu) - cmath.log(xl) - cmath.log(xu / xl)).imag / (2.0 * PI))
+        if k:
+            total -= 2j * PI * k * cmath.log(y1 / y0)
     return total
 
 
-def membrane_quadrature(vertices, tol: float = 1e-9) -> complex:
+def membrane_quadrature(vertices) -> complex:
     """Independent oracle: raw 2D quadrature of the form over the same
     ruled membrane, no logarithms or dilogarithms involved."""
-    v1, v2, v3 = _check_vertices(vertices)
     total = 0j
-    for lower, upper, legs in _sweep_pieces(v1, v2, v3):
-        _check_piece_clearance(lower, upper, legs)
-        for y0, y1 in legs:
-            dy = y1 - y0
+    for lower, upper, y0, y1 in _membrane_legs(vertices):
+        dy = y1 - y0
 
-            def f(s, t, lower=lower, upper=upper, y0=y0, dy=dy):
-                y = y0 + s * dy
-                xl = lower.x_at(y)
-                xu = upper.x_at(y)
-                x = xl + t * (xu - xl)
-                return (xu - xl) / x * (dy / y)
+        def f(s, t, lower=lower, upper=upper, y0=y0, dy=dy):
+            y = y0 + s * dy
+            xl = lower.x_at(y)
+            xu = upper.x_at(y)
+            x = xl + t * (xu - xl)
+            return (xu - xl) / x * (dy / y)
 
-            total += double_integral(f, tol / 3.0)
+        total += double_integral(f, _ORACLE_LEG_TOL)
     return total
 
 

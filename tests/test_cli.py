@@ -196,11 +196,11 @@ class TestSingCommand:
 
     def test_delta_span_rank_can_fail(self, capsys, monkeypatch):
         # a nonzero residue must show up as a positive rank and a failed check
-        from hodge_degen import cli
+        from hodge_degen import cycles
         from hodge_degen.degeneration import H2Class
 
         fake = H2Class(4, {("e", 1, 2, 1): 1, ("l", 1): -1})
-        monkeypatch.setattr(cli, "singularity_at_zero", lambda c, d: fake)
+        monkeypatch.setattr(cycles, "singularity_at_zero", lambda c, d: fake)
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "delta")
         assert code == 1
         check = {c["name"]: c for c in json.loads(out)["checks"]}["delta span rank d=4"]
@@ -343,20 +343,43 @@ def test_report_path_runs_no_elimination(capsys, monkeypatch):
 
 @pytest.mark.parametrize("d", range(3, 7))
 def test_sing_builds_each_residue_once(d, capsys, monkeypatch):
-    # the sample table reuses span_rank's residues instead of rebuilding them
-    from hodge_degen import cli, cycles
+    # span_rank builds the residues once, for every family; the reports
+    # (the sample table, the delta checks) reuse them
+    from hodge_degen import cycles
 
-    calls = {"singularity_at_zero": 0, "family_cycles": 0}
-    for name, real in [(name, getattr(cycles, name)) for name in calls]:
+    calls = {}
+    for name in ("singularity_at_zero", "family_cycles"):
+        real = getattr(cycles, name)
 
         def counted(*args, name=name, real=real):
-            calls[name] += 1
+            calls[name] = calls.get(name, 0) + 1
             return real(*args)
 
         monkeypatch.setattr(cycles, name, counted)
-        monkeypatch.setattr(cli, name, counted)
-    assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", "all")[0] == 0
-    assert calls == {"singularity_at_zero": d * math.comb(d, 3) + d * d, "family_cycles": 1}
+    residues = {"all": d * math.comb(d, 3) + d * d, "delta": d * math.comb(d, 3)}
+    for family, count in residues.items():
+        calls.clear()
+        assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
+        assert calls == {"singularity_at_zero": count, "family_cycles": 1}, family
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing; callers import the modules they use
+    code = (
+        "import sys\n"
+        "import hodge_degen\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('hodge_degen.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_never_imports_numpy():
@@ -371,7 +394,5 @@ def test_cli_never_imports_numpy():
         "assert codes == [0, 0, 0, 0], codes\n"
         "assert 'numpy' not in sys.modules, 'main'\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr

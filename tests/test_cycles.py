@@ -5,6 +5,7 @@ forms (exceptional three-term class for gamma, line degeneration class
 for lambda) serve as oracles here.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -339,6 +340,13 @@ class TestSpanWitness:
     def test_single_family_keeps_elimination(self):
         res = span_rank(4, "gamma")
         assert res.witness == "elimination" and res.rank == 9
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_delta_rank_zero_without_elimination(self, d):
+        res = span_rank(d, "delta")
+        assert res.rank == 0 and not res.spanning
+        assert res.witness == "all classes zero"
+        assert res.witness_size == len(res.residues) == d * math.comb(d, 3)
 
 
 class TestThreefoldBoundary:

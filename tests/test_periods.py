@@ -19,7 +19,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodge_degen import periods
@@ -206,6 +206,16 @@ class TestLogLineIntegral:
         with pytest.raises(PathSingularityError):
             log_line_integral(1.0, 1.0, -1.0 + 0j, 1.0 + 0j)
 
+    def test_path_along_cut(self):
+        # w = z - 1 runs along the negative reals from -0.8 to -0.5: the
+        # branch is undefined on the whole path, so it is refused
+        with pytest.raises(PathSingularityError):
+            log_line_integral(-1.0, 1.0, 0.2 + 0j, 0.5 + 0j)
+        # one end on the cut is fine: the rest of the path fixes the branch
+        got = log_line_integral(-1.0, 1.0, 0.5 + 0j, 0.5 + 1j)
+        oracle = adaptive_quad(lambda s: cmath.log(-0.5 + 1j * s) / (0.5 + 1j * s) * 1j, 0.0, 1.0, 1e-13)
+        assert abs(got - oracle) < 1e-12
+
     def test_log_argument_vanishes(self):
         # a + bz = 0 at z = 1.5, on the path
         with pytest.raises(PathSingularityError):
@@ -275,6 +285,13 @@ triangles = st.lists(st.tuples(point, point), min_size=3, max_size=3, unique=Tru
 class TestMembraneFuzz:
     @given(triangles)
     @settings(max_examples=30, deadline=None)
+    # refused as path singularities: the first has a vertex on y = 0, the
+    # others an edge log that runs along its cut
+    @example([(-0.1, -0.1j), (-0.2, 0.1 + 0.1j), (0, 0)])
+    @example([(-1.1 + 0j, 2.4 - 1.9j), (-2.4 + 0j, 0.9 + 2.7j), (2.3 + 0.3j, 0.7 - 1.8j)])
+    @example([(-0.7 - 0.4j, -1.4 - 1.9j), (-1.8 + 0j, 0.7 - 0.5j), (-2.3 + 0j, 1.4 - 1.3j)])
+    # vertices on the cut of x, whose edges leave to opposite sides of it
+    @example([(-2.9 + 0j, -3 + 2.6j), (1.4 + 0.7j, 2.3 + 3j), (-3 + 0j, -2.2 - 1j)])
     def test_agrees_with_oracle_or_refuses(self, verts):
         # random triangles, most unlike the tempered one; about half need
         # waypoint routing around a log cut, and some exhaust its depth
