@@ -10,12 +10,11 @@ arrangement with sixth-root-of-unity coefficients is built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .exactlin import CYCLO_ONE, MU, CycloNumber
+from .exactlin import CYCLO_ONE, MU, CycloNumber, _Frozen
 
 FormSelector = tuple[str, int]  # ("L", i) or ("M", l), 1-based
 
@@ -32,10 +31,10 @@ class ChartError(ValueError):
     """A requested point has Z = 0 and misses the (X/Z, Y/Z) chart."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(_Frozen):
     """Coefficients of X, Y, Z, W."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[CycloNumber, CycloNumber, CycloNumber, CycloNumber]
 
     def __init__(self, coeffs: Sequence):
@@ -53,10 +52,10 @@ class LinearForm:
         return acc
 
 
-@dataclass(frozen=True)
-class P3Point:
+class P3Point(_Frozen):
     """Homogeneous coordinates, normalized so the last nonzero entry is 1."""
 
+    __slots__ = ("coords",)
     coords: tuple[CycloNumber, CycloNumber, CycloNumber, CycloNumber]
 
     def __init__(self, coords: Sequence):
@@ -86,8 +85,8 @@ class P3Point:
         return "[" + " : ".join(repr(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(_Frozen):
+    __slots__ = ("d", "L", "M")
     d: int
     L: tuple[LinearForm, ...]
     M: tuple[LinearForm, ...]
@@ -137,8 +136,7 @@ def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
     return (acc_a, acc_b)
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
+class GeneralPositionReport(NamedTuple):
     ok: bool
     violation: tuple[FormSelector, ...] | None = None
     reason: str | None = None

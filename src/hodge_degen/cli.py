@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from . import degeneration
@@ -36,30 +35,26 @@ TOOL = "hodge-degen"
 USAGE_ERROR = 2
 
 
-@dataclass
 class Check:
-    name: str
-    anchor: str
-    status: str
-    data: dict = field(default_factory=dict)
-    elapsed_ms: int = 0
+    def __init__(self, name: str, anchor: str, status: str, data: dict, elapsed_ms: int):
+        self.name = name
+        self.anchor = anchor
+        self.status = status
+        self.data = data
+        self.elapsed_ms = elapsed_ms
 
 
-@dataclass
 class Report:
     """Checks in order.  Under ``timing`` each check carries the wall time
     since the previous check (or the start), which is the time spent
     computing it; otherwise no time appears and the JSON is deterministic."""
 
-    command: str
-    timing: bool = False
-    checks: list[Check] = field(default_factory=list)
-    elapsed_ms: int = 0
-    started: float = field(default_factory=time.monotonic)
-    _mark: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._mark = self.started
+    def __init__(self, command: str, timing: bool = False):
+        self.command = command
+        self.timing = timing
+        self.checks: list[Check] = []
+        self.elapsed_ms = 0
+        self.started = self._mark = time.monotonic()
 
     def _append(self, name: str, anchor: str, status: str, data: dict) -> None:
         now = time.monotonic()
@@ -324,8 +319,9 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
         raise SystemExit("--L must be nonzero")
     frame = limits_mod.Frame()
     ts = limits_mod.default_t_sequence()
-    # relative for |L| < 1, so a tiny L cannot pass vacuously
-    det_tol = 1e-3 * min(1.0, abs(L))
+    # relative for |L| < 1, so a tiny L cannot pass vacuously, and never
+    # below 1e-9 |L|, so a large L cannot fail on round-off alone
+    det_tol = max(1e-3 * min(1.0, abs(L)), 1e-9 * abs(L))
     res0 = limits_mod.independence_matrix(frame, L, seed=None, t_sequence=ts)
     report.add(
         "structural determinant (zero tails)",

@@ -17,10 +17,9 @@ their failure to cancel falsifies the construction and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import degeneration
 from .degeneration import H2Class, in_kernel, reduce_raw
@@ -33,8 +32,7 @@ class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
 
 
-@dataclass(frozen=True)
-class Precycle:
+class Precycle(NamedTuple):
     """(rational function, line) pair.
 
     ``support`` is (a, b): the line cut by the a-th L-form and b-th M-form.
@@ -47,8 +45,7 @@ class Precycle:
     func_pole: FormSel | None
 
 
-@dataclass(frozen=True)
-class HigherCycle:
+class HigherCycle(NamedTuple):
     kind: Literal["gamma", "lambda", "delta"]
     indices: tuple[int, ...]
     terms: tuple[Precycle, ...]
@@ -242,8 +239,7 @@ def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
     return {g: v for g, v in acc.items() if v} == dict(target.coords)
 
 
-@dataclass(frozen=True)
-class SpanRankResult:
+class SpanRankResult(NamedTuple):
     d: int
     family: str
     rank: int
@@ -253,7 +249,7 @@ class SpanRankResult:
     witness: str
     witness_size: int
     # (cycle, residue class) in family_cycles order, for reports to reuse
-    residues: tuple[tuple[HigherCycle, H2Class], ...] = field(compare=False, repr=False)
+    residues: tuple[tuple[HigherCycle, H2Class], ...]
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
@@ -313,8 +309,7 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     return SpanRankResult(d, family, rk, expected, rk == expected, verified, kind, size, residues)
 
 
-@dataclass(frozen=True)
-class ThreefoldBoundary:
+class ThreefoldBoundary(NamedTuple):
     """Formal combination of exceptional lines in the threefold fiber.
 
     Each symbol records the blow-up center: the pair of plane indices the

@@ -24,13 +24,12 @@ genuinely rational.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exactlin import QMatrix, QVector, _as_fraction, kernel_basis
+from .exactlin import QMatrix, QVector, _Frozen, _as_fraction, kernel_basis
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -72,13 +71,13 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True)
-class H2Class:
+class H2Class(_Frozen):
     """A class in canonical coordinates: no e-generator with l = d appears.
 
     Integral coefficients are stored as ``int``, others as ``Fraction``.
     """
 
+    __slots__ = ("d", "coords")
     d: int
     coords: tuple[tuple[Generator, int | Fraction], ...]
 

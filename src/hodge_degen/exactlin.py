@@ -11,7 +11,6 @@ after every pivot step, so no intermediate Fractions are produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, sqrt
 from typing import Iterable, Sequence
@@ -31,10 +30,43 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class CycloNumber:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    Equality, hash and repr run over the fields named in ``__slots__``;
+    equality with any other class is NotImplemented.  Fields are written
+    once, in ``__init__``, through ``object.__setattr__``; assigning or
+    deleting one afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+
+class CycloNumber(_Frozen):
     """a + b*mu with mu = (1 + sqrt(3) i)/2, so mu^2 = mu - 1."""
 
+    __slots__ = ("a", "b")
     a: Fraction
     b: Fraction
 
@@ -118,10 +150,10 @@ def cyclo_embed(x: CycloNumber) -> complex:
     return complex(a + 0.5 * b, _SQRT3_2 * b)
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(_Frozen):
     """Dense matrix of Fractions."""
 
+    __slots__ = ("entries",)
     entries: tuple[QVector, ...]
 
     def __init__(self, rows: Iterable[Iterable]):

@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 
 class ExtrapolationError(RuntimeError):
@@ -38,8 +37,7 @@ def default_t_sequence() -> tuple[complex, ...]:
     return tuple(10.0 ** (-2 * k) * phase for k in range(1, 7))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     dk: int = DEFAULT_DK
 
     @property
@@ -100,8 +98,7 @@ def pair(u: FrameVector, v: FrameVector, frame: Frame) -> complex:
     return complex(u[1] * v[1] - u[0] * v[2] - u[2] * v[0] + d_part)
 
 
-@dataclass(frozen=True)
-class PolyTail:
+class PolyTail(NamedTuple):
     """Holomorphic tail modeled as a low-degree polynomial in t."""
 
     coeffs: tuple[complex, ...] = (0j,)
@@ -125,8 +122,7 @@ def _seeded_tails(rng, count: int):
     return out
 
 
-@dataclass(frozen=True)
-class EtaModel:
+class EtaModel(NamedTuple):
     """eta = e2 + i Im(l) e1 + g(t) e0 + sum h_i(t) d_i."""
 
     g: PolyTail
@@ -148,8 +144,7 @@ class EtaModel:
         return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(conjugate_at(v, t, frame), v)))
 
 
-@dataclass(frozen=True)
-class NormalFunctionModel:
+class NormalFunctionModel(NamedTuple):
     """Either the limit-type model R or a singular-type model R_i.
 
     kind "R":  R(t) = i L e0 + t (a0 e0 + a1 e1 + a2 e2 + sum b_j d_j).
@@ -209,8 +204,7 @@ def _neville_to_zero(xs: Sequence[float], ys: Sequence[complex]):
     return diag[-1], residuals
 
 
-@dataclass(frozen=True)
-class PairingLimit:
+class PairingLimit(NamedTuple):
     value: complex
     residuals: tuple[float, ...]
 
@@ -290,8 +284,7 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     return det
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     matrix: tuple[tuple[complex, ...], ...]
     det: complex
     L: float

@@ -15,16 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .quadrature import adaptive_quad, double_integral
 
 PI = math.pi
 ZETA2 = PI * PI / 6.0
 MU_C = complex(0.5, math.sqrt(3.0) / 2.0)
-
-_BERNOULLI_N = 36
 
 # error tolerance of each edge-log integral (so of membrane_integral) and
 # of each leg of the 2D oracle membrane_quadrature
@@ -38,43 +35,46 @@ class PathSingularityError(ValueError):
     """An integration path runs into a pole or a log singularity."""
 
 
-def _bernoullis(n: int) -> list[float]:
-    acc = [Fraction(1)]
-    for m in range(1, n + 1):
-        s = sum(math.comb(m + 1, j) * acc[j] for j in range(m))
-        acc.append(Fraction(-s, m + 1))
-    return [float(b) for b in acc]
+# c_k = B_2k / (2k+1)! for k = 11 down to 1, in Horner order; the exact
+# Fraction recurrence behind them is the oracle in the tests
+_DILOG_C = (
+    2.395218621026187e-19,
+    -1.0356517612181247e-17,
+    4.518980029619918e-16,
+    -1.9939295860721074e-14,
+    8.921691020456452e-13,
+    -4.0647616451442256e-11,
+    1.8978869988971e-09,
+    -9.185773074661964e-08,
+    4.72411186696901e-06,
+    -0.0002777777777777778,
+    0.027777777777777776,
+)
+# pi/3, the largest |u| that dilog's reductions leave, rounded up
+_DILOG_U_MAX = 1.0472
 
 
-_BERN = _bernoullis(_BERNOULLI_N)
+def _dilog_series(z: complex) -> complex:
+    """Li_2(z) = u - u^2/4 + sum_{k>=1} B_2k u^(2k+1) / (2k+1)!, with
+    u = -log(1 - z) (Zagier, "The Dilogarithm Function", 2007).
 
-
-def _dilog_small(z: complex) -> complex:
-    # power series, |z| <= 1/2
-    acc = 0j
-    zp = z
-    for k in range(1, 80):
-        t = zp / (k * k)
-        acc += t
-        if abs(t) < 1e-18 * max(1.0, abs(acc)):
-            break
-        zp *= z
-    return acc
-
-
-def _dilog_log_series(z: complex) -> complex:
-    # Bernoulli series in u = -log(1-z); effective for the remaining annulus
-    u = -cmath.log(1.0 - z)
-    acc = 0j
-    up = u
-    fact = 1.0
-    for k in range(_BERNOULLI_N):
-        fact *= k + 1
-        acc += _BERN[k] * up / fact
-        up *= u
-        if abs(up) / fact < 1e-18 * max(1.0, abs(acc)):
-            break
-    return acc
+    With w = u^2 this is u - w/4 + u w P(w), P the degree-10 polynomial
+    over ``_DILOG_C``.  The reductions of :func:`dilog` leave |z| <= 1 and
+    Re z <= 1/2, where |u| <= pi/3.  Since |B_2k| / (2k)! < 2.2 (2 pi)^(-2k)
+    for k >= 2, the terms after k = 11 sum to less than 2e-20 |u| there.
+    Outside |u| <= 1.0472 the truncation is not bounded, and ValueError is
+    raised rather than an unconverged value returned.
+    """
+    x, y = z.real, z.imag
+    # log|1 - z| through log1p, so that z near 0 keeps its relative precision
+    u = complex(-0.5 * math.log1p((x - 2.0) * x + y * y), math.atan2(y, 1.0 - x))
+    if abs(u) > _DILOG_U_MAX:
+        raise ValueError(f"dilog series outside |u| <= {_DILOG_U_MAX}: z = {z}")
+    w = u * u
+    p = 0j
+    for c in _DILOG_C:
+        p = p * w + c
+    return u - 0.25 * w + u * w * p
 
 
 def dilog(z: complex) -> complex:
@@ -96,9 +96,7 @@ def dilog(z: complex) -> complex:
         return -dilog(1.0 / z) - ZETA2 - 0.5 * lz * lz
     if z.real > 0.5:
         return ZETA2 - cmath.log(z) * cmath.log(1.0 - z) - dilog(1.0 - z)
-    if abs(z) <= 0.5:
-        return _dilog_small(z)
-    return _dilog_log_series(z)
+    return _dilog_series(z)
 
 
 def clausen(theta: float) -> float:
@@ -182,8 +180,7 @@ def log_line_integral(a: complex, b: complex, z0: complex, z1: complex) -> compl
 # membrane integral over a triangle of lines
 
 
-@dataclass(frozen=True)
-class _EdgeLine:
+class _EdgeLine(NamedTuple):
     """x = p + q y: the chart equation of the line through two vertices."""
 
     p: complex
@@ -323,8 +320,7 @@ def membrane_quadrature(vertices) -> complex:
 # dilogarithm functional equations
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     samples: int
     max_residual_shift: float
     max_residual_reflect: float
@@ -334,20 +330,19 @@ class FunctionalEquationReport:
         return max(self.max_residual_shift, self.max_residual_reflect)
 
 
-def _eq_shift_residual(z: complex) -> float:
-    # Li2((z-1)/z) - Li2(z) = -pi^2/6 + log(z) log(1-z) - log(z)^2/2
-    lhs = dilog((z - 1.0) / z) - dilog(z)
+def _residuals(z: complex) -> tuple[float, float]:
+    """|lhs - rhs| of the shift and of the reflection identity at z, which
+    share Li2(z) and log(1-z):
+
+        Li2((z-1)/z) - Li2(z) = -pi^2/6 + log(z) log(1-z) - log(z)^2/2
+        Li2(1/(1-z)) - Li2(z) = pi^2/6 + log(-z) log(1-z) - log(1-z)^2/2
+    """
+    li = dilog(z)
     lz = cmath.log(z)
-    rhs = -ZETA2 + lz * cmath.log(1.0 - z) - 0.5 * lz * lz
-    return abs(lhs - rhs)
-
-
-def _eq_reflect_residual(z: complex) -> float:
-    # Li2(1/(1-z)) - Li2(z) = pi^2/6 + log(-z) log(1-z) - log(1-z)^2/2
-    lhs = dilog(1.0 / (1.0 - z)) - dilog(z)
     l1z = cmath.log(1.0 - z)
-    rhs = ZETA2 + cmath.log(-z) * l1z - 0.5 * l1z * l1z
-    return abs(lhs - rhs)
+    shift = dilog((z - 1.0) / z) - li - (-ZETA2 + lz * l1z - 0.5 * lz * lz)
+    reflect = dilog(1.0 / (1.0 - z)) - li - (ZETA2 + cmath.log(-z) * l1z - 0.5 * l1z * l1z)
+    return abs(shift), abs(reflect)
 
 
 def _off_cuts(z: complex) -> bool:
@@ -373,8 +368,9 @@ def check_functional_equations(samples: int = 1000, seed: int = 0) -> Functional
         if not _off_cuts(z):
             continue
         accepted += 1
-        worst1 = max(worst1, _eq_shift_residual(z))
-        worst2 = max(worst2, _eq_reflect_residual(z))
+        shift, reflect = _residuals(z)
+        worst1 = max(worst1, shift)
+        worst2 = max(worst2, reflect)
     return FunctionalEquationReport(accepted, worst1, worst2)
 
 
@@ -382,11 +378,5 @@ def mu_instance_residuals() -> dict[str, float]:
     """The four specific sixth-root instances used in the closed form:
     the shift identity at z = -mu and z = -1/mu, and the reflection
     identity at the same two points."""
-    z1 = -MU_C
-    z2 = -1.0 / MU_C
-    return {
-        "shift at -mu": _eq_shift_residual(z1),
-        "shift at -1/mu": _eq_shift_residual(z2),
-        "reflect at -mu": _eq_reflect_residual(z1),
-        "reflect at -1/mu": _eq_reflect_residual(z2),
-    }
+    (s1, r1), (s2, r2) = _residuals(-MU_C), _residuals(-1.0 / MU_C)
+    return {"shift at -mu": s1, "shift at -1/mu": s2, "reflect at -mu": r1, "reflect at -1/mu": r2}

@@ -1,16 +1,19 @@
 """Command line interface: exit codes, report schema, determinism."""
 
-import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import hodge_degen
+from hodge_degen import arrangement, cycles, limits, periods
 from hodge_degen.cli import main
+from hodge_degen.degeneration import H2Class, reduce_raw
+from hodge_degen.exactlin import CycloNumber, QMatrix
 
 
 def run(capsys, *argv):
@@ -235,7 +238,7 @@ class TestSingCommand:
 
         def off_by_one(d, family):
             res = span_rank(d, family)
-            return dataclasses.replace(res, rank=res.rank + 1)
+            return res._replace(rank=res.rank + 1)
 
         monkeypatch.setattr(cli, "span_rank", off_by_one)
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "lambda")
@@ -323,6 +326,27 @@ class TestPairingCommand:
         assert code == 1
         assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
 
+    @pytest.mark.parametrize("L", ["1e10", "1e50", "1e300"])
+    def test_large_L(self, L, capsys):
+        # the determinant carries the round-off of L itself; a bound
+        # absolute in L failed these on that alone
+        code, out = run(capsys, "--format", "json", "pairing", "--L", L)
+        assert code == 0
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
+
+    def test_det_bound_relative_to_large_L(self, capsys, monkeypatch):
+        # |det + L| = 1e-8 |L| is far above round-off and fails at any L
+        real = limits.independence_matrix
+
+        def off_by_1e_8(frame, L, seed=None, t_sequence=None):
+            res = real(frame, L, seed=seed, t_sequence=t_sequence)
+            return res._replace(det=complex(-L * (1 + 1e-8)))
+
+        monkeypatch.setattr(limits, "independence_matrix", off_by_1e_8)
+        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e10")
+        assert code == 1
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
+
 
 def test_report_path_runs_no_elimination(capsys, monkeypatch):
     # passing basis and sing reports rest on witnesses alone
@@ -396,3 +420,99 @@ def test_cli_never_imports_numpy():
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # the report classes are plain classes and named tuples: importing the
+    # CLI pays for neither dataclasses nor what it pulls in (inspect, ast)
+    code = (
+        "import sys\n"
+        "import hodge_degen.cli\n"
+        "layers = ('exactlin', 'arrangement', 'degeneration', 'cycles',\n"
+        "          'quadrature', 'periods', 'limits', 'cli')\n"
+        "missing = [m for m in layers if 'hodge_degen.' + m not in sys.modules]\n"
+        "assert not missing, missing\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _named_tuples(value, path="data"):
+    """Paths under value where a NamedTuple stands in for a plain value."""
+    if hasattr(value, "_fields"):
+        return [path]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _named_tuples(v, f"{path}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in _named_tuples(v, f"{path}[{i}]")]
+    return []
+
+
+def test_report_data_holds_no_named_tuple():
+    # json.dumps would write a record as a bare list and markdown would show
+    # its tuple repr; every report value must be built explicitly
+    from hodge_degen import cli
+
+    report = cli.Report("all")
+    cli.run_basis(report, 4)
+    for family in ("all", "delta", "gamma", "lambda"):
+        cli.run_sing(report, 4, family)
+    cli.run_aj(report, True, 12)
+    cli.run_pairing(report, 0, None)
+    assert report.ok
+    found = [f"{c.name}: {p}" for c in report.checks for p in _named_tuples(c.data)]
+    assert not found, found
+
+
+_FRAME = limits.Frame(dk=2)
+
+# a maker of an instance of each immutable record or value class, and a field
+IMMUTABLE = {
+    "CycloNumber": (lambda: CycloNumber(1, 2), "a"),
+    "QMatrix": (lambda: QMatrix([[1, 2]]), "entries"),
+    "LinearForm": (lambda: arrangement.LinearForm([1, 0, 0, 0]), "coeffs"),
+    "P3Point": (lambda: arrangement.P3Point([1, 0, 0, 1]), "coords"),
+    "Arrangement": (arrangement.tempered_arrangement, "d"),
+    "H2Class": (lambda: H2Class(3, {("l", 1): 1}), "coords"),
+    "Precycle": (lambda: cycles.Precycle((1, 2), ("L", 2), ("L", 3)), "support"),
+    "HigherCycle": (lambda: cycles.build_cycle("lambda", (1, 1)), "kind"),
+    "SpanRankResult": (lambda: cycles.span_rank(3), "rank"),
+    "ThreefoldBoundary": (lambda: cycles.threefold_boundary(1, 2, 3, 1), "side"),
+    "GeneralPositionReport": (
+        lambda: arrangement.validate_general_position(arrangement.tempered_arrangement()),
+        "ok",
+    ),
+    "_EdgeLine": (lambda: periods._edge_through((1, 1), (2, 3)), "p"),
+    "FunctionalEquationReport": (lambda: periods.check_functional_equations(10, 0), "samples"),
+    "Frame": (lambda: _FRAME, "dk"),
+    "PolyTail": (limits.PolyTail, "coeffs"),
+    "EtaModel": (lambda: limits.EtaModel.build(_FRAME), "g"),
+    "NormalFunctionModel": (lambda: limits.NormalFunctionModel.limit_type(1.0, _FRAME), "L"),
+    "PairingLimit": (lambda: limits.PairingLimit(1j, (0.0,)), "value"),
+    "IndependenceResult": (lambda: limits.independence_matrix(_FRAME, 1.0), "det"),
+}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE)
+def test_value_classes_stay_immutable(name):
+    make, field = IMMUTABLE[name]
+    obj = make()
+    assert type(obj).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert obj == make() and hash(obj) == hash(make())
+
+
+def test_value_class_equality_and_repr():
+    assert CycloNumber(1) != 1 and 1 != CycloNumber(1)
+    assert CycloNumber(1) == CycloNumber(Fraction(2, 2), 0)
+    assert CycloNumber(1) != QMatrix([[1]])
+    x = H2Class(3, {("l", 1): 2, ("e", 1, 2, 1): 1})
+    y = reduce_raw(3, {("e", 1, 2, 1): 1}) + H2Class(3, {("l", 1): 2})
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != H2Class(4, {("l", 1): 2, ("e", 1, 2, 1): 1})
+    assert repr(QMatrix([[1]])) == "QMatrix(entries=((Fraction(1, 1),),))"

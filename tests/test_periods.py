@@ -16,6 +16,7 @@ Frozen oracle values:
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -44,6 +45,15 @@ from hodge_degen.quadrature import adaptive_quad
 CL2_2PI3 = 0.6766277376064357
 CATALAN = 0.9159655941772190
 L_VALUE = 4.0597664256386145
+
+
+def bernoulli_numbers(n):
+    """Exact B_0..B_n (B_1 = -1/2) by the recurrence sum_j C(m+1, j) B_j = 0."""
+    acc = [Fraction(1)]
+    for m in range(1, n + 1):
+        s = sum(math.comb(m + 1, j) * acc[j] for j in range(m))
+        acc.append(Fraction(-s, m + 1))
+    return acc
 
 
 def series_dilog(z, terms=300):
@@ -79,19 +89,46 @@ class TestDilog:
             z = cmath.rect(rng.uniform(0.05, 0.7), rng.uniform(-PI, PI))
             assert abs(dilog(z) - series_dilog(z)) < 1e-13
 
-    def test_accuracy_against_mpmath(self):
-        rng = random.Random(3)
-        for _ in range(400):
-            z = cmath.rect(10 ** rng.uniform(-3, 6), rng.uniform(-PI, PI))
-            if abs(z - 1) < 1e-6 or z.imag == 0:
-                continue
-            ref = complex(mp.polylog(2, mp.mpc(z.real, z.imag)))
-            assert abs(dilog(z) - ref) <= 1e-13 * max(1.0, abs(ref))
-
     def test_cut_side_is_upper(self):
         # on [1, oo) values continue from above: Im = +pi log x
         for x in (2.0, 10.0, 1.5):
             assert dilog(x).imag == pytest.approx(PI * math.log(x), abs=1e-13)
+
+    def test_series_table_is_bernoulli(self):
+        # c_k = B_2k / (2k+1)!, k = 11 down to 1, from the exact recurrence
+        b = bernoulli_numbers(22)
+        want = tuple(float(b[2 * k] / math.factorial(2 * k + 1)) for k in range(11, 0, -1))
+        assert periods._DILOG_C == want
+
+    def test_accuracy_against_mpmath(self):
+        # 30-digit references over the regions the reductions stitch together
+        rng = random.Random(3)
+        points = [cmath.rect(10 ** rng.uniform(-3, 6), rng.uniform(-PI, PI)) for _ in range(400)]
+        points += [cmath.rect(10 ** rng.uniform(-300, -3), rng.uniform(-PI, PI)) for _ in range(100)]
+        points += [cmath.rect(10 ** rng.uniform(-8, 0), rng.uniform(-PI, PI)) for _ in range(150)]
+        points += [cmath.exp(1j * rng.uniform(-PI, PI)) for _ in range(150)]  # |z| = 1
+        points += [complex(0.5, rng.uniform(-3, 3)) for _ in range(100)]  # Re z = 1/2 seam
+        points += [1 + cmath.rect(10 ** rng.uniform(-8, -1), rng.uniform(-PI, PI)) for _ in range(100)]
+        points += [-1.0 + 0j, 0.5 + 0j, complex(0.5, math.sqrt(3) / 2), -MU_C, 1e-300 + 0j, -1e6 + 0j]
+        with mp.workdps(30):
+            for z in points:
+                if z.imag == 0 and z.real > 1:
+                    continue  # on the cut; test_cut_side_is_upper covers it
+                ref = mp.polylog(2, mp.mpc(z.real, z.imag))
+                got = dilog(z)
+                assert abs(mp.mpc(got.real, got.imag) - ref) <= 2e-15 * abs(ref), z
+
+    def test_series_refuses_outside_its_disk(self):
+        # |u| = |log(1 - z)| above 1.0472 leaves the bounded truncation
+        for z in (0.9 + 0j, cmath.exp(1j), 0.5 + 0.9j, -3.0 + 0j):
+            with pytest.raises(ValueError):
+                periods._dilog_series(z)
+        # dilog reduces the same points first
+        for z in (0.9 + 0j, cmath.exp(1j), 0.5 + 0.9j, -3.0 + 0j):
+            ref = complex(mp.polylog(2, mp.mpc(z.real, z.imag)))
+            assert abs(dilog(z) - ref) <= 2e-15 * abs(ref)
+        # the corner of the reduced region, |u| = pi/3, is inside
+        periods._dilog_series(complex(0.5, math.sqrt(3) / 2))
 
     def test_inversion_identity(self):
         rng = random.Random(4)
@@ -307,6 +344,13 @@ class TestMembraneFuzz:
 class TestClosedForm:
     def test_real_part_is_zeta2(self):
         assert aj_closed_form().real == -ZETA2
+
+    def test_imaginary_part_against_mpmath(self):
+        # 6 Cl_2(2 pi/3) at 30 digits; both float routes land within 1e-15
+        with mp.workdps(30):
+            ref = 6 * mp.clsin(2, 2 * mp.pi / 3)
+            assert abs(aj_closed_form().imag - ref) < 1e-15
+            assert abs(6 * clausen(2 * PI / 3) - ref) < 1e-15
 
     def test_imaginary_part_frozen(self):
         aj = aj_closed_form()
