@@ -119,7 +119,6 @@ def _eliminated(m: QMatrix) -> tuple[int, dict]:
 
 def run_basis(report: Report, d: int) -> None:
     gens, relations, dim = degeneration.presentation(d)
-    pairs = d * (d - 1) // 2
     if degeneration.relation_block_holds(d, gens, relations):
         relation_rank, witness = len(relations), _witnessed("signed identity block", len(relations))
     else:
@@ -127,9 +126,7 @@ def run_basis(report: Report, d: int) -> None:
     report.add(
         f"presentation dimension d={d}",
         "H2 presentation of the degenerate fiber",
-        dim == d + d * pairs - pairs
-        and 2 * dim == d * (2 + (d - 1) ** 2)
-        and dim == len(gens) - relation_rank,
+        2 * dim == d * (2 + (d - 1) ** 2) and dim == len(gens) - relation_rank,
         generators=len(gens),
         relations=len(relations),
         dim=dim,
@@ -140,7 +137,7 @@ def run_basis(report: Report, d: int) -> None:
     if degeneration.phi_rank_holds(d, cols):
         rk, witness = d - 1, _witnessed("zero row sum + unit differences", d - 1)
     else:
-        rk, witness = _eliminated(QMatrix([[col.get(c, 0) for col in cols.values()] for c in range(1, d + 1)]))
+        rk, witness = _eliminated(degeneration.phi_matrix(d))
     report.add(
         f"component pairing rank d={d}",
         "intersection matrix against components",
@@ -318,11 +315,10 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
     if L == 0:
         raise SystemExit("--L must be nonzero")
     frame = limits_mod.Frame()
-    ts = limits_mod.default_t_sequence()
     # relative for |L| < 1, so a tiny L cannot pass vacuously, and never
     # below 1e-9 |L|, so a large L cannot fail on round-off alone
     det_tol = max(1e-3 * min(1.0, abs(L)), 1e-9 * abs(L))
-    res0 = limits_mod.independence_matrix(frame, L, seed=None, t_sequence=ts)
+    res0 = limits_mod.independence_matrix(frame, L, seed=None)
     report.add(
         "structural determinant (zero tails)",
         "block-triangular limit matrix",
@@ -331,12 +327,12 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
         L=L,
         max_residual=res0.max_residual,
     )
-    res = limits_mod.independence_matrix(frame, L, seed=seed, t_sequence=ts)
+    res = limits_mod.independence_matrix(frame, L, seed=seed)
     report.add(
         "seeded limit matrix",
         "pairing limits with generic holomorphic tails",
         res.verdict == "independent" and abs(res.det + L) < det_tol,
-        **res.to_json_dict(ts),
+        **res.to_json_dict(),
         max_residual=res.max_residual,
     )
 

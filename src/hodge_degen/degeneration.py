@@ -158,7 +158,9 @@ def presentation(d: int):
     Returns (generators, relations, dim) where generators lists every l_i
     and e^{ij}_l (all l up to d: the canonical generators, then each
     e^{ij}_d), each relation is the coefficient map of
-    l_j - l_i - sum_l e^{ij}_l, and dim = d + d*C(d,2) - C(d,2).
+    l_j - l_i - sum_l e^{ij}_l, and dim = #generators - #relations, which
+    is the dimension once the relations are independent
+    (:func:`relation_block_holds`).
     """
     _require_d(d)
     gens = list(_table(d))
@@ -168,9 +170,7 @@ def presentation(d: int):
         for l in range(1, d + 1):
             rel[("e", i, j, l)] = -1
         relations.append(rel)
-    pairs = d * (d - 1) // 2
-    dim = d + d * pairs - pairs
-    return gens, relations, dim
+    return gens, relations, len(gens) - len(relations)
 
 
 def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[Mapping]) -> bool:
@@ -280,25 +280,22 @@ def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
     and 1 <= l <= d-1 the class sum_{l'}(e^{ij}_l - e^{ij}_{l'}).
 
     In canonical coordinates the pair classes read d*e^{ij}_l - l_j + l_i.
-    The basis is built once per d and checked by :func:`spans_kernel`;
-    a failed check is a hard internal error.
+    Built once per d and not checked here: the reports that rely on it
+    check it with :func:`spans_kernel`.
     """
     _require_d(d)
-    return _verified_kernel_basis(d)
+    return _kernel_basis(d)
 
 
 @lru_cache(maxsize=None)
-def _verified_kernel_basis(d: int) -> tuple[H2Class, ...]:
+def _kernel_basis(d: int) -> tuple[H2Class, ...]:
     total = H2Class(d, {("l", i): 1 for i in range(1, d + 1)})
     pairs = [
         H2Class(d, {("e", i, j, l): d, ("l", j): -1, ("l", i): 1})
         for i, j in combinations(range(1, d + 1), 2)
         for l in range(1, d)
     ]
-    basis = (total, *pairs)
-    if not spans_kernel(d, basis):
-        raise AssertionError("kernel basis fails its witness")
-    return basis
+    return (total, *pairs)
 
 
 def spans_kernel(d: int, basis: Sequence[H2Class]) -> bool:

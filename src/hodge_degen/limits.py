@@ -31,10 +31,9 @@ DEFAULT_DK = 19
 FrameVector = tuple[complex, ...]
 
 
-def default_t_sequence() -> tuple[complex, ...]:
-    """|t| = 1e-2 .. 1e-12 in decade-squared steps, at the fixed argument 0.3."""
-    phase = cmath.exp(0.3j)
-    return tuple(10.0 ** (-2 * k) * phase for k in range(1, 7))
+# the samples of every pairing limit: |t| = 1e-2 .. 1e-12 in
+# decade-squared steps, at the fixed argument 0.3
+T_SEQUENCE: tuple[complex, ...] = tuple(10.0 ** (-2 * k) * cmath.exp(0.3j) for k in range(1, 7))
 
 
 class Frame(NamedTuple):
@@ -209,19 +208,9 @@ class PairingLimit(NamedTuple):
     residuals: tuple[float, ...]
 
 
-def _t_samples(t_sequence: Sequence[complex] | None) -> tuple[complex, ...]:
-    """The given (or default) t sequence, checked: nonzero, |t| strictly decreasing."""
-    ts =tuple(t_sequence) if t_sequence is not None else default_t_sequence()
-    if len(ts) < 3:
-        raise ValueError("need at least 3 sample points")
-    mags = [abs(t) for t in ts]
-    if any(m == 0 for m in mags) or any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
-        raise ValueError("t sequence must be nonzero with strictly decreasing |t|")
-    return ts
-
-
-def _extrapolate(kind: str, ts: Sequence[complex], values: Sequence[complex]) -> PairingLimit:
-    """Neville extrapolation of pairing values sampled along ts to t = 0.
+def _extrapolate(kind: str, values: Sequence[complex]) -> PairingLimit:
+    """Neville extrapolation of pairing values sampled along
+    :data:`T_SEQUENCE` to t = 0.
 
     The extrapolation variable is 1/log|t| for the singular models
     (kind "Ri"), whose error terms decay that slowly, and |t| itself for
@@ -234,33 +223,27 @@ def _extrapolate(kind: str, ts: Sequence[complex], values: Sequence[complex]) ->
     carries tail terms such as O(t / log t) that are not polynomial in the
     extrapolation variable, so its residual can be small by accident.
     """
-    xs = [1.0 / math.log(abs(t)) for t in ts] if kind == "Ri" else [abs(t) for t in ts]
+    xs = [1.0 / math.log(abs(t)) if kind == "Ri" else abs(t) for t in T_SEQUENCE]
     value, residuals = _neville_to_zero(xs, values)
     if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
         raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
     return PairingLimit(value, tuple(residuals))
 
 
-def limit_of_pairing(
-    nf: NormalFunctionModel,
-    target,
-    frame: Frame,
-    t_sequence: Sequence[complex] | None = None,
-) -> PairingLimit:
-    """Extrapolated limit of the pairing along a shrinking t sequence.
+def limit_of_pairing(nf: NormalFunctionModel, target, frame: Frame) -> PairingLimit:
+    """Extrapolated limit of the pairing along :data:`T_SEQUENCE`.
 
     ``target`` is an :class:`EtaModel` or a 1-based d-class index; see
     :func:`_extrapolate` for the extrapolation and its convergence test.
     """
-    ts = _t_samples(t_sequence)
 
     def target_at(t: complex) -> FrameVector:
         if isinstance(target, EtaModel):
             return target.at(t, frame)
         return frame.basis("d", int(target))
 
-    values = [pair(nf.pairing_vector(t, frame), target_at(t), frame) for t in ts]
-    return _extrapolate(nf.kind, ts, values)
+    values = [pair(nf.pairing_vector(t, frame), target_at(t), frame) for t in T_SEQUENCE]
+    return _extrapolate(nf.kind, values)
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -291,22 +274,17 @@ class IndependenceResult(NamedTuple):
     verdict: Literal["independent", "fail"]
     max_residual: float  # worst final Neville residual over the entries
 
-    def to_json_dict(self, t_sequence):
+    def to_json_dict(self):
         return {
             "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix],
             "det": [float(self.det.real), float(self.det.imag)],
             "L": float(self.L),
             "verdict": self.verdict,
-            "t_sequence": [[float(t.real), float(t.imag)] for t in t_sequence],
+            "t_sequence": [[float(t.real), float(t.imag)] for t in T_SEQUENCE],
         }
 
 
-def independence_matrix(
-    frame: Frame,
-    L: float,
-    seed: int | None = None,
-    t_sequence: Sequence[complex] | None = None,
-) -> IndependenceResult:
+def independence_matrix(frame: Frame, L: float, seed: int | None = None) -> IndependenceResult:
     """The (1 + dk) x (1 + dk) matrix of pairing limits and its determinant.
 
     Row 0 pairs the limit-type model against (eta, d_1..d_dk); row i pairs
@@ -321,16 +299,15 @@ def independence_matrix(
     eta = EtaModel.build(frame, rng)
     r_model = NormalFunctionModel.limit_type(L, frame, rng)
     singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
-    ts = _t_samples(t_sequence)
-    etas = [eta.at(t, frame) for t in ts]
+    etas = [eta.at(t, frame) for t in T_SEQUENCE]
 
     def row(model: NormalFunctionModel) -> list[PairingLimit]:
         # the same limits as limit_of_pairing, from one pairing vector per t:
         # pairing with the unit class d_j reads off coordinate 2 + j
-        vecs = [model.pairing_vector(t, frame) for t in ts]
+        vecs = [model.pairing_vector(t, frame) for t in T_SEQUENCE]
         columns = [[pair(v, e, frame) for v, e in zip(vecs, etas)]]
         columns += [[v[2 + j] for v in vecs] for j in range(1, frame.dk + 1)]
-        return [_extrapolate(model.kind, ts, values) for values in columns]
+        return [_extrapolate(model.kind, values) for values in columns]
 
     entries = [row(model) for model in (r_model, *singular)]
     mat = tuple(tuple(lim.value for lim in r) for r in entries)

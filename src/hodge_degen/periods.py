@@ -29,6 +29,9 @@ _LOG_TOL = 1e-12
 _ORACLE_LEG_TOL = 1e-9 / 3.0
 # points per leg at which each ruling is checked for clearance from x = 0
 _CLEARANCE_SAMPLES = 160
+# smallest distance of a y leg from y = 0; the edge-log integrands carry
+# a factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel budget
+_Y_MARGIN = 1e-3
 
 
 class PathSingularityError(ValueError):
@@ -138,16 +141,14 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
 
 
 def log_line_integral(a: complex, b: complex, z0: complex, z1: complex) -> complex:
-    """Integral of log(a + b z)/z along the segment [z0, z1], log branch
-    continued, to within ``_LOG_TOL``.
+    """Integral of Log(a + b z)/z along the segment [z0, z1], principal
+    branch throughout, to within ``_LOG_TOL``.
 
-    Starts on the principal branch at z0.  The argument a + b z moves
-    along a straight segment, so it crosses the negative real axis at most
-    once; the integration is split there and the branch offset transported
-    across.  The path must stay clear of z = 0 and of the zero of a + b z,
-    and must not run along the cut: when both ends of a + b z lie on the
-    negative real axis the branch is undefined on the whole path, and
-    :class:`PathSingularityError` is raised.  One end on the cut is fine.
+    The path must stay clear of z = 0 and of the zero of a + b z, and
+    a + b z must stay off the cut of Log: a path on which it crosses or
+    runs along the negative real axis raises :class:`PathSingularityError`
+    (the membrane routes its legs around the cuts first, see
+    :func:`_cut_free_legs`).  One end on the cut is fine.
     """
     a, b, z0, z1 = complex(a), complex(b), complex(z0), complex(z1)
     if _segment_distance_to_zero(z0, z1) < 1e-9:
@@ -158,22 +159,15 @@ def log_line_integral(a: complex, b: complex, z0: complex, z1: complex) -> compl
         raise PathSingularityError(f"log argument vanishes on path: a={a}, b={b}")
     if all(w.real < 0 and abs(w.imag) <= 1e-12 * abs(w) for w in (w0, w1)):
         raise PathSingularityError(f"log argument runs along its cut: a={a}, b={b}")
+    if _cut_crossing(w0, w1) is not None:
+        raise PathSingularityError(f"log argument crosses its cut: a={a}, b={b}, path [{z0}, {z1}]")
     dz = z1 - z0
-    s_cross = _cut_crossing(w0, w1)
-    pieces = [(0.0, 1.0, 0)] if s_cross is None else [
-        (0.0, s_cross, 0),
-        (s_cross, 1.0, 1 if (w1 - w0).imag < 0 else -1),
-    ]
-    total = 0j
-    for s_lo, s_hi, k in pieces:
-        shift = 2j * PI * k
 
-        def f(s, shift=shift):
-            z = z0 + s * dz
-            return (cmath.log(a + b * z) + shift) / z * dz
+    def f(s):
+        z = z0 + s * dz
+        return cmath.log(a + b * z) / z * dz
 
-        total += adaptive_quad(f, s_lo, s_hi, _LOG_TOL)
-    return total
+    return adaptive_quad(f, 0.0, 1.0, _LOG_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +241,11 @@ def _check_vertices(vertices):
 
 
 def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs):
-    """The swept rulings and the y path must stay clear of x = 0 and y = 0."""
+    """The swept rulings must stay clear of x = 0, and the y path must keep
+    ``_Y_MARGIN`` from y = 0."""
     for y0, y1 in legs:
-        if _segment_distance_to_zero(y0, y1) < 1e-9:
-            raise PathSingularityError("sweep path passes through y = 0")
+        if _segment_distance_to_zero(y0, y1) < _Y_MARGIN:
+            raise PathSingularityError(f"sweep path passes within {_Y_MARGIN} of y = 0")
         for k in range(_CLEARANCE_SAMPLES + 1):
             y = y0 + (k / _CLEARANCE_SAMPLES) * (y1 - y0)
             if _segment_distance_to_zero(lower.x_at(y), upper.x_at(y)) < 1e-9:

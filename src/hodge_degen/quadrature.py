@@ -14,6 +14,10 @@ class QuadratureError(RuntimeError):
     """The panel budget ran out before the error estimate met the tolerance."""
 
 
+# the panel budget of one adaptive_quad call
+MAX_PANELS = 2000
+
+
 # QUADPACK qk15 (Piessens et al., 1983): Kronrod nodes, Kronrod weights
 # and the weights of the embedded 7-point Gauss rule, whose nodes are
 # _XK[1::2].  The tests derive each double from scratch with mpmath.
@@ -61,21 +65,15 @@ def _gk15(f, a: float, b: float):
     return resk * h, abs(resk - resg) * abs(h)
 
 
-def adaptive_quad(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_panels: int = 2000,
-) -> complex:
+def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float = 1e-12) -> complex:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Globally adaptive: the panel with the worst error estimate is bisected
     until the total estimate meets tol.  Panels at the roundoff floor stop
-    counting towards the estimate.  If the panel budget runs out first,
-    :class:`QuadratureError` is raised rather than an unconverged value
-    returned.  Deterministic for fixed inputs; the final sum runs in
-    interval order.
+    counting towards the estimate.  If the budget of ``MAX_PANELS`` panels
+    runs out first, :class:`QuadratureError` is raised rather than an
+    unconverged value returned.  Deterministic for fixed inputs; the final
+    sum runs in interval order.
     """
     import heapq
 
@@ -84,7 +82,7 @@ def adaptive_quad(
     val, err = _gk15(f, a, b)
     heap = [(-err, a, b, val)]
     total_err = err
-    while total_err > tol and len(heap) < max_panels:
+    while total_err > tol and len(heap) < MAX_PANELS:
         neg_err, pa, pb, pval = heapq.heappop(heap)
         worst = -neg_err
         if worst <= 1e-16 * (abs(pval) + 1.0) or pb - pa < 1e-15 * max(1.0, abs(pa)):

@@ -169,6 +169,54 @@ class TestBasisCommand:
         assert data["relation_rank"] == 6
         assert (data["witness"], data["witness_size"]) == ("elimination", 6 * 28)
 
+    def test_missing_generator_fails(self, capsys, monkeypatch):
+        # dropping a generator shrinks the presented space below its closed form
+        from hodge_degen import degeneration
+
+        real = degeneration.presentation
+
+        def short(d):
+            gens, relations, _ = real(d)
+            gens = gens[1:]
+            return gens, relations, len(gens) - len(relations)
+
+        monkeypatch.setattr(degeneration, "presentation", short)
+        code, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["presentation dimension d=4"]
+        assert check["status"] == "fail"
+        assert check["data"]["generators"] == 27 and check["data"]["dim"] == 21
+
+    def test_broken_phi_witness_reports_eliminated_rank(self, capsys, monkeypatch):
+        from hodge_degen import degeneration
+
+        monkeypatch.setattr(degeneration, "phi_rank_holds", lambda d, cols: False)
+        code, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        assert code == 0
+        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["component pairing rank d=4"]
+        assert (data["rank"], data["witness"], data["witness_size"]) == (3, "elimination", 4 * 22)
+
+    def test_broken_kernel_basis_fails(self, capsys, monkeypatch):
+        # the builder does not check its basis; the report must
+        from hodge_degen import degeneration
+
+        real = degeneration._kernel_basis
+
+        def off_kernel(d):
+            basis = list(real(d))
+            basis[5] = basis[5] + H2Class(d, {("l", 1): 1})
+            return tuple(basis)
+
+        monkeypatch.setattr(degeneration, "_kernel_basis", off_kernel)
+        code, out = run(capsys, "--format", "json", "basis", "--d", "4")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert [c["status"] for c in checks.values()] == ["pass", "pass", "pass", "fail"]
+        check = checks["kernel basis spans d=4"]
+        assert check["data"]["stacked_rank"] == 20
+        assert check["data"]["witness"] == "elimination"
+
     def test_flag_position_equivalent(self, capsys):
         _, first = run(capsys, "--format", "json", "basis", "--d", "3")
         _, second = run(capsys, "basis", "--d", "3", "--format", "json")
@@ -318,7 +366,7 @@ class TestPairingCommand:
         # |det + L| = 2e-12 passes an absolute 1e-3 bound; relative to L it is 2e-3
         from hodge_degen import limits
 
-        def off_by_2e_3(frame, L, seed=None, t_sequence=None):
+        def off_by_2e_3(frame, L, seed=None):
             return limits.IndependenceResult(((0j,),), complex(-L * (1 + 2e-3)), L, "independent", 0.0)
 
         monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
@@ -338,8 +386,8 @@ class TestPairingCommand:
         # |det + L| = 1e-8 |L| is far above round-off and fails at any L
         real = limits.independence_matrix
 
-        def off_by_1e_8(frame, L, seed=None, t_sequence=None):
-            res = real(frame, L, seed=seed, t_sequence=t_sequence)
+        def off_by_1e_8(frame, L, seed=None):
+            res = real(frame, L, seed=seed)
             return res._replace(det=complex(-L * (1 + 1e-8)))
 
         monkeypatch.setattr(limits, "independence_matrix", off_by_1e_8)
@@ -385,6 +433,23 @@ def test_sing_builds_each_residue_once(d, capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
         assert calls == {"singularity_at_zero": count, "family_cycles": 1}, family
+
+
+@pytest.mark.parametrize("argv", [("basis", "--d", "5"), ("sing", "--d", "5", "--family", "all")])
+def test_kernel_basis_checked_once_per_report(argv, capsys, monkeypatch):
+    from hodge_degen import degeneration
+
+    calls = []
+    real = degeneration.spans_kernel
+
+    def counted(d, basis):
+        calls.append(d)
+        return real(d, basis)
+
+    monkeypatch.setattr(degeneration, "spans_kernel", counted)
+    degeneration._kernel_basis.cache_clear()  # a first build counts too
+    assert run(capsys, "--format", "json", *argv)[0] == 0
+    assert calls == [5]
 
 
 def run_fresh(code):

@@ -10,13 +10,13 @@ import pytest
 
 from hodge_degen import limits
 from hodge_degen.limits import (
+    T_SEQUENCE,
     EtaModel,
     ExtrapolationError,
     Frame,
     NormalFunctionModel,
     PolyTail,
     conjugate_at,
-    default_t_sequence,
     imag_log_coeff,
     imaginary_part,
     independence_matrix,
@@ -146,7 +146,7 @@ class TestEta:
 
     def test_reality_zero_tails(self, frame):
         eta = EtaModel.build(frame, None)
-        for t in default_t_sequence():
+        for t in T_SEQUENCE:
             assert eta.reality_residual(t, frame) < 1e-12
 
 
@@ -167,7 +167,7 @@ class TestModels:
         # Q(Im R(t), eta) = -L for every t, no extrapolation needed
         model = NormalFunctionModel.limit_type(L_VALUE, frame, None)
         eta = EtaModel.build(frame, None)
-        for t in default_t_sequence():
+        for t in T_SEQUENCE:
             got = pair(imaginary_part(model.at(t, frame), t, frame), eta.at(t, frame), frame)
             assert abs(got - (-L_VALUE)) < 1e-12
 
@@ -213,13 +213,13 @@ class TestPairingLimits:
             vals.append(limit_of_pairing(model, 5, frame).value)
         assert abs(vals[0] - vals[1]) < 1e-6
 
-    def test_bad_t_sequence(self, frame):
-        model = NormalFunctionModel.limit_type(L_VALUE, frame, None)
-        eta = EtaModel.build(frame, None)
-        with pytest.raises(ValueError):
-            limit_of_pairing(model, eta, frame, [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            limit_of_pairing(model, eta, frame, [0.1, 0.01])
+    def test_fixed_t_sequence(self):
+        # six samples at argument 0.3, |t| = 1e-2 .. 1e-12 strictly decreasing
+        mags = [abs(t) for t in T_SEQUENCE]
+        assert len(T_SEQUENCE) == 6
+        assert all(m1 > m2 > 0 for m1, m2 in zip(mags, mags[1:]))
+        assert mags[0] == pytest.approx(1e-2) and mags[-1] == pytest.approx(1e-12)
+        assert all(cmath.phase(t) == pytest.approx(0.3) for t in T_SEQUENCE)
 
     def test_divergent_series_detected(self, small_frame):
         # a model violating holomorphy of the tails defeats the
@@ -238,9 +238,9 @@ class TestPairingLimits:
         # pairing 1 + slope/log|t| + |t|: the |t| term is not polynomial in
         # 1/log|t|, and slope is chosen so the first two samples agree exactly,
         # giving a first residual of 0 before the tail settles
-        ts = default_t_sequence()
-        x0, x1 = (1.0 / math.log(abs(t)) for t in ts[:2])
-        slope = (abs(ts[1]) - abs(ts[0])) / (x0 - x1)
+        t0, t1 = T_SEQUENCE[:2]
+        x0, x1 = 1.0 / math.log(abs(t0)), 1.0 / math.log(abs(t1))
+        slope = (abs(t1) - abs(t0)) / (x0 - x1)
 
         class FirstSamplesAgree(NormalFunctionModel):
             def at(self, t, frame):
@@ -249,7 +249,7 @@ class TestPairingLimits:
                 return tuple(v)
 
         model = FirstSamplesAgree("Ri", i=1, b=(PolyTail(),) * small_frame.dk)
-        res = limit_of_pairing(model, 1, small_frame, ts)
+        res = limit_of_pairing(model, 1, small_frame)
         assert res.residuals[0] < 1e-15 < 1e-6 < res.residuals[-1] < 1e-3
         assert abs(res.value - 1.0) < 1e-4
 
@@ -320,13 +320,12 @@ class TestIndependenceMatrix:
 
         monkeypatch.setattr(NormalFunctionModel, "pairing_vector", counted)
         independence_matrix(frame, L_VALUE, seed=0)
-        assert len(calls) == len(set(calls)) == (1 + frame.dk) * len(default_t_sequence())
+        assert len(calls) == len(set(calls)) == (1 + frame.dk) * len(T_SEQUENCE)
 
     def test_json_dict_schema(self, small_frame):
-        ts = default_t_sequence()
-        res = independence_matrix(small_frame, 1.5, seed=0, t_sequence=ts)
-        doc = res.to_json_dict(ts)
+        doc = independence_matrix(small_frame, 1.5, seed=0).to_json_dict()
         assert set(doc) == {"matrix", "det", "L", "verdict", "t_sequence"}
+        assert doc["t_sequence"] == [[t.real, t.imag] for t in T_SEQUENCE]
         assert len(doc["matrix"]) == 4 and len(doc["matrix"][0]) == 4
         assert all(isinstance(x, float) for x in doc["det"])
 

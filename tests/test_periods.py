@@ -223,21 +223,11 @@ class TestLogLineIntegral:
         assert abs(got - oracle) < 1e-9
         assert got == pytest.approx(complex(-0.5621021368136293, -2.2161035490186722), abs=1e-12)
 
-    def test_branch_transport_across_cut(self):
-        # w = z - 1 crosses the negative reals upward at z = 0.5
-        a, b = -1.0, 1.0
-        z0, z1 = 0.5 - 1j, 0.5 + 1j
-        got = log_line_integral(a, b, z0, z1)
-        dz = z1 - z0
-
-        def continued(s):
-            z = z0 + s * dz
-            w = z - 1
-            log_w = cmath.log(w) - (2j * PI if z.imag > 0 else 0)
-            return log_w / z * dz
-
-        oracle = adaptive_quad(continued, 0.0, 0.5, 1e-13) + adaptive_quad(continued, 0.5, 1.0, 1e-13)
-        assert abs(got - oracle) < 1e-10
+    def test_path_across_cut_refused(self):
+        # w = z - 1 crosses the negative reals upward at z = 0.5; the
+        # principal log jumps there, so the path is refused, not transported
+        with pytest.raises(PathSingularityError, match="crosses its cut"):
+            log_line_integral(-1.0, 1.0, 0.5 - 1j, 0.5 + 1j)
 
     def test_path_through_zero(self):
         with pytest.raises(PathSingularityError):
@@ -299,6 +289,21 @@ class TestMembrane:
         with pytest.raises(PathSingularityError):
             membrane_integral(verts)
 
+    def test_sweep_near_y_origin(self, monkeypatch):
+        # the first leg passes 1.7e-4 from y = 0, inside the margin; it used
+        # to exhaust the quadrature panel budget, and is now refused before
+        # any integration
+        def refuse(*args):
+            raise AssertionError("integrated a refused membrane")
+
+        monkeypatch.setattr(periods, "adaptive_quad", refuse)
+        with pytest.raises(PathSingularityError, match="of y = 0"):
+            membrane_integral(NEAR_Y_ORIGIN)
+
+    def test_tempered_legs_clear_the_margin(self, tempered_verts):
+        legs = periods._membrane_legs(tempered_verts)
+        assert min(periods._segment_distance_to_zero(y0, y1) for *_, y0, y1 in legs) > 100 * periods._Y_MARGIN
+
 
 def ruling_clearance(verts, samples=200):
     """Smallest sampled distance from x = 0 of the rulings swept along the
@@ -313,6 +318,9 @@ def ruling_clearance(verts, samples=200):
                 out = min(out, abs(xl + t * dx))
     return out
 
+
+# a grid triangle whose first leg passes 1.7e-4 from y = 0
+NEAR_Y_ORIGIN = [(-1.7 - 0.2j, 2.5 + 1.3j), (0.1j, -1.4 - 2.3j), (1.1 - 0.9j, -2 + 0.5j)]
 
 grid = st.integers(-30, 30).map(lambda k: k / 10)
 point = st.builds(complex, grid, grid)
@@ -329,6 +337,9 @@ class TestMembraneFuzz:
     @example([(-0.7 - 0.4j, -1.4 - 1.9j), (-1.8 + 0j, 0.7 - 0.5j), (-2.3 + 0j, 1.4 - 1.3j)])
     # vertices on the cut of x, whose edges leave to opposite sides of it
     @example([(-2.9 + 0j, -3 + 2.6j), (1.4 + 0.7j, 2.3 + 3j), (-3 + 0j, -2.2 - 1j)])
+    # a leg inside the y margin, on which the edge-log quadrature once ran
+    # out of panels
+    @example(NEAR_Y_ORIGIN)
     def test_agrees_with_oracle_or_refuses(self, verts):
         # random triangles, most unlike the tempered one; about half need
         # waypoint routing around a log cut, and some exhaust its depth
@@ -339,6 +350,21 @@ class TestMembraneFuzz:
         # the 2D oracle converges only where the rulings keep clear of x = 0
         assume(ruling_clearance(verts) > 0.1)
         assert abs(m - membrane_quadrature(verts)) < 1e-6
+
+    @given(triangles)
+    @settings(max_examples=100, deadline=None)
+    # three waypoints, five legs
+    @example([(-2.8 + 0.5j, 0.9 - 1.1j), (-2.4 - 1.2j, 0.4 + 0.2j), (-0.9 + 3j, 0.7 - 1.2j)])
+    def test_legs_cross_no_cut(self, verts):
+        # log_line_integral refuses a cut crossing; the waypoint routing
+        # must leave none on any leg it hands out
+        try:
+            legs = periods._membrane_legs(verts)
+        except PathSingularityError:
+            return
+        for lower, upper, y0, y1 in legs:
+            for edge in (lower, upper):
+                assert periods._cut_crossing(edge.x_at(y0), edge.x_at(y1)) is None
 
 
 class TestClosedForm:

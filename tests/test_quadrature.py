@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from hodge_degen import quadrature
 from hodge_degen.quadrature import _WG, _WK, _XK, QuadratureError, _gk15, adaptive_quad, double_integral
 
 
@@ -26,10 +27,11 @@ def test_peaked():
     assert abs(got - want) < 1e-8
 
 
-def test_exhausted_budget_raises():
+def test_exhausted_budget_raises(monkeypatch):
     # 50 panels leave 1/sqrt(x) about 2e-9 off, far above tol; no value comes back
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     with pytest.raises(QuadratureError):
-        adaptive_quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-14, max_panels=50)
+        adaptive_quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-14)
 
 
 def test_double_integral_separable():
