@@ -123,7 +123,8 @@ def _integer_coeffs(form: LinearForm) -> list[ZMu]:
 
 
 def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
-    """Laplace expansion along the first row, exactly in Z[mu]."""
+    """Laplace expansion along the first row, exactly in Z[mu]; the oracle
+    of the minor expansions below."""
     if len(rows) == 1:
         return rows[0][0]
     acc_a = acc_b = 0
@@ -134,6 +135,54 @@ def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
         acc_a += sign * (a * c - b * d)
         acc_b += sign * (a * d + b * c + b * d)
     return (acc_a, acc_b)
+
+
+def _signed_sum(terms) -> ZMu:
+    """sum of sign * x * y over the (sign, x, y) terms, exactly in Z[mu]."""
+    acc_a = acc_b = 0
+    for sign, (a, b), (c, d) in terms:
+        # (a + b mu)(c + d mu) = (ac - bd) + (ad + bc + bd) mu
+        acc_a += sign * (a * c - b * d)
+        acc_b += sign * (a * d + b * c + b * d)
+    return (acc_a, acc_b)
+
+
+# the column pairs of a form, in lex order; a pair's 2x2 minors are
+# listed in this order
+_COLUMN_PAIRS = tuple(combinations(range(4), 2))
+_PAIR = {p: k for k, p in enumerate(_COLUMN_PAIRS)}
+
+# The 3x3 minors of rows (r, s, u), one per column triple in lex order,
+# each expanded along r against the 2x2 minors m of (s, u):
+# r[c0] m(c1 c2) - r[c1] m(c0 c2) + r[c2] m(c0 c1).
+_EXPAND_3 = tuple(
+    ((1, c0, _PAIR[c1, c2]), (-1, c1, _PAIR[c0, c2]), (1, c2, _PAIR[c0, c1]))
+    for c0, c1, c2 in combinations(range(4), 3)
+)
+# The 4x4 determinant of rows (r, s, u, v) by Laplace along r and s: each
+# minor of (r, s) on a column pair (a, b) times the minor of (u, v) on the
+# complementary pair, with sign (-1)^(a + b + 1).
+_EXPAND_4 = tuple(
+    ((-1) ** (a + b + 1), k, _PAIR[tuple(c for c in range(4) if c not in (a, b))])
+    for k, (a, b) in enumerate(_COLUMN_PAIRS)
+)
+
+
+def _minors2(r: Sequence[ZMu], s: Sequence[ZMu]) -> list[ZMu]:
+    """The six 2x2 minors of the rows r, s, in ``_COLUMN_PAIRS`` order."""
+    return [_signed_sum(((1, r[a], s[b]), (-1, r[b], s[a]))) for a, b in _COLUMN_PAIRS]
+
+
+def _minors3(r: Sequence[ZMu], m: Sequence[ZMu]) -> list[ZMu]:
+    """The four 3x3 minors of rows (r, s, u), column triples in lex order,
+    from r and the 2x2 minors m of (s, u)."""
+    return [_signed_sum((sign, r[c], m[k]) for sign, c, k in terms) for terms in _EXPAND_3]
+
+
+def _det4(m: Sequence[ZMu], n: Sequence[ZMu]) -> ZMu:
+    """The determinant of rows (r, s, u, v) from the 2x2 minors m of (r, s)
+    and n of (u, v)."""
+    return _signed_sum((sign, m[k], n[j]) for sign, k, j in _EXPAND_4)
 
 
 class GeneralPositionReport(NamedTuple):
@@ -147,40 +196,40 @@ def validate_general_position(a: Arrangement) -> GeneralPositionReport:
 
     Every 3-subset of the 2d forms must have a rank-3 coefficient matrix
     (the planes meet in exactly one point) and every 4-subset must have a
-    nonzero 4x4 determinant (no common point).  The first violating
+    nonzero 4x4 determinant (no common point).  Both come from the 2x2
+    minors of each pair of forms, computed once.  The first violating
     selector subset is reported.
     """
     sels = a.all_selectors()
-    mats = {s: _integer_coeffs(a.form(s)) for s in sels}
-    for tri in combinations(sels, 3):
-        rows = [mats[s] for s in tri]
-        if not any(
-            _det([[row[c] for c in cset] for row in rows]) != (0, 0)
-            for cset in combinations(range(4), 3)
-        ):
-            return GeneralPositionReport(False, tri, "three forms share a line")
-    for quad in combinations(sels, 4):
-        if _det([mats[s] for s in quad]) == (0, 0):
-            return GeneralPositionReport(False, quad, "four forms share a point")
+    rows = [_integer_coeffs(a.form(s)) for s in sels]
+    minors = {(i, j): _minors2(rows[i], rows[j]) for i, j in combinations(range(len(rows)), 2)}
+    for i, j, k in combinations(range(len(rows)), 3):
+        if all(m == (0, 0) for m in _minors3(rows[i], minors[j, k])):
+            return GeneralPositionReport(False, (sels[i], sels[j], sels[k]), "three forms share a line")
+    for i, j, k, l in combinations(range(len(rows)), 4):
+        if _det4(minors[i, j], minors[k, l]) == (0, 0):
+            return GeneralPositionReport(False, (sels[i], sels[j], sels[k], sels[l]), "four forms share a point")
     return GeneralPositionReport(True)
 
 
 def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: FormSelector) -> P3Point:
-    """Exact common point of three independent forms."""
+    """Exact common point of three independent forms: coordinate k is
+    (-1)^k times the 3x3 minor without column k."""
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(sels)
-    rows = [_integer_coeffs(a.form(s)) for s in sels]
-    coords = []
-    for k in range(4):
-        m_a, m_b = _det([row[:k] + row[k + 1 :] for row in rows])
-        sign = -1 if k % 2 else 1
-        coords.append(CycloNumber(sign * m_a, sign * m_b))
+    r, s, u = (_integer_coeffs(a.form(sel)) for sel in sels)
+    # the minors come for the column triples in lex order, which omit
+    # columns 3, 2, 1, 0 in turn
+    coords = [
+        CycloNumber(sign * m_a, sign * m_b)
+        for sign, (m_a, m_b) in zip((1, -1, 1, -1), reversed(_minors3(r, _minors2(s, u))))
+    ]
     if all(c.is_zero() for c in coords):
         raise DegenerateIntersectionError(sels)
     p = P3Point(coords)
-    for s in sels:
-        if not a.form(s).evaluate(p).is_zero():
+    for sel in sels:
+        if not a.form(sel).evaluate(p).is_zero():
             raise AssertionError("intersection point fails exact substitution")
     return p
 

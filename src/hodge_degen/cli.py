@@ -239,7 +239,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
             table.append(
                 {
                     "cycle": c.to_json_dict(),
-                    "class": json.loads(cls.to_json()),
+                    "class": cls.to_json_dict(),
                     "in_B": [str(x) for x in coeffs] if coeffs is not None else None,
                 }
             )

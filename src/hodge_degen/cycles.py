@@ -152,7 +152,7 @@ def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
 
 def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
     """Exact coordinates of x over the distinguished kernel basis, or None
-    when x lies off the kernel.
+    when x lies off the kernel or the basis does not reassemble it.
 
     Basis order matches hodge_kernel_basis: the total-line class first,
     then the pair classes by (i, j) lex and 1 <= l <= d-1.  On the kernel
@@ -162,8 +162,9 @@ def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
 
         c_{ijl} = x[e^{ij}_l] / d,   c_total = x[l_d] + sum_{i<d, l<d} c_{idl};
 
-    the combination is then checked against x exactly.  Kernel membership
-    is the sparse product of :func:`degeneration.in_kernel`.
+    the combination is then checked against x exactly, so a basis that
+    disagrees with the closed form gives None, not wrong coordinates.
+    Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
     """
     basis = degeneration.hodge_kernel_basis(d)
     if not in_kernel(x):
@@ -177,7 +178,7 @@ def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
     total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
     coeffs = (Fraction(total), *pair.values())
     if H2Class._sum(d, ((c, b.coords) for c, b in zip(coeffs, basis) if c)) != x:
-        raise AssertionError("kernel class not expressible in the kernel basis")
+        return None
     return coeffs
 
 

@@ -23,7 +23,6 @@ genuinely rational.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -130,9 +129,8 @@ class H2Class(_Frozen):
             v[table[g][0]] = c
         return tuple(v)
 
-    def to_json(self) -> str:
-        rows = [{"gen": _gen_label(g), "val": str(c)} for g, c in self.coords]
-        return json.dumps({"d": self.d, "coords": rows})
+    def to_json_dict(self) -> dict:
+        return {"d": self.d, "coords": [{"gen": _gen_label(g), "val": str(c)} for g, c in self.coords]}
 
     def __repr__(self):
         if not self.coords:

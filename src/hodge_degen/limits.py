@@ -85,8 +85,21 @@ def conjugate_at(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
 
 
 def imaginary_part(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
-    """-(i/2) (v - conj(v)) with the frame conjugation at t."""
-    return tuple(-0.5j * (x - y) for x, y in zip(v, conjugate_at(v, t, frame)))
+    """-(i/2) (v - conj(v)) with the frame conjugation at t.
+
+    Built in one pass over v, with the arithmetic of :func:`conjugate_at`
+    inlined: only the e0 and e1 coordinates of conj(v) pick up terms.
+    """
+    if len(v) != frame.dim:
+        raise ValueError("frame vector dimension mismatch")
+    iml = imag_log_coeff(t)
+    x0, x1, x2 = v[0], v[1], v[2]
+    w1, w2 = x1.conjugate(), x2.conjugate()
+    return (
+        -0.5j * (x0 - (x0.conjugate() + 2j * iml * w1 - 2.0 * iml * iml * w2)),
+        -0.5j * (x1 - (w1 + 2j * iml * w2)),
+        *[-0.5j * (x - x.conjugate()) for x in v[2:]],
+    )
 
 
 def pair(u: FrameVector, v: FrameVector, frame: Frame) -> complex:
@@ -185,22 +198,37 @@ class NormalFunctionModel(NamedTuple):
         v = self.at(t, frame)
         if self.kind == "Ri":
             log_t = cmath.log(t)
-            v = tuple(x / log_t for x in v)
+            v = [x / log_t for x in v]
         return imaginary_part(v, t, frame)
 
 
-def _neville_to_zero(xs: Sequence[float], ys: Sequence[complex]):
+# the extrapolation variable at each sample: 1/log|t| for the singular
+# models (kind "Ri"), |t| for the limit type
+_XS = {
+    "Ri": tuple(1.0 / math.log(abs(t)) for t in T_SEQUENCE),
+    "R": tuple(abs(t) for t in T_SEQUENCE),
+}
+
+
+def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex]]):
+    """Neville tableaux to x = 0 of every column of ``samples`` at once.
+
+    ``samples[i]`` holds the value of each column at ``xs[i]``.  Returns
+    the tableau diagonal, one row of column values per order; each column
+    sees the arithmetic of its own scalar tableau.
+    """
     n = len(xs)
-    tab = [list(ys)]
+    prev = samples
+    diag = [samples[0]]
     for k in range(1, n):
-        row = []
+        cur = []
         for i in range(n - k):
-            num = xs[i + k] * tab[k - 1][i] - xs[i] * tab[k - 1][i + 1]
-            row.append(num / (xs[i + k] - xs[i]))
-        tab.append(row)
-    diag = [tab[k][0] for k in range(n)]
-    residuals = [abs(diag[k] - diag[k - 1]) for k in range(1, n)]
-    return diag[-1], residuals
+            hi, lo = xs[i + k], xs[i]
+            den = hi - lo
+            cur.append([(hi * p - lo * q) / den for p, q in zip(prev[i], prev[i + 1])])
+        diag.append(cur[0])
+        prev = cur
+    return diag
 
 
 class PairingLimit(NamedTuple):
@@ -208,9 +236,9 @@ class PairingLimit(NamedTuple):
     residuals: tuple[float, ...]
 
 
-def _extrapolate(kind: str, values: Sequence[complex]) -> PairingLimit:
-    """Neville extrapolation of pairing values sampled along
-    :data:`T_SEQUENCE` to t = 0.
+def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[PairingLimit]:
+    """Neville extrapolation to t = 0 of pairing values sampled along
+    :data:`T_SEQUENCE`, one limit per column of ``samples``.
 
     The extrapolation variable is 1/log|t| for the singular models
     (kind "Ri"), whose error terms decay that slowly, and |t| itself for
@@ -223,11 +251,14 @@ def _extrapolate(kind: str, values: Sequence[complex]) -> PairingLimit:
     carries tail terms such as O(t / log t) that are not polynomial in the
     extrapolation variable, so its residual can be small by accident.
     """
-    xs = [1.0 / math.log(abs(t)) if kind == "Ri" else abs(t) for t in T_SEQUENCE]
-    value, residuals = _neville_to_zero(xs, values)
-    if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
-        raise ExtrapolationError(f"pairing limit not converging: residuals {residuals}")
-    return PairingLimit(value, tuple(residuals))
+    diag = _neville_diagonal(_XS[kind], samples)
+    steps = [[abs(h - l) for l, h in zip(lo, hi)] for lo, hi in zip(diag, diag[1:])]
+    out = []
+    for value, residuals in zip(diag[-1], zip(*steps)):
+        if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
+            raise ExtrapolationError(f"pairing limit not converging: residuals {list(residuals)}")
+        out.append(PairingLimit(value, residuals))
+    return out
 
 
 def limit_of_pairing(nf: NormalFunctionModel, target, frame: Frame) -> PairingLimit:
@@ -242,8 +273,8 @@ def limit_of_pairing(nf: NormalFunctionModel, target, frame: Frame) -> PairingLi
             return target.at(t, frame)
         return frame.basis("d", int(target))
 
-    values = [pair(nf.pairing_vector(t, frame), target_at(t), frame) for t in T_SEQUENCE]
-    return _extrapolate(nf.kind, values)
+    samples = [(pair(nf.pairing_vector(t, frame), target_at(t), frame),) for t in T_SEQUENCE]
+    return _extrapolate(nf.kind, samples)[0]
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -304,10 +335,11 @@ def independence_matrix(frame: Frame, L: float, seed: int | None = None) -> Inde
     def row(model: NormalFunctionModel) -> list[PairingLimit]:
         # the same limits as limit_of_pairing, from one pairing vector per t:
         # pairing with the unit class d_j reads off coordinate 2 + j
-        vecs = [model.pairing_vector(t, frame) for t in T_SEQUENCE]
-        columns = [[pair(v, e, frame) for v, e in zip(vecs, etas)]]
-        columns += [[v[2 + j] for v in vecs] for j in range(1, frame.dk + 1)]
-        return [_extrapolate(model.kind, values) for values in columns]
+        samples = []
+        for t, e in zip(T_SEQUENCE, etas):
+            v = model.pairing_vector(t, frame)
+            samples.append((pair(v, e, frame), *v[3:]))
+        return _extrapolate(model.kind, samples)
 
     entries = [row(model) for model in (r_model, *singular)]
     mat = tuple(tuple(lim.value for lim in r) for r in entries)

@@ -300,14 +300,15 @@ def membrane_quadrature(vertices) -> complex:
     for lower, upper, y0, y1 in _membrane_legs(vertices):
         dy = y1 - y0
 
-        def f(s, t, lower=lower, upper=upper, y0=y0, dy=dy):
+        def row(s, lower=lower, upper=upper, y0=y0, dy=dy):
+            # the ruling at y: x = xl + t d, with the form (d / x) dt (dy / y)
             y = y0 + s * dy
             xl = lower.x_at(y)
-            xu = upper.x_at(y)
-            x = xl + t * (xu - xl)
-            return (xu - xl) / x * (dy / y)
+            d = upper.x_at(y) - xl
+            k = dy / y
+            return lambda t: d / (xl + t * d) * k
 
-        total += double_integral(f, _ORACLE_LEG_TOL)
+        total += double_integral(row, _ORACLE_LEG_TOL)
     return total
 
 

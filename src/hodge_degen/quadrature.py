@@ -57,11 +57,10 @@ def _gk15(f, a: float, b: float):
     resg = _WG[3] * fc
     for i in range(7):
         x = h * _XK[i]
-        f1 = f(c - x)
-        f2 = f(c + x)
-        resk += _WK[i] * (f1 + f2)
+        pair = f(c - x) + f(c + x)
+        resk += _WK[i] * pair
         if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
+            resg += _WG[i // 2] * pair
     return resk * h, abs(resk - resg) * abs(h)
 
 
@@ -104,15 +103,17 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     return sum(p[3] for p in panels)
 
 
-def double_integral(f: Callable[[float, float], complex], tol: float = 1e-10) -> complex:
-    """Integrate f over the unit square, inner variable first.
+def double_integral(row: Callable[[float], Callable[[float], complex]], tol: float = 1e-10) -> complex:
+    """Integrate over the unit square, inner variable first.
 
-    The outer pass integrates s -> int_0^1 f(s, t) dt adaptively; inner
-    integrals run at tol / 20 so the outer estimate stays honest.
+    ``row(s)`` returns the inner integrand t -> f(s, t), so that whatever
+    depends on s alone is computed once per outer node.  The outer pass
+    integrates s -> int_0^1 row(s)(t) dt adaptively; inner integrals run
+    at tol / 20 so the outer estimate stays honest.
     """
     inner_tol = tol * 0.05
 
     def outer(s: float) -> complex:
-        return adaptive_quad(lambda t: f(s, t), 0.0, 1.0, inner_tol)
+        return adaptive_quad(row(s), 0.0, 1.0, inner_tol)
 
     return adaptive_quad(outer, 0.0, 1.0, tol)

@@ -76,6 +76,57 @@ class TestDeterminant:
         assert arrangement._integer_coeffs(form) == [(6, 0), (4, -3), (0, 0), (24, 0)]
 
 
+zmu_rows = st.lists(st.lists(small_zmu, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+class TestMinorExpansion:
+    @given(zmu_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_laplace(self, rows):
+        # every 3x3 minor and the 4x4 determinant from 2x2 minors equal
+        # the recursive Laplace expansion
+        r, s, u, v = rows
+        want3 = [
+            arrangement._det([[row[c] for c in cols] for row in (r, s, u)]) for cols in combinations(range(4), 3)
+        ]
+        assert arrangement._minors3(r, arrangement._minors2(s, u)) == want3
+        m, n = arrangement._minors2(r, s), arrangement._minors2(u, v)
+        assert arrangement._det4(m, n) == arrangement._det(rows)
+
+
+def laplace_general_position(arr):
+    """Oracle: the certificate by recursive Laplace expansion, each subset
+    of forms on its own."""
+    sels = arr.all_selectors()
+    mats = {s: arrangement._integer_coeffs(arr.form(s)) for s in sels}
+    for tri in combinations(sels, 3):
+        rows = [mats[s] for s in tri]
+        minors = [arrangement._det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(4), 3)]
+        if all(m == (0, 0) for m in minors):
+            return (False, tri, "three forms share a line")
+    for quad in combinations(sels, 4):
+        if arrangement._det([mats[s] for s in quad]) == (0, 0):
+            return (False, quad, "four forms share a point")
+    return (True, None, None)
+
+
+unit_zmu = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+
+
+@st.composite
+def small_arrangements(draw):
+    """d = 2 or 3 with coefficients in {-1, 0, 1} + {-1, 0, 1} mu, so that
+    many draws violate general position."""
+    d = draw(st.sampled_from([2, 3]))
+    forms = []
+    for _ in range(2 * d):
+        coeffs = draw(st.lists(unit_zmu, min_size=4, max_size=4))
+        if all(c == (0, 0) for c in coeffs):
+            coeffs[0] = (1, 0)  # no zero form
+        forms.append(LinearForm([CycloNumber(a, b) for a, b in coeffs]))
+    return Arrangement(forms[:d], forms[d:])
+
+
 class TestTempered:
     def test_form_table(self, tempered):
         assert tempered.L[0].coeffs == (ONE, CycloNumber(0), CycloNumber(0), CycloNumber(0))
@@ -111,6 +162,41 @@ class TestGeneralPositionViolations:
         report = validate_general_position(arr)
         assert not report.ok
         assert len(report.violation) == 4
+
+    # the remaining forms are generic, so the first violation is the planted one
+    GENERIC_L = (LinearForm([1, 2, 3, 5]), LinearForm([2, 1, 1, MU]))
+    GENERIC_M = (LinearForm([1, MU, -ONE, 1]), LinearForm([1, 3, 1, -MU]))
+
+    def test_three_planes_through_a_line(self):
+        # L2, L3 and M2 all contain the line X = Y = 0
+        (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
+        arr = Arrangement(
+            [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
+            [m1, LinearForm([1, MU, 0, 0]), LinearForm([-ONE, 1, MU, 1]), m4],
+        )
+        report = validate_general_position(arr)
+        assert report == (False, (("L", 2), ("L", 3), ("M", 2)), "three forms share a line")
+        assert report == laplace_general_position(arr)
+
+    def test_four_planes_through_a_point(self):
+        # L2, L3, M2 and M3 all vanish at [0:0:0:1], no three on a line
+        (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
+        arr = Arrangement(
+            [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
+            [m1, LinearForm([0, 0, 1, 0]), LinearForm([MU, -ONE, 2, 0]), m4],
+        )
+        report = validate_general_position(arr)
+        assert report == (False, (("L", 2), ("L", 3), ("M", 2), ("M", 3)), "four forms share a point")
+        assert report == laplace_general_position(arr)
+
+    @given(small_arrangements())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_laplace_certificate(self, arr):
+        assert tuple(validate_general_position(arr)) == laplace_general_position(arr)
+
+    def test_tempered_matches_laplace_certificate(self, tempered):
+        want = laplace_general_position(tempered)
+        assert tuple(validate_general_position(tempered)) == want == (True, None, None)
 
 
 class TestIntersectionPoint:

@@ -296,6 +296,30 @@ class TestSingCommand:
         assert check["data"]["rank"] == 11 and check["data"]["family_rank"] == 10
 
 
+    def test_broken_kernel_basis_fails_residue_table(self, capsys, monkeypatch):
+        # a basis element off the kernel: span_rank drops to elimination and
+        # the residue table, which the basis cannot reassemble, fails with
+        # exit 1 instead of a traceback
+        from hodge_degen import degeneration
+
+        real = degeneration._kernel_basis
+
+        def off_kernel(d):
+            basis = list(real(d))
+            basis[5] = basis[5] + H2Class(d, {("l", 1): 1})
+            return tuple(basis)
+
+        monkeypatch.setattr(degeneration, "_kernel_basis", off_kernel)
+        code, out = run(capsys, "--format", "json", "sing", "--d", "4")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["span rank d=4 family=both"]["data"]["witness"] == "elimination"
+        table = checks["sample residue table d=4"]
+        assert table["status"] == "fail"
+        assert any(row["in_B"] is None for row in table["data"]["rows"])
+
+
 class TestAjCommand:
     def test_aj_without_oracle(self, capsys):
         code, out = run(capsys, "--format", "json", "aj")

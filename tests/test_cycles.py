@@ -203,13 +203,13 @@ class TestExpressInB:
 
     def test_combination_checked_against_class(self, monkeypatch):
         # a basis that disagrees with the closed form is caught by the
-        # exact reconstruction, not returned as coordinates
+        # exact reconstruction: no coordinates come back, and no exception
+        cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
+        assert express_in_B(cls, 4) is not None
         basis = list(hodge_kernel_basis(4))
         basis[1] = basis[1].scale(Fraction(2))
         monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: tuple(basis))
-        cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
-        with pytest.raises(AssertionError):
-            express_in_B(cls, 4)
+        assert express_in_B(cls, 4) is None
 
     def test_off_kernel_residual(self):
         # l_1 pairs nontrivially with the components: no coordinates

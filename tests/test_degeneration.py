@@ -6,6 +6,7 @@ witness is checked against exact elimination for d <= 10, and tampered
 witnesses must fail.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -276,7 +277,9 @@ class TestIndependenceCertificate:
 class TestH2Class:
     def test_to_json_document(self):
         x = H2Class(4, {("e", 1, 3, 2): Fraction(1, 4), ("l", 2): Fraction(-7, 3)})
-        assert x.to_json() == (
+        doc = x.to_json_dict()
+        assert doc == {"d": 4, "coords": [{"gen": "l_2", "val": "-7/3"}, {"gen": "e_1_3_2", "val": "1/4"}]}
+        assert json.dumps(doc) == (
             '{"d": 4, "coords": [{"gen": "l_2", "val": "-7/3"}, {"gen": "e_1_3_2", "val": "1/4"}]}'
         )
 

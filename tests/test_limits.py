@@ -175,6 +175,16 @@ class TestModels:
         with pytest.raises(ValueError):
             NormalFunctionModel.singular_type(0, frame, None)
 
+    def test_imaginary_part_bits_match_conjugation(self, frame):
+        # the one-pass imaginary part does the arithmetic of conjugate_at
+        rng = np.random.default_rng(21)
+        for t in (*T_SEQUENCE, T_UNIT, 0.7 - 0.2j):
+            v = random_vector(rng, frame.dim)
+            want = tuple(-0.5j * (x - y) for x, y in zip(v, conjugate_at(v, t, frame)))
+            assert repr(imaginary_part(v, t, frame)) == repr(want)
+        with pytest.raises(ValueError):
+            imaginary_part((0j,) * (frame.dim - 1), T_UNIT, frame)
+
 
 class TestPairingLimits:
     def test_limit_vs_eta(self, frame):
@@ -254,6 +264,40 @@ class TestPairingLimits:
         assert abs(res.value - 1.0) < 1e-4
 
 
+def scalar_neville(xs, ys):
+    """Oracle: one Neville tableau to x = 0; its diagonal."""
+    tab = [list(ys)]
+    for k in range(1, len(xs)):
+        prev = tab[-1]
+        tab.append(
+            [(xs[i + k] * prev[i] - xs[i] * prev[i + 1]) / (xs[i + k] - xs[i]) for i in range(len(xs) - k)]
+        )
+    return [row[0] for row in tab]
+
+
+class TestNevilleColumns:
+    @pytest.mark.parametrize("kind", ["R", "Ri"])
+    def test_columns_match_scalar_tableaux(self, kind):
+        # each column of the joint tableau is its own scalar tableau, bit for bit
+        rng = np.random.default_rng(31)
+        xs = limits._XS[kind]
+        samples = [random_vector(rng, 7) for _ in xs]
+        diag = limits._neville_diagonal(xs, samples)
+        for c in range(7):
+            want = scalar_neville(xs, [row[c] for row in samples])
+            assert repr([row[c] for row in diag]) == repr(want)
+
+    def test_one_failing_column_raises(self):
+        # a column whose last step moves by more than 1e-3 fails the row
+        xs = limits._XS["R"]
+        samples = [(1 + 0j, x * 1e12 + 0j) for x in xs[:-1]] + [(1 + 0j, 0j)]
+        with pytest.raises(ExtrapolationError):
+            limits._extrapolate("R", samples)
+        good = limits._extrapolate("R", [(1 + 0j, 2 + 0j)] * len(xs))
+        assert [lim.value for lim in good] == [1 + 0j, 2 + 0j]
+        assert good[0].residuals == (0.0,) * (len(xs) - 1)
+
+
 class TestIndependenceMatrix:
     def test_zero_tails_structural(self, frame):
         res = independence_matrix(frame, L_VALUE, seed=None)
@@ -295,6 +339,20 @@ class TestIndependenceMatrix:
         assert repr(res.matrix) == repr(want)
         assert res.det == limits._det(want)
         assert res.max_residual == max(lim.residuals[-1] for row in lims for lim in row)
+
+    @pytest.mark.parametrize(
+        "seed, det, max_residual",
+        [
+            (None, "(-4.059766425638615-0j)", "0.0"),
+            (0, "(-4.059766425565685-1.7127960527483743e-27j)", "0.0002317513197465099"),
+            (299, "(-4.0597664256066945+6.583747826811873e-29j)", "0.00030068406476866445"),
+        ],
+    )
+    def test_bits_pinned(self, frame, seed, det, max_residual):
+        # det and worst residual to the last bit, as recorded from the
+        # scalar Neville tableaux (CPython 3.11, x86-64 Linux)
+        res = independence_matrix(frame, L_VALUE, seed=seed)
+        assert (repr(res.det), repr(res.max_residual)) == (det, max_residual)
 
     @pytest.mark.parametrize(
         "generator, seed",

@@ -259,6 +259,12 @@ class TestMembrane:
         q = membrane_quadrature(tempered_verts)
         assert abs(m - q) < 1e-6
 
+    def test_quadrature_oracle_bits(self, tempered_verts):
+        # the oracle's value to the last bit, as recorded before its loops
+        # were restructured (CPython 3.11, x86-64 Linux): hoisting the
+        # per-ruling work out of the inner integrand kept every operation
+        assert repr(membrane_quadrature(tempered_verts)) == "(1.6449340668482264-4.059766425638615j)"
+
     def test_reversal_antisymmetry(self, tempered_verts):
         v1, v2, v3 = tempered_verts
         assert abs(membrane_integral([v3, v2, v1]) + membrane_integral([v1, v2, v3])) < 1e-9

@@ -35,7 +35,7 @@ def test_exhausted_budget_raises(monkeypatch):
 
 
 def test_double_integral_separable():
-    got = double_integral(lambda s, t: s * cmath.exp(1j * t), tol=1e-11)
+    got = double_integral(lambda s: lambda t: s * cmath.exp(1j * t), tol=1e-11)
     want = 0.5 * (cmath.exp(1j) - 1) / 1j
     assert abs(got - want) < 1e-10
 
