@@ -34,6 +34,9 @@ TOOL = "hodge-degen"
 
 USAGE_ERROR = 2
 
+# significant digits of the abs_diff values of the aj report
+ABS_DIFF_DIGITS = 12
+
 
 class Check:
     def __init__(self, name: str, anchor: str, status: str, data: dict, elapsed_ms: int):
@@ -255,7 +258,7 @@ def cmd_sing(args, report: Report) -> None:
     run_sing(report, args.d, args.family)
 
 
-def run_aj(report: Report, with_oracle: bool, digits: int) -> None:
+def run_aj(report: Report, with_oracle: bool) -> None:
     arr = tempered_arrangement()
     report.add(
         "tempered arrangement certified",
@@ -268,14 +271,13 @@ def run_aj(report: Report, with_oracle: bool, digits: int) -> None:
     closed = periods.aj_closed_form()
     membrane = periods.membrane_integral(verts)
     diff = abs(membrane + closed)
-    fmt = f"{{0:.{digits}g}}"
     report.add(
         "closed form vs membrane",
         "limit Abel-Jacobi value of the distinguished cycle",
         diff < 1e-6,
         closed_form=[closed.real, closed.imag],
         membrane=[membrane.real, membrane.imag],
-        abs_diff=float(fmt.format(diff)),
+        abs_diff=float(f"{diff:.{ABS_DIFF_DIGITS}g}"),
     )
     report.add(
         "non-triviality",
@@ -299,14 +301,14 @@ def run_aj(report: Report, with_oracle: bool, digits: int) -> None:
             "raw 2D quadrature over the same membrane",
             odiff < 1e-6,
             quadrature=[oracle.real, oracle.imag],
-            abs_diff=float(fmt.format(odiff)),
+            abs_diff=float(f"{odiff:.{ABS_DIFF_DIGITS}g}"),
         )
     else:
         report.skip("quadrature oracle", "raw 2D quadrature over the same membrane")
 
 
 def cmd_aj(args, report: Report) -> None:
-    run_aj(report, args.oracle, args.digits)
+    run_aj(report, args.oracle)
 
 
 def run_pairing(report: Report, seed: int, L: float | None) -> None:
@@ -347,7 +349,7 @@ def cmd_verify_all(args, report: Report) -> None:
     for d in range(3, 7):
         run_sing(report, d, "all")
         run_sing(report, d, "delta")
-    run_aj(report, True, 12)
+    run_aj(report, True)
     run_pairing(report, args.seed, None)
 
 
@@ -367,12 +369,6 @@ def make_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("d must be >= 2")
         return d
 
-    def positive_digits(value):
-        n = int(value)
-        if n < 1:
-            raise argparse.ArgumentTypeError("digits must be >= 1")
-        return n
-
     def finite_L(value):
         x = float(value)
         # the frame conjugation doubles L
@@ -391,7 +387,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("aj", parents=[common], help="period closed form and functional equations")
     a.add_argument("--oracle", action="store_true", help="also run the 2D quadrature oracle")
-    a.add_argument("--digits", type=positive_digits, default=12, help="report precision (display only)")
     a.set_defaults(func=cmd_aj)
 
     q = sub.add_parser("pairing", parents=[common], help="limit matrix determinant")

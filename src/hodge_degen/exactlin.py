@@ -127,9 +127,6 @@ class CycloNumber(_Frozen):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -1,13 +1,14 @@
 """Dilogarithm numerics and the period integral over the line triangle.
 
-The membrane integral of dx/x ^ dy/y over a triangle whose edges lie on
-three lines is reduced to iterated integrals of log(edge)/y along paths
-in the y coordinate.  Paths are chosen so that every logarithm stays on
-its principal branch; where a straight path would cross a cut, a waypoint
-routes it around the offending zero.  With that choice the two-sided
-ruled surface over the paths is a genuine membrane avoiding x = 0 and
-y = 0, and the same parametrization drives the independent raw
-quadrature oracle.
+The membrane of dx/x ^ dy/y over a triangle whose edges lie on three
+lines is ruled: over each point y of a path in the y coordinate it holds
+the segment from the lower edge's x_l(y) to the upper edge's x_u(y).  The
+path is routed around the zeros of the edges (see :func:`_cut_free_legs`),
+which fixes the membrane.  Every ruling must miss x = 0, which is tested
+exactly on each leg of the path; the inner integral over a ruling is then
+Log(x_u / x_l), and the membrane integral is one quadrature of
+Log(x_u / x_l) dy / y per leg.  The same checked legs drive the
+independent raw 2D quadrature oracle.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ PI = math.pi
 ZETA2 = PI * PI / 6.0
 MU_C = complex(0.5, math.sqrt(3.0) / 2.0)
 
-# error tolerance of each edge-log integral (so of membrane_integral) and
+# error tolerance of the integral over each leg of membrane_integral and
 # of each leg of the 2D oracle membrane_quadrature
 _LOG_TOL = 1e-12
 _ORACLE_LEG_TOL = 1e-9 / 3.0
-# points per leg at which each ruling is checked for clearance from x = 0
-_CLEARANCE_SAMPLES = 160
-# smallest distance of a y leg from y = 0; the edge-log integrands carry
-# a factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel budget
+# smallest distance of a ruling from x = 0 at the points where the exact
+# test takes it; it only absorbs round-off at an exact crossing, and the
+# accepted count of random triangle sweeps is the same for every margin
+# from 1e-12 to 1e-4
+_X_MARGIN = 1e-9
+# smallest distance of a y leg from y = 0; the leg integrands carry a
+# factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel budget
 _Y_MARGIN = 1e-3
 
 
@@ -140,36 +144,6 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
     return None
 
 
-def log_line_integral(a: complex, b: complex, z0: complex, z1: complex) -> complex:
-    """Integral of Log(a + b z)/z along the segment [z0, z1], principal
-    branch throughout, to within ``_LOG_TOL``.
-
-    The path must stay clear of z = 0 and of the zero of a + b z, and
-    a + b z must stay off the cut of Log: a path on which it crosses or
-    runs along the negative real axis raises :class:`PathSingularityError`
-    (the membrane routes its legs around the cuts first, see
-    :func:`_cut_free_legs`).  One end on the cut is fine.
-    """
-    a, b, z0, z1 = complex(a), complex(b), complex(z0), complex(z1)
-    if _segment_distance_to_zero(z0, z1) < 1e-9:
-        raise PathSingularityError(f"path [{z0}, {z1}] passes through z = 0")
-    w0 = a + b * z0
-    w1 = a + b * z1
-    if _segment_distance_to_zero(w0, w1) < 1e-9:
-        raise PathSingularityError(f"log argument vanishes on path: a={a}, b={b}")
-    if all(w.real < 0 and abs(w.imag) <= 1e-12 * abs(w) for w in (w0, w1)):
-        raise PathSingularityError(f"log argument runs along its cut: a={a}, b={b}")
-    if _cut_crossing(w0, w1) is not None:
-        raise PathSingularityError(f"log argument crosses its cut: a={a}, b={b}, path [{z0}, {z1}]")
-    dz = z1 - z0
-
-    def f(s):
-        z = z0 + s * dz
-        return cmath.log(a + b * z) / z * dz
-
-    return adaptive_quad(f, 0.0, 1.0, _LOG_TOL)
-
-
 # ---------------------------------------------------------------------------
 # membrane integral over a triangle of lines
 
@@ -193,17 +167,22 @@ def _edge_through(v0, v1) -> _EdgeLine:
 
 
 def _cut_free_legs(edges, y0: complex, y1: complex, depth: int = 0):
-    """Split [y0, y1] so no edge log crosses its cut on any leg.
+    """Split [y0, y1] so that on no leg does an edge's x cross the
+    negative real axis.
 
-    A crossing of log(p + q y) is routed around the zero -p/q through the
-    waypoint where p + q y is positive real with the geometric-mean
-    modulus of the endpoint values.
+    This picks the membrane that is integrated.  Where x = p + q y of an
+    edge would cross the negative real axis, the path goes round the zero
+    -p/q through the waypoint where p + q y is positive real with the
+    geometric-mean modulus of the endpoint values.  On the tempered
+    triangle the straight path sweeps a ruling through x = 0: Log(x_u / x_l)
+    jumps there, its integral along the straight path is -0.744 - 4.060i
+    instead of zeta(2) - 4.060i, and the 2D oracle does not converge.
     """
     for e in edges:
         s = _cut_crossing(e.x_at(y0), e.x_at(y1))
         if s is not None:
             if depth >= 8:
-                raise PathSingularityError("cannot route sweep path around log cuts")
+                raise PathSingularityError("cannot route sweep path around the cuts of x")
             r = math.sqrt(abs(e.x_at(y0)) * abs(e.x_at(y1)))
             if r < 1e-9:
                 raise PathSingularityError("edge line passes through x = 0 at a vertex")
@@ -216,7 +195,7 @@ def _sweep_pieces(v1, v2, v3):
     """The two sweep pieces: (lower edge, upper edge, leg list).
 
     The common lower bound is the line through the first and last vertex;
-    y runs v1 -> v2 -> v3.  Legs are cut-free for both logs of the piece.
+    y runs v1 -> v2 -> v3.  On no leg does either edge's x cross its cut.
     """
     common = _edge_through(v1, v3)
     pieces = []
@@ -242,13 +221,44 @@ def _check_vertices(vertices):
 
 def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs):
     """The swept rulings must stay clear of x = 0, and the y path must keep
-    ``_Y_MARGIN`` from y = 0."""
+    ``_Y_MARGIN`` from y = 0.
+
+    On a leg y = y0 + s (y1 - y0), 0 <= s <= 1, the ruling at s is the
+    segment from x_l = A + B s to x_u = E + F s.  It meets x = 0 exactly
+    when x_u conj x_l is real and <= 0, so only at a real root s of the
+    quadratic Im(x_u conj x_l) = a s^2 + b s + c.  Each ruling's distance
+    from 0 is taken at s = 0 and s = 1, at the roots (the real part of a
+    complex pair, the one root when a = 0) and at the points
+    nearest the zeros of x_l and x_u, all clamped to the leg; a leg with a
+    distance below ``_X_MARGIN`` is refused.  The zeros of x_l and x_u
+    cover the identically zero quadratic, where every ruling lies on a
+    line through 0 and can reach it only at an end of the leg or where
+    x_l or x_u vanishes.
+    """
     for y0, y1 in legs:
         if _segment_distance_to_zero(y0, y1) < _Y_MARGIN:
             raise PathSingularityError(f"sweep path passes within {_Y_MARGIN} of y = 0")
-        for k in range(_CLEARANCE_SAMPLES + 1):
-            y = y0 + (k / _CLEARANCE_SAMPLES) * (y1 - y0)
-            if _segment_distance_to_zero(lower.x_at(y), upper.x_at(y)) < 1e-9:
+        dy = y1 - y0
+        A, B = lower.x_at(y0), lower.q * dy
+        E, F = upper.x_at(y0), upper.q * dy
+        a = (F * B.conjugate()).imag
+        b = (E * B.conjugate() + F * A.conjugate()).imag
+        c = (E * A.conjugate()).imag
+        ss = [0.0, 1.0] + [(-p / q).real for p, q in ((A, B), (E, F)) if q]
+        if a:
+            disc = b * b - 4.0 * a * c
+            if disc < 0.0:
+                ss.append(-b / (2.0 * a))
+            else:
+                # the root of larger modulus first, then the other from the
+                # product of the roots, so neither cancels
+                h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+                ss += [h / a, c / h] if h else [0.0]
+        elif b:
+            ss.append(-c / b)
+        for s in ss:
+            s = min(1.0, max(0.0, s))
+            if _segment_distance_to_zero(A + s * B, E + s * F) < _X_MARGIN:
                 raise PathSingularityError("ruling passes through x = 0")
 
 
@@ -270,26 +280,21 @@ def membrane_integral(vertices) -> complex:
 
     ``vertices`` are three chart points (x, y); the sweep runs from the
     first through the second to the third, with the inner integral bounded
-    below by the line through the first and last vertex.  Each inner
-    integral reduces to a difference of edge logarithms, all kept on the
-    principal branch by the waypoint routing, so the value reproduces the
-    endpoint evaluation of the dilogarithm antiderivatives term by term.
-
-    The inner integral over a ruling is Log(x_u / x_l), which differs from
-    Log x_u - Log x_l by 2 pi i k.  Neither log crosses its cut inside a
-    leg and the ruling misses x = 0, so k is constant on a leg and is read
-    at its midpoint; it is nonzero when the two edges leave a vertex on
-    the cut of x to opposite sides, and the leg then gains
-    -2 pi i k Log(y1 / y0).
+    below by the line through the first and last vertex.  The inner
+    integral over the ruling from x_l to x_u is Log(x_u / x_l) on the
+    principal branch, because the ruling misses x = 0 and so subtends an
+    angle below pi at it.  Each leg is one quadrature of
+    Log(x_u / x_l) dy / y to within ``_LOG_TOL``.
     """
     total = 0j
     for lower, upper, y0, y1 in _membrane_legs(vertices):
-        total += log_line_integral(upper.p, upper.q, y0, y1)
-        total -= log_line_integral(lower.p, lower.q, y0, y1)
-        xl, xu = lower.x_at(0.5 * (y0 + y1)), upper.x_at(0.5 * (y0 + y1))
-        k = round((cmath.log(xu) - cmath.log(xl) - cmath.log(xu / xl)).imag / (2.0 * PI))
-        if k:
-            total -= 2j * PI * k * cmath.log(y1 / y0)
+        dy = y1 - y0
+
+        def f(s, lower=lower, upper=upper, y0=y0, dy=dy):
+            y = y0 + s * dy
+            return cmath.log(upper.x_at(y) / lower.x_at(y)) / y * dy
+
+        total += adaptive_quad(f, 0.0, 1.0, _LOG_TOL)
     return total
 
 

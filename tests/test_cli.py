@@ -49,13 +49,6 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "L must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_aj_digits_below_one(self, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["aj", "--digits", value])
-        assert exc.value.code == 2
-        assert "digits must be >= 1" in capsys.readouterr().err
-
     def test_sing_needs_three_planes(self, capsys):
         code = main(["sing", "--d", "2"])
         assert code == 2
@@ -548,7 +541,7 @@ def test_report_data_holds_no_named_tuple():
     cli.run_basis(report, 4)
     for family in ("all", "delta", "gamma", "lambda"):
         cli.run_sing(report, 4, family)
-    cli.run_aj(report, True, 12)
+    cli.run_aj(report, True)
     cli.run_pairing(report, 0, None)
     assert report.ok
     found = [f"{c.name}: {p}" for c in report.checks for p in _named_tuples(c.data)]
