@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -36,6 +35,9 @@ USAGE_ERROR = 2
 
 # significant digits of the abs_diff values of the aj report
 ABS_DIFF_DIGITS = 12
+
+# structural bound on |det + L| of the limit matrix
+DET_TOL = 1e-3
 
 
 class Check:
@@ -194,7 +196,7 @@ def single_family_rank(d: int, family: str) -> int:
 
 
 def run_sing(report: Report, d: int, family: str) -> None:
-    if family in ("gamma", "delta", "both", "all") and d < 3:
+    if family in ("gamma", "delta", "all") and d < 3:
         raise SystemExit("sing needs --d >= 3 for triple-index families")
     fam = "both" if family == "all" else family
     res = span_rank(d, fam)
@@ -311,20 +313,14 @@ def cmd_aj(args, report: Report) -> None:
     run_aj(report, args.oracle)
 
 
-def run_pairing(report: Report, seed: int, L: float | None) -> None:
-    if L is None:
-        L = 6.0 * periods.clausen(2.0 * periods.PI / 3.0)
-    if L == 0:
-        raise SystemExit("--L must be nonzero")
+def run_pairing(report: Report, seed: int) -> None:
+    L = periods.aj_closed_form().imag
     frame = limits_mod.Frame()
-    # relative for |L| < 1, so a tiny L cannot pass vacuously, and never
-    # below 1e-9 |L|, so a large L cannot fail on round-off alone
-    det_tol = max(1e-3 * min(1.0, abs(L)), 1e-9 * abs(L))
     res0 = limits_mod.independence_matrix(frame, L, seed=None)
     report.add(
         "structural determinant (zero tails)",
         "block-triangular limit matrix",
-        abs(res0.det + L) < det_tol,
+        abs(res0.det + L) < DET_TOL,
         det=[res0.det.real, res0.det.imag],
         L=L,
         max_residual=res0.max_residual,
@@ -333,14 +329,14 @@ def run_pairing(report: Report, seed: int, L: float | None) -> None:
     report.add(
         "seeded limit matrix",
         "pairing limits with generic holomorphic tails",
-        res.verdict == "independent" and abs(res.det + L) < det_tol,
+        res.verdict == "independent" and abs(res.det + L) < DET_TOL,
         **res.to_json_dict(),
         max_residual=res.max_residual,
     )
 
 
 def cmd_pairing(args, report: Report) -> None:
-    run_pairing(report, args.seed, args.L)
+    run_pairing(report, args.seed)
 
 
 def cmd_verify_all(args, report: Report) -> None:
@@ -350,7 +346,7 @@ def cmd_verify_all(args, report: Report) -> None:
         run_sing(report, d, "all")
         run_sing(report, d, "delta")
     run_aj(report, True)
-    run_pairing(report, args.seed, None)
+    run_pairing(report, args.seed)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -369,13 +365,6 @@ def make_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("d must be >= 2")
         return d
 
-    def finite_L(value):
-        x = float(value)
-        # the frame conjugation doubles L
-        if not math.isfinite(2 * x):
-            raise argparse.ArgumentTypeError("L must be finite (and so must 2*L)")
-        return x
-
     b = sub.add_parser("basis", parents=[common], help="presentation and kernel checks")
     b.add_argument("--d", type=positive_d, required=True)
     b.set_defaults(func=cmd_basis)
@@ -391,7 +380,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("pairing", parents=[common], help="limit matrix determinant")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--L", type=finite_L, default=None, help="limit invariant; defaults to the period value")
     q.set_defaults(func=cmd_pairing)
 
     v = sub.add_parser("verify-all", parents=[common], help="run every suite")

@@ -197,6 +197,8 @@ def family_cycles(d: int, family: str) -> list[HigherCycle]:
             for l in range(1, d + 1):
                 out.append(build_cycle("lambda", (i, l)))
     if family == "delta":
+        if d < 3:
+            raise ValueError("delta cycles need d >= 3")
         for i in range(1, d + 1):
             for l, m, n in combinations(range(1, d + 1), 3):
                 out.append(build_cycle("delta", (i, l, m, n)))
@@ -233,11 +235,7 @@ def total_combination(d: int, l: int) -> list[tuple[int, CycleKey]]:
 
 def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
     """The combination of residue classes equals target, exactly."""
-    acc: dict[tuple, int | Fraction] = {}
-    for c, key in combination:
-        for g, v in sing[key].coords:
-            acc[g] = acc.get(g, 0) + c * v
-    return {g: v for g, v in acc.items() if v} == dict(target.coords)
+    return H2Class._sum(target.d, ((c, sing[key].coords) for c, key in combination)) == target
 
 
 class SpanRankResult(NamedTuple):

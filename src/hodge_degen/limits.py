@@ -150,11 +150,6 @@ class EtaModel(NamedTuple):
             raise ValueError("eta tails do not match frame")
         return (self.g(t), 1j * imag_log_coeff(t), 1 + 0j, *(h(t) for h in self.h))
 
-    def reality_residual(self, t: complex, frame: Frame) -> float:
-        """|conj(eta) - eta|; zero for real tails, O(tails) otherwise."""
-        v = self.at(t, frame)
-        return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(conjugate_at(v, t, frame), v)))
-
 
 class NormalFunctionModel(NamedTuple):
     """Either the limit-type model R or a singular-type model R_i.

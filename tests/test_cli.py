@@ -38,16 +38,10 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_pairing_zero_L(self, capsys):
-        code = main(["pairing", "--L", "0"])
-        assert code == 2
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "9e307", "-9e307"])
-    def test_pairing_nonfinite_L(self, value, capsys):
+    def test_pairing_has_no_L_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["pairing", f"--L={value}"])
+            main(["pairing", "--L", "2"])
         assert exc.value.code == 2
-        assert "L must be finite" in capsys.readouterr().err
 
     def test_sing_needs_three_planes(self, capsys):
         code = main(["sing", "--d", "2"])
@@ -374,43 +368,25 @@ class TestPairingCommand:
         assert by_name["structural determinant (zero tails)"]["max_residual"] < 1e-12
         assert 0 < by_name["seeded limit matrix"]["max_residual"] < 1e-3
 
-    def test_small_L(self, capsys):
-        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
-        assert code == 0
-        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
-
-    def test_det_bound_relative_to_small_L(self, capsys, monkeypatch):
-        # |det + L| = 2e-12 passes an absolute 1e-3 bound; relative to L it is 2e-3
-        from hodge_degen import limits
-
-        def off_by_2e_3(frame, L, seed=None):
-            return limits.IndependenceResult(((0j,),), complex(-L * (1 + 2e-3)), L, "independent", 0.0)
-
-        monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
-        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e-9")
-        assert code == 1
-        assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
-
-    @pytest.mark.parametrize("L", ["1e10", "1e50", "1e300"])
-    def test_large_L(self, L, capsys):
-        # the determinant carries the round-off of L itself; a bound
-        # absolute in L failed these on that alone
-        code, out = run(capsys, "--format", "json", "pairing", "--L", L)
-        assert code == 0
-        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
-
-    def test_det_bound_relative_to_large_L(self, capsys, monkeypatch):
-        # |det + L| = 1e-8 |L| is far above round-off and fails at any L
+    def test_det_bound(self, capsys, monkeypatch):
+        # |det + L| = 2e-3 exceeds the structural bound 1e-3
         real = limits.independence_matrix
 
-        def off_by_1e_8(frame, L, seed=None):
-            res = real(frame, L, seed=seed)
-            return res._replace(det=complex(-L * (1 + 1e-8)))
+        def off_by_2e_3(frame, L, seed=None):
+            return real(frame, L, seed=seed)._replace(det=complex(-L - 2e-3))
 
-        monkeypatch.setattr(limits, "independence_matrix", off_by_1e_8)
-        code, out = run(capsys, "--format", "json", "pairing", "--L", "1e10")
+        monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
+        code, out = run(capsys, "--format", "json", "pairing")
         assert code == 1
         assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
+
+    def test_L_is_the_aj_invariant(self, capsys):
+        # one source of L: the pairing value is the aj imaginary part, bit for bit
+        _, out = run(capsys, "--format", "json", "pairing")
+        L = json.loads(out)["checks"][0]["data"]["L"]
+        _, out = run(capsys, "--format", "json", "aj")
+        im = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["non-triviality"]["im"]
+        assert L.hex() == im.hex() == periods.aj_closed_form().imag.hex()
 
 
 def test_report_path_runs_no_elimination(capsys, monkeypatch):
@@ -542,7 +518,7 @@ def test_report_data_holds_no_named_tuple():
     for family in ("all", "delta", "gamma", "lambda"):
         cli.run_sing(report, 4, family)
     cli.run_aj(report, True)
-    cli.run_pairing(report, 0, None)
+    cli.run_pairing(report, 0)
     assert report.ok
     found = [f"{c.name}: {p}" for c in report.checks for p in _named_tuples(c.data)]
     assert not found, found

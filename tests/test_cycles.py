@@ -237,6 +237,12 @@ class TestSpanRank:
         with pytest.raises(ValueError):
             span_rank(2, "both")
 
+    def test_delta_needs_three_planes(self):
+        with pytest.raises(ValueError, match="delta cycles need d >= 3"):
+            family_cycles(2, "delta")
+        with pytest.raises(ValueError, match="delta cycles need d >= 3"):
+            span_rank(2, "delta")
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_explicit_combination_directly(self, d):
         # the corrected-sign combination reproduces each pair class

@@ -147,7 +147,8 @@ class TestEta:
     def test_reality_zero_tails(self, frame):
         eta = EtaModel.build(frame, None)
         for t in T_SEQUENCE:
-            assert eta.reality_residual(t, frame) < 1e-12
+            v = eta.at(t, frame)
+            assert math.hypot(*(abs(x - y) for x, y in zip(conjugate_at(v, t, frame), v))) < 1e-12
 
 
 class TestModels:
