@@ -127,14 +127,9 @@ def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
     of the minor expansions below."""
     if len(rows) == 1:
         return rows[0][0]
-    acc_a = acc_b = 0
-    for j, (a, b) in enumerate(rows[0]):
-        c, d = _det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        # (a + b mu)(c + d mu) = (ac - bd) + (ad + bc + bd) mu
-        sign = -1 if j % 2 else 1
-        acc_a += sign * (a * c - b * d)
-        acc_b += sign * (a * d + b * c + b * d)
-    return (acc_a, acc_b)
+    return _signed_sum(
+        (-1 if j % 2 else 1, x, _det([r[:j] + r[j + 1 :] for r in rows[1:]])) for j, x in enumerate(rows[0])
+    )
 
 
 def _signed_sum(terms) -> ZMu:

@@ -239,8 +239,6 @@ def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
 
 
 class SpanRankResult(NamedTuple):
-    d: int
-    family: str
     rank: int
     expected: int
     spanning: bool
@@ -252,7 +250,18 @@ class SpanRankResult(NamedTuple):
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
-    """Rank of the singularity classes of a family against the kernel dim.
+    """Rank of the singularity classes of a family, against the family's
+    own rank in closed form (``expected``); ``spanning`` says whether the
+    classes span the kernel, i.e. whether the rank is the kernel dim.
+
+    The closed forms: "both" spans the kernel.  gamma: for fixed l < d the
+    class of gamma(i<j<k; l) is the coboundary e^{ij}_l + e^{jk}_l - e^{ik}_l
+    of the triangle ijk of the complete graph K_d, and triangle coboundaries
+    span C(d,2) - (d-1) = C(d-1,2) dimensions; the classes with l = d are
+    minus the sum over l < d, so the rank is (d-1) C(d-1,2).  lambda: every
+    row and column sum of the d x d array lambda(i; l) is sum_i l_i, and
+    these 2(d-1) relations are all, so the rank is d^2 - 2(d-1) =
+    (d-1)^2 + 1.  delta: every class is zero.
 
     For family "both" the rank is proved by a witness, with no elimination:
 
@@ -277,7 +286,13 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     """
     residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
     classes = [cl for _, cl in residues]
-    expected = degeneration.kernel_dim(d)
+    kdim = degeneration.kernel_dim(d)
+    expected = {
+        "both": kdim,
+        "gamma": (d - 1) * ((d - 1) * (d - 2) // 2),
+        "lambda": (d - 1) ** 2 + 1,
+        "delta": 0,
+    }[family]
     verified = True
     witness = False
     if family == "both":
@@ -305,7 +320,7 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     else:
         nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
         rk, kind, size = rank(QMatrix(nonzero)), "elimination", len(nonzero) * degeneration.coordinate_dim(d)
-    return SpanRankResult(d, family, rk, expected, rk == expected, verified, kind, size, residues)
+    return SpanRankResult(rk, expected, rk == kdim, verified, kind, size, residues)
 
 
 class ThreefoldBoundary(NamedTuple):
@@ -319,9 +334,6 @@ class ThreefoldBoundary(NamedTuple):
 
     side: Literal["L", "M"]
     lines: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for _, c in self.lines), Fraction(0))
 
 
 def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> ThreefoldBoundary:

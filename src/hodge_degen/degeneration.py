@@ -156,19 +156,15 @@ def presentation(d: int):
     Returns (generators, relations, dim) where generators lists every l_i
     and e^{ij}_l (all l up to d: the canonical generators, then each
     e^{ij}_d), each relation is the coefficient map of
-    l_j - l_i - sum_l e^{ij}_l, and dim = #generators - #relations, which
+    l_j - l_i - sum_l e^{ij}_l (the rewrite of e^{ij}_d in the generator
+    table, minus e^{ij}_d itself), and dim = #generators - #relations, which
     is the dimension once the relations are independent
     (:func:`relation_block_holds`).
     """
     _require_d(d)
-    gens = list(_table(d))
-    relations = []
-    for i, j in combinations(range(1, d + 1), 2):
-        rel: dict[Generator, int] = {("l", j): 1, ("l", i): -1}
-        for l in range(1, d + 1):
-            rel[("e", i, j, l)] = -1
-        relations.append(rel)
-    return gens, relations, len(gens) - len(relations)
+    table = _table(d)
+    relations = [{**dict(rewrite), g: -1} for g, (col, rewrite) in table.items() if col is None]
+    return list(table), relations, len(table) - len(relations)
 
 
 def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[Mapping]) -> bool:

@@ -277,21 +277,12 @@ def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tup
     target = tuple(_as_fraction(x) for x in v)
     if any(len(w) != len(target) for w in vecs):
         raise ValueError("dimension mismatch")
-    if not vecs:
-        return (True, tuple()) if all(x == 0 for x in target) else (False, None)
-    # Solve the transposed system A c = v by eliminating the augmented rows.
-    n = len(target)
-    k = len(vecs)
-    aug = QMatrix([[vecs[j][i] for j in range(k)] + [target[i]] for i in range(n)])
-    pivots, pivot_cols = _echelon(_int_rows(aug))
-    if k in pivot_cols:
+    if not target:
+        return (True, tuple(Fraction(0) for _ in vecs))
+    # v is in the span iff the last column of [vectors | v] is free; the
+    # kernel vector of that column is then the last one and reads 1 there,
+    # so v = sum_j -k_j w_j.  A pivot column reads 0 in every kernel vector.
+    kernel = kernel_basis(QMatrix([*(w[i] for w in vecs), target[i]] for i in range(len(target))))
+    if not kernel or not kernel[-1][-1]:
         return (False, None)
-    reduced = _back_substitute(pivots)
-    coeffs = [Fraction(0)] * k
-    for pc, row in reduced:
-        coeffs[pc] = row.get(k, Fraction(0))
-    # Free coefficient columns stay zero; verify exactly.
-    for i in range(n):
-        if sum(coeffs[j] * vecs[j][i] for j in range(k)) != target[i]:
-            return (False, None)
-    return (True, tuple(coeffs))
+    return (True, tuple(-c for c in kernel[-1][:-1]))

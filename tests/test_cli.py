@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -85,6 +86,18 @@ class TestReports:
         for argv in (["sing", "--d", "4"], ["aj"]):
             _, out = run(capsys, "--format", "json", *argv)
             assert all("elapsed_ms" not in c for c in json.loads(out)["checks"])
+
+    def test_markdown_time_under_timing(self, capsys):
+        # one elapsed_ms line per check and the total at the end; without
+        # those lines the report is the one printed without --timing
+        code, timed = run(capsys, "--timing", "basis", "--d", "4")
+        assert code == 0
+        lines = timed.splitlines()
+        per_check = [k for k, line in enumerate(lines) if re.fullmatch(r"    - elapsed_ms: \d+", line)]
+        assert len(per_check) == 4
+        assert re.fullmatch(r"elapsed_ms: \d+", lines[-1])
+        kept = [line for k, line in enumerate(lines[:-1]) if k not in per_check]
+        assert "\n".join(kept) + "\n" == run(capsys, "basis", "--d", "4")[1]
 
     def test_markdown_includes_anchor(self, capsys):
         _, out = run(capsys, "basis", "--d", "2")
@@ -252,19 +265,22 @@ class TestSingCommand:
         assert by_name["span rank d=4 family=lambda"]["rank"] == 10
 
     @pytest.mark.parametrize(
-        "d,family", [(d, "lambda") for d in range(2, 8)] + [(d, "gamma") for d in range(3, 8)]
+        "d,family", [(d, "lambda") for d in range(2, 9)] + [(d, "gamma") for d in range(3, 9)]
     )
     def test_single_family_rank_closed_form(self, d, family):
-        from hodge_degen.cli import single_family_rank
+        # the rank comes from elimination, expected from the closed form
         from hodge_degen.cycles import span_rank
 
-        assert span_rank(d, family).rank == single_family_rank(d, family)
+        res = span_rank(d, family)
+        assert res.witness == "elimination"
+        assert res.rank == res.expected
 
     def test_single_family_check_passes(self, capsys):
         code, out = run(capsys, "--format", "json", "sing", "--d", "5", "--family", "gamma")
         assert code == 0
         data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["span rank d=5 family=gamma"]
-        assert data["rank"] == data["family_rank"] == 24
+        assert data["rank"] == data["expected"] == 24
+        assert "family_rank" not in data
 
     def test_single_family_rank_can_fail(self, capsys, monkeypatch):
         # one class too many (or too few) is no longer reported as a pass
@@ -280,8 +296,7 @@ class TestSingCommand:
         assert code == 1
         check = {c["name"]: c for c in json.loads(out)["checks"]}["span rank d=4 family=lambda"]
         assert check["status"] == "fail"
-        assert check["data"]["rank"] == 11 and check["data"]["family_rank"] == 10
-
+        assert check["data"]["rank"] == 11 and check["data"]["expected"] == 10
 
     def test_broken_kernel_basis_fails_residue_table(self, capsys, monkeypatch):
         # a basis element off the kernel: span_rank drops to elimination and
@@ -445,11 +460,28 @@ def test_kernel_basis_checked_once_per_report(argv, capsys, monkeypatch):
     assert calls == [5]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_fresh(code):
     """Run code in a fresh interpreter that imports this checkout's package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hodge_degen.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=120)
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader stops after 10 bytes of a report larger than a pipe
+    # buffer, as `| head -c 10` does: no traceback, and the exit status is
+    # still the verdict's
+    argv = [sys.executable, "-m", "hodge_degen.cli", "--format", "json", "verify-all"]
+    with subprocess.Popen(argv, env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as p:
+        assert p.stdout.read(10)
+        p.stdout.close()
+        _, err = p.communicate(timeout=120)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+    assert p.returncode == 0
 
 
 def test_package_import_loads_no_submodule():

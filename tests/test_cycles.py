@@ -361,9 +361,6 @@ class TestThreefoldBoundary:
         assert tb.lines == (((1, 2, 1), Fraction(1)), ((2, 3, 1), Fraction(1)), ((1, 3, 1), Fraction(-1)))
         assert tb.side == "L"
 
-    def test_coefficient_sum(self):
-        assert threefold_boundary(2, 3, 5, 4).coefficient_sum() == 1
-
     def test_ordering(self):
         with pytest.raises(ValueError):
             threefold_boundary(2, 1, 3, 1)

@@ -8,6 +8,7 @@ witnesses must fail.
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +78,17 @@ class TestPresentation:
         assert gens == [("l", 1), ("l", 2), ("e", 1, 2, 1), ("e", 1, 2, 2)]
         assert len(relations) == 1
         assert dim == 3
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_relations_written_out(self, d):
+        # l_j - l_i - sum_l e^{ij}_l per pair i < j in lex order, written
+        # out here without the generator table, key order included
+        _, relations, _ = presentation(d)
+        by_hand = [
+            {("l", j): 1, ("l", i): -1, **{("e", i, j, l): -1 for l in range(1, d + 1)}}
+            for i, j in combinations(range(1, d + 1), 2)
+        ]
+        assert [list(rel.items()) for rel in relations] == [list(rel.items()) for rel in by_hand]
 
     def test_d_too_small(self):
         with pytest.raises(ValueError):
