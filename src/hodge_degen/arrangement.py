@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exactlin import CYCLO_ONE, MU, CycloNumber, _Frozen
 
@@ -180,10 +180,14 @@ def _det4(m: Sequence[ZMu], n: Sequence[ZMu]) -> ZMu:
     return _signed_sum((sign, m[k], n[j]) for sign, k, j in _EXPAND_4)
 
 
-class GeneralPositionReport(NamedTuple):
+class GeneralPositionReport(_Frozen):
+    __slots__ = ("ok", "violation", "reason")
     ok: bool
-    violation: tuple[FormSelector, ...] | None = None
-    reason: str | None = None
+    violation: tuple[FormSelector, ...] | None
+    reason: str | None
+
+    def __init__(self, ok: bool, violation: tuple[FormSelector, ...] | None = None, reason: str | None = None):
+        super().__init__(ok, violation, reason)
 
 
 def validate_general_position(a: Arrangement) -> GeneralPositionReport:

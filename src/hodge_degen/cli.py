@@ -18,7 +18,6 @@ fails, so a failing report still states the true rank.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -188,10 +187,6 @@ def run_basis(report: Report, d: int) -> None:
     )
 
 
-def cmd_basis(args, report: Report) -> None:
-    run_basis(report, args.d)
-
-
 def run_sing(report: Report, d: int, family: str) -> None:
     if family in ("gamma", "delta", "all") and d < 3:
         raise SystemExit("sing needs --d >= 3 for triple-index families")
@@ -250,10 +245,6 @@ def run_sing(report: Report, d: int, family: str) -> None:
         )
 
 
-def cmd_sing(args, report: Report) -> None:
-    run_sing(report, args.d, args.family)
-
-
 def run_aj(report: Report, with_oracle: bool) -> None:
     arr = tempered_arrangement()
     report.add(
@@ -303,10 +294,6 @@ def run_aj(report: Report, with_oracle: bool) -> None:
         report.skip("quadrature oracle", "raw 2D quadrature over the same membrane")
 
 
-def cmd_aj(args, report: Report) -> None:
-    run_aj(report, args.oracle)
-
-
 def run_pairing(report: Report, seed: int) -> None:
     L = periods.aj_closed_form().imag
     frame = limits_mod.Frame()
@@ -329,71 +316,172 @@ def run_pairing(report: Report, seed: int) -> None:
     )
 
 
-def cmd_pairing(args, report: Report) -> None:
-    run_pairing(report, args.seed)
-
-
-def cmd_verify_all(args, report: Report) -> None:
+def run_verify_all(report: Report, seed: int) -> None:
     for d in range(2, 9):
         run_basis(report, d)
     for d in range(3, 7):
         run_sing(report, d, "all")
         run_sing(report, d, "delta")
     run_aj(report, True)
-    run_pairing(report, args.seed)
+    run_pairing(report, seed)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=TOOL, description=__doc__)
-    p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--timing", action="store_true", help="include wall time in the report")
-    # the report flags are accepted before or after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("md", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def positive_d(value):
-        d = int(value)
-        if d < 2:
-            raise argparse.ArgumentTypeError("d must be >= 2")
-        return d
-
-    b = sub.add_parser("basis", parents=[common], help="presentation and kernel checks")
-    b.add_argument("--d", type=positive_d, required=True)
-    b.set_defaults(func=cmd_basis)
-
-    s = sub.add_parser("sing", parents=[common], help="residue classes and span rank")
-    s.add_argument("--d", type=positive_d, required=True)
-    s.add_argument("--family", choices=("gamma", "lambda", "delta", "all"), default="all")
-    s.set_defaults(func=cmd_sing)
-
-    a = sub.add_parser("aj", parents=[common], help="period closed form and functional equations")
-    a.add_argument("--oracle", action="store_true", help="also run the 2D quadrature oracle")
-    a.set_defaults(func=cmd_aj)
-
-    q = sub.add_parser("pairing", parents=[common], help="limit matrix determinant")
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_pairing)
-
-    v = sub.add_parser("verify-all", parents=[common], help="run every suite")
-    v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(func=cmd_verify_all)
-    return p
+# The command line as one table.  An option maps its name to (value,
+# default, help): value is bool for a flag, int for any integer, an int
+# for the least integer accepted, or a tuple of choices; default None
+# makes the option required.  The report options go before or after the
+# subcommand, a subcommand's own options after it.  The handlers look the
+# run_* functions up when called, so a patched or traced one is used.
+REPORT_OPTIONS = {
+    "--format": (("md", "json"), "md", "report format"),
+    "--timing": (bool, False, "include wall time in the report"),
+}
+_D = {"--d": (2, None, "number of planes in each family")}
+_SEED = {"--seed": (int, 0, "seed of the generic holomorphic tails")}
+COMMANDS = {
+    "basis": ("presentation and kernel checks", _D, lambda report, o: run_basis(report, o["d"])),
+    "sing": (
+        "residue classes and span rank",
+        {**_D, "--family": (("gamma", "lambda", "delta", "all"), "all", "cycle family")},
+        lambda report, o: run_sing(report, o["d"], o["family"]),
+    ),
+    "aj": (
+        "period closed form and functional equations",
+        {"--oracle": (bool, False, "also run the 2D quadrature oracle")},
+        lambda report, o: run_aj(report, o["oracle"]),
+    ),
+    "pairing": ("limit matrix determinant", _SEED, lambda report, o: run_pairing(report, o["seed"])),
+    "verify-all": ("run every suite", _SEED, lambda report, o: run_verify_all(report, o["seed"])),
+}
 
 
-def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    report = Report(args.command, args.timing)
+def _options(command: str | None) -> dict:
+    return {**REPORT_OPTIONS, **COMMANDS[command][1]} if command else REPORT_OPTIONS
+
+
+def _spelled(name: str, value) -> str:
+    """An option as written in the usage: --timing, --d D, --format {md,json}."""
+    if value is bool:
+        return name
+    if isinstance(value, tuple):
+        return f"{name} {{{','.join(value)}}}"
+    return f"{name} {name[2:].upper()}"
+
+
+def _usage(command: str | None) -> str:
+    words = [TOOL, command] if command else [TOOL]
+    words.append("[-h]")
+    for name, (value, default, _) in _options(command).items():
+        word = _spelled(name, value)
+        words.append(word if default is None else f"[{word}]")
+    if not command:
+        words.append("{" + ",".join(COMMANDS) + "} ...")
+    return "usage: " + " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    if command:
+        lines = [_usage(command), "", COMMANDS[command][0]]
+    else:
+        lines = [_usage(None), "", "commands:"]
+        lines += [f"  {name:<12}{about}" for name, (about, _, _) in COMMANDS.items()]
+    options = [("-h, --help", "show this help and exit")]
+    for name, (value, default, about) in _options(command).items():
+        if value is not bool:
+            about += f", {_accepts(value)} " + ("(required)" if default is None else f"(default {default})")
+        options.append((_spelled(name, value), about))
+    width = max(len(spelled) for spelled, _ in options) + 2
+    lines += ["", "options:"] + [f"  {spelled:<{width}}{about}" for spelled, about in options]
+    lines += ["", "exit status: 0 when every check passes, 1 on a failed check, 2 on a usage error"]
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> int:
+    print(_usage(command), f"{TOOL}: error: {message}", sep="\n", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _accepts(value) -> str:
+    """What an option that takes a value accepts, in words."""
+    if isinstance(value, tuple):
+        return "one of " + ", ".join(value)
+    return "an integer" if value is int else f"an integer >= {value}"
+
+
+def _convert(value, text: str):
+    """The option value written as text; ValueError if text writes none."""
+    if isinstance(value, tuple):
+        if text not in value:
+            raise ValueError(text)
+        return text
+    number = int(text)
+    if value is not int and number < value:
+        raise ValueError(text)
+    return number
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and the value of each of its options, keyed by the
+    option name without dashes, defaults filled in.  Options are written
+    ``--name value`` or ``--name=value``, in full.  -h/--help prints the
+    help of the subcommand given so far and exits 0; a malformed command
+    line exits 2 after printing the usage and the error to stderr."""
+    command = None
+    given = {}
+
+    def fail(message: str):
+        raise SystemExit(_usage_error(command, message))
+
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        options = _options(command)
+        name, eq, text = arg.partition("=")
+        if name not in options:
+            if command is None and arg in COMMANDS:
+                command = arg
+            elif command is None and not arg.startswith("-"):
+                fail(f"invalid command {arg!r} (choose from {', '.join(COMMANDS)})")
+            else:
+                fail(f"unrecognized argument {arg!r}")
+            continue
+        value = options[name][0]
+        if value is bool:
+            if eq:
+                fail(f"argument {name} takes no value")
+            given[name] = True
+            continue
+        if not eq:
+            text = next(args, None)
+            if text is None:
+                fail(f"argument {name}: expected {_accepts(value)}")
+        try:
+            given[name] = _convert(value, text)
+        except ValueError:
+            fail(f"argument {name}: expected {_accepts(value)}, got {text!r}")
+    if command is None:
+        fail(f"a command is required (choose from {', '.join(COMMANDS)})")
+    options = _options(command)
+    for name, (_, default, _) in options.items():
+        if default is None and name not in given:
+            fail(f"argument {name} is required")
+    return command, {name[2:]: given.get(name, default) for name, (_, default, _) in options.items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; argv defaults to sys.argv[1:].  Returns the
+    exit status: 0 pass, 1 a failed check, 2 a usage error."""
+    command, options = parse_args(sys.argv[1:] if argv is None else argv)
+    report = Report(command, options["timing"])
     try:
-        args.func(args, report)
+        COMMANDS[command][2](report, options)
     except SystemExit as e:
         if isinstance(e.code, str):
-            print(f"error: {e.code}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage_error(command, e.code)
         raise
-    return _emit(report, args.format)
+    return _emit(report, options["format"])
 
 
 if __name__ == "__main__":

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from . import degeneration
 from .degeneration import H2Class, in_kernel, reduce_raw
-from .exactlin import QMatrix, rank
+from .exactlin import QMatrix, _Frozen, rank
 
 FormSel = tuple[str, int]
 
@@ -32,7 +32,7 @@ class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
 
 
-class Precycle(NamedTuple):
+class Precycle(_Frozen):
     """(rational function, line) pair.
 
     ``support`` is (a, b): the line cut by the a-th L-form and b-th M-form.
@@ -40,15 +40,27 @@ class Precycle(NamedTuple):
     forms; both are None for the pencil-parameter function of lambda.
     """
 
+    __slots__ = ("support", "func_zero", "func_pole")
     support: tuple[int, int]
     func_zero: FormSel | None
     func_pole: FormSel | None
 
+    def __init__(self, support: tuple[int, int], func_zero: FormSel | None, func_pole: FormSel | None):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "func_zero", func_zero)
+        object.__setattr__(self, "func_pole", func_pole)
 
-class HigherCycle(NamedTuple):
+
+class HigherCycle(_Frozen):
+    __slots__ = ("kind", "indices", "terms")
     kind: Literal["gamma", "lambda", "delta"]
     indices: tuple[int, ...]
     terms: tuple[Precycle, ...]
+
+    def __init__(self, kind: str, indices: tuple[int, ...], terms: tuple[Precycle, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "terms", terms)
 
     def to_json_dict(self):
         return {"kind": self.kind, "indices": list(self.indices)}
@@ -238,7 +250,8 @@ def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
     return H2Class._sum(target.d, ((c, sing[key].coords) for c, key in combination)) == target
 
 
-class SpanRankResult(NamedTuple):
+class SpanRankResult(_Frozen):
+    __slots__ = ("rank", "expected", "spanning", "combination_verified", "witness", "witness_size", "residues")
     rank: int
     expected: int
     spanning: bool
@@ -323,7 +336,7 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     return SpanRankResult(rk, expected, rk == kdim, verified, kind, size, residues)
 
 
-class ThreefoldBoundary(NamedTuple):
+class ThreefoldBoundary(_Frozen):
     """Formal combination of exceptional lines in the threefold fiber.
 
     Each symbol records the blow-up center: the pair of plane indices the
@@ -332,6 +345,7 @@ class ThreefoldBoundary(NamedTuple):
     for the mirrored delta descent.
     """
 
+    __slots__ = ("side", "lines")
     side: Literal["L", "M"]
     lines: tuple[tuple[tuple[int, int, int], Fraction], ...]
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
+
+from .exactlin import _Frozen
 
 
 class ExtrapolationError(RuntimeError):
@@ -36,8 +38,12 @@ FrameVector = tuple[complex, ...]
 T_SEQUENCE: tuple[complex, ...] = tuple(10.0 ** (-2 * k) * cmath.exp(0.3j) for k in range(1, 7))
 
 
-class Frame(NamedTuple):
-    dk: int = DEFAULT_DK
+class Frame(_Frozen):
+    __slots__ = ("dk",)
+    dk: int
+
+    def __init__(self, dk: int = DEFAULT_DK):
+        object.__setattr__(self, "dk", dk)
 
     @property
     def dim(self) -> int:
@@ -110,10 +116,14 @@ def pair(u: FrameVector, v: FrameVector, frame: Frame) -> complex:
     return complex(u[1] * v[1] - u[0] * v[2] - u[2] * v[0] + d_part)
 
 
-class PolyTail(NamedTuple):
+class PolyTail(_Frozen):
     """Holomorphic tail modeled as a low-degree polynomial in t."""
 
-    coeffs: tuple[complex, ...] = (0j,)
+    __slots__ = ("coeffs",)
+    coeffs: tuple[complex, ...]
+
+    def __init__(self, coeffs: tuple[complex, ...] = (0j,)):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t: complex) -> complex:
         acc = 0j
@@ -122,10 +132,14 @@ class PolyTail(NamedTuple):
         return acc
 
 
+_ZERO_TAIL = PolyTail()
+
+
 def _seeded_tails(rng, count: int):
-    """Cubic tails with coefficients drawn by rng.uniform(lo, hi), real parts first."""
+    """Cubic tails with coefficients drawn by rng.uniform(lo, hi), real
+    parts first; without rng, the zero tail."""
     if rng is None:
-        return [PolyTail() for _ in range(count)]
+        return [_ZERO_TAIL] * count
     out = []
     for _ in range(count):
         re = [rng.uniform(-0.7, 0.7) for _ in range(4)]
@@ -134,9 +148,10 @@ def _seeded_tails(rng, count: int):
     return out
 
 
-class EtaModel(NamedTuple):
+class EtaModel(_Frozen):
     """eta = e2 + i Im(l) e1 + g(t) e0 + sum h_i(t) d_i."""
 
+    __slots__ = ("g", "h")
     g: PolyTail
     h: tuple[PolyTail, ...]
 
@@ -151,7 +166,7 @@ class EtaModel(NamedTuple):
         return (self.g(t), 1j * imag_log_coeff(t), 1 + 0j, *(h(t) for h in self.h))
 
 
-class NormalFunctionModel(NamedTuple):
+class NormalFunctionModel(_Frozen):
     """Either the limit-type model R or a singular-type model R_i.
 
     kind "R":  R(t) = i L e0 + t (a0 e0 + a1 e1 + a2 e2 + sum b_j d_j).
@@ -159,11 +174,15 @@ class NormalFunctionModel(NamedTuple):
                + sum_{j != i} b_j d_j; pairings use Im(R_i / log t).
     """
 
+    __slots__ = ("kind", "L", "i", "a", "b")
     kind: Literal["R", "Ri"]
-    L: float = 0.0
-    i: int = 0
-    a: tuple[PolyTail, PolyTail, PolyTail] = (PolyTail(), PolyTail(), PolyTail())
-    b: tuple[PolyTail, ...] = ()
+    L: float
+    i: int
+    a: tuple[PolyTail, PolyTail, PolyTail]
+    b: tuple[PolyTail, ...]
+
+    def __init__(self, kind: str, L: float = 0.0, i: int = 0, a=(_ZERO_TAIL,) * 3, b=()):
+        super().__init__(kind, L, i, a, b)
 
     @classmethod
     def limit_type(cls, L: float, frame: Frame, rng=None):
@@ -226,9 +245,14 @@ def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex]])
     return diag
 
 
-class PairingLimit(NamedTuple):
+class PairingLimit(_Frozen):
+    __slots__ = ("value", "residuals")
     value: complex
     residuals: tuple[float, ...]
+
+    def __init__(self, value: complex, residuals: tuple[float, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "residuals", residuals)
 
 
 def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[PairingLimit]:
@@ -293,7 +317,8 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     return det
 
 
-class IndependenceResult(NamedTuple):
+class IndependenceResult(_Frozen):
+    __slots__ = ("matrix", "det", "L", "verdict", "max_residual")
     matrix: tuple[tuple[complex, ...], ...]
     det: complex
     L: float

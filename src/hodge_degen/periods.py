@@ -16,8 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import NamedTuple
 
+from .exactlin import _Frozen
 from .quadrature import adaptive_quad, double_integral
 
 PI = math.pi
@@ -151,9 +151,10 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
 # membrane integral over a triangle of lines
 
 
-class _EdgeLine(NamedTuple):
+class _EdgeLine(_Frozen):
     """x = p + q y: the chart equation of the line through two vertices."""
 
+    __slots__ = ("p", "q")
     p: complex
     q: complex
 
@@ -324,7 +325,8 @@ def membrane_quadrature(vertices) -> complex:
 # dilogarithm functional equations
 
 
-class FunctionalEquationReport(NamedTuple):
+class FunctionalEquationReport(_Frozen):
+    __slots__ = ("samples", "max_residual_shift", "max_residual_reflect")
     samples: int
     max_residual_shift: float
     max_residual_reflect: float

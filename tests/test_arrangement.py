@@ -12,6 +12,7 @@ from hodge_degen.arrangement import (
     Arrangement,
     ChartError,
     DegenerateIntersectionError,
+    GeneralPositionReport,
     LinearForm,
     intersection_point,
     sweep_vertices,
@@ -103,11 +104,11 @@ def laplace_general_position(arr):
         rows = [mats[s] for s in tri]
         minors = [arrangement._det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(4), 3)]
         if all(m == (0, 0) for m in minors):
-            return (False, tri, "three forms share a line")
+            return GeneralPositionReport(False, tri, "three forms share a line")
     for quad in combinations(sels, 4):
         if arrangement._det([mats[s] for s in quad]) == (0, 0):
-            return (False, quad, "four forms share a point")
-    return (True, None, None)
+            return GeneralPositionReport(False, quad, "four forms share a point")
+    return GeneralPositionReport(True)
 
 
 unit_zmu = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
@@ -175,7 +176,7 @@ class TestGeneralPositionViolations:
             [m1, LinearForm([1, MU, 0, 0]), LinearForm([-ONE, 1, MU, 1]), m4],
         )
         report = validate_general_position(arr)
-        assert report == (False, (("L", 2), ("L", 3), ("M", 2)), "three forms share a line")
+        assert report == GeneralPositionReport(False, (("L", 2), ("L", 3), ("M", 2)), "three forms share a line")
         assert report == laplace_general_position(arr)
 
     def test_four_planes_through_a_point(self):
@@ -186,17 +187,19 @@ class TestGeneralPositionViolations:
             [m1, LinearForm([0, 0, 1, 0]), LinearForm([MU, -ONE, 2, 0]), m4],
         )
         report = validate_general_position(arr)
-        assert report == (False, (("L", 2), ("L", 3), ("M", 2), ("M", 3)), "four forms share a point")
+        assert report == GeneralPositionReport(
+            False, (("L", 2), ("L", 3), ("M", 2), ("M", 3)), "four forms share a point"
+        )
         assert report == laplace_general_position(arr)
 
     @given(small_arrangements())
     @settings(max_examples=100, deadline=None)
     def test_matches_laplace_certificate(self, arr):
-        assert tuple(validate_general_position(arr)) == laplace_general_position(arr)
+        assert validate_general_position(arr) == laplace_general_position(arr)
 
     def test_tempered_matches_laplace_certificate(self, tempered):
         want = laplace_general_position(tempered)
-        assert tuple(validate_general_position(tempered)) == want == (True, None, None)
+        assert validate_general_position(tempered) == want == GeneralPositionReport(True, None, None)
 
 
 class TestIntersectionPoint:

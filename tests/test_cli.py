@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import pytest
 
 import hodge_degen
 from hodge_degen import arrangement, cycles, limits, periods
-from hodge_degen.cli import main
+from hodge_degen.cli import COMMANDS, main
 from hodge_degen.degeneration import H2Class, reduce_raw
-from hodge_degen.exactlin import CycloNumber, QMatrix
+from hodge_degen.exactlin import CycloNumber, QMatrix, _Frozen
 
 
 def run(capsys, *argv):
@@ -47,6 +48,110 @@ class TestExitCodes:
     def test_sing_needs_three_planes(self, capsys):
         code = main(["sing", "--d", "2"])
         assert code == 2
+        assert capsys.readouterr().err.splitlines()[1] == (
+            "hodge-degen: error: sing needs --d >= 3 for triple-index families"
+        )
+
+    MALFORMED = {
+        "no command": [],
+        "unknown command": ["frobnicate"],
+        "option of another command": ["pairing", "--L", "2"],
+        "option of basis on aj": ["aj", "--d", "4"],
+        "missing --d": ["basis"],
+        "--d without a value": ["basis", "--d"],
+        "--d not an integer": ["basis", "--d", "x"],
+        "--d below 2": ["basis", "--d", "1"],
+        "unknown family": ["sing", "--d", "4", "--family", "bogus"],
+        "--seed not an integer": ["pairing", "--seed", "x"],
+        "unknown format": ["--format", "xml", "basis", "--d", "3"],
+        "prefix of an option": ["sing", "--d", "4", "--fam", "all"],
+        "value for a flag": ["aj", "--oracle=yes"],
+        "command option before the command": ["--d", "4", "basis"],
+    }
+
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_command_line_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: hodge-degen ")
+        assert error.startswith("hodge-degen: error: ")
+
+    def test_bad_value_message_names_the_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["basis", "--d", "x"])
+        err = capsys.readouterr().err
+        assert err.endswith("hodge-degen: error: argument --d: expected an integer >= 2, got 'x'\n")
+
+    def test_option_value_after_equals(self, capsys):
+        assert run(capsys, "--format=json", "basis", "--d=5") == run(capsys, "--format", "json", "basis", "--d", "5")
+
+    @pytest.mark.parametrize(
+        "argv", [("sing", "--d", "4", "--family", "delta"), ("aj", "--oracle"), ("pairing", "--seed", "1")]
+    )
+    def test_report_flags_before_or_after_the_command(self, argv, capsys):
+        first = run(capsys, "--format", "json", *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv, "--format", "json") == first
+        assert run(capsys, argv[0], "--format=json", *argv[1:]) == first
+        timed = [run(capsys, *argv, "--format", "json", "--timing")[1], run(capsys, "--timing", *argv, "--format=json")[1]]
+        assert all("elapsed_ms" in check for out in timed for check in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag] if command else [flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: hodge-degen {command} " if command else "usage: hodge-degen [-h]")
+        assert "--format {md,json}" in out
+
+
+# sha256 of the --format json report of each job, pinned so that a change
+# of the command line or of the records cannot move a byte; no report here
+# holds a float, so the digests are the same on every supported Python
+JSON_DIGESTS = {
+    ("basis", "--d", "2"): "00298512b63a311b25ca439e75793f168f8c4729c1af663320cd027d4fd3cd35",
+    ("basis", "--d", "3"): "2c51441b5a06734a4165ffc8b420ac03e4afcc11f2b0e119af756c62d2dcafd1",
+    ("basis", "--d", "4"): "6e5af1225e09106dcdce744854dc9d7900d6078fd928a3481d0ec1f9bd516456",
+    ("basis", "--d", "5"): "3e04687ea4ce5f86b7130e36c6670d0411211dd2dc804084665ac7e098e485fd",
+    ("basis", "--d", "6"): "0ba4e749a46797772ca9f1186ca1f77515d6b81bbdbf1cd9bd47af844e4f91b4",
+    ("basis", "--d", "7"): "511de14c37fe8adddb93d25d43ebb77cc669ec4a12318e8c9de3cc1e44a5d13a",
+    ("basis", "--d", "8"): "7b301eae7655f1d864528f3cb58ccd07621d45d1a04d5882ee583bf2dd8f5acf",
+    ("basis", "--d", "9"): "451cc58207d3b49f90bb753fbc0822875ff0efe6797768071d60f990b7dbdbe7",
+    ("sing", "--d", "3", "--family", "all"): "b011d2208f5fc0b48715631e7dc3312bf8151554f5eca9b3b6503051dc45ffe3",
+    ("sing", "--d", "3", "--family", "delta"): "386c36cd4d3e7cb4c01a1f481275085dcf76cb37feb3d95c864749f8c622957c",
+    ("sing", "--d", "3", "--family", "gamma"): "423676549758fe169000e26ddb3f47401ad7617a8acddb76978c7b8d0735f928",
+    ("sing", "--d", "3", "--family", "lambda"): "a62cd0a3095bdc43d51c58025c2b04d94559ebb1b13c240f1184fd8bdcf9d00c",
+    ("sing", "--d", "4", "--family", "all"): "f072ea0eed714f7bd72b875d319409931e19021d7e26535848f2f8bc9baad29f",
+    ("sing", "--d", "4", "--family", "delta"): "5df5fa99c516cbf8cc0e2ca15c635ba5b1b52964d83e11883dba8216672b4bce",
+    ("sing", "--d", "4", "--family", "gamma"): "31f9a9ab6d02bf90157d73423714737c8a6b37958b6f9280da6c31cd1320bcc6",
+    ("sing", "--d", "4", "--family", "lambda"): "34fa63b8971e7311001f1ffd847b76ba0f04388050f635e22553d90153ce2a5d",
+    ("sing", "--d", "5", "--family", "all"): "58ec20c0a5e1880a1b3e2a862e1b0961a9e340e7d74171caed97c64e1c1ecfd3",
+    ("sing", "--d", "5", "--family", "delta"): "571ad2d87e707bc1205254bc5711c530674f91a93c68a6874423e56e5dbc157f",
+    ("sing", "--d", "5", "--family", "gamma"): "c1a5083d1df05b2a0f4e66b6e5a0c4c4e31127a815f56f1ebac01ce9a86a6be4",
+    ("sing", "--d", "5", "--family", "lambda"): "492c5e7cd1dc963b1e0e4983ac25ea7a632dd6f6f093d82766b98415423382ef",
+    ("sing", "--d", "6", "--family", "all"): "bfd944343be8a3fbf5164b7cbe373b5a1b22d2b42985332569fa6e10f339ab8c",
+    ("sing", "--d", "6", "--family", "delta"): "84b39c9e5a51e53c4d3f63496253afcf3f641ccbaf17dc9cc38f670387d2c7c7",
+    ("sing", "--d", "6", "--family", "gamma"): "5ea2528e28ccb6566177244b563ac80efcf523ebe94891907dafd28bff31ce42",
+    ("sing", "--d", "6", "--family", "lambda"): "98d630ce99676666b32d67036de54f3b5cd374c403a8a2232328fe3b12b41277",
+    ("sing", "--d", "7", "--family", "all"): "c197b75a74cab96bcc898a9b169bec3fd6887480df3f499732e8bb84d624c5b8",
+    ("sing", "--d", "7", "--family", "delta"): "97231439d27067c494210dd62ddddd547463ad3d4404dfdfa9379328d60b7b43",
+    ("sing", "--d", "7", "--family", "gamma"): "28eb29ef8f63bcfc72dae002559ef765cbb66e02964ae2b65890419448e26c2a",
+    ("sing", "--d", "7", "--family", "lambda"): "9a3cbfda7b7fa99540c268b8a696e3651b7baf7ed66e1c0c69a89634571899dd",
+}
+
+
+@pytest.mark.parametrize("argv", JSON_DIGESTS, ids=" ".join)
+def test_exact_reports_unchanged(argv, capsys):
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
 
 
 class TestReports:
@@ -285,11 +390,19 @@ class TestSingCommand:
     def test_single_family_rank_can_fail(self, capsys, monkeypatch):
         # one class too many (or too few) is no longer reported as a pass
         from hodge_degen import cli
-        from hodge_degen.cycles import span_rank
+        from hodge_degen.cycles import SpanRankResult, span_rank
 
         def off_by_one(d, family):
             res = span_rank(d, family)
-            return res._replace(rank=res.rank + 1)
+            return SpanRankResult(
+                res.rank + 1,
+                res.expected,
+                res.spanning,
+                res.combination_verified,
+                res.witness,
+                res.witness_size,
+                res.residues,
+            )
 
         monkeypatch.setattr(cli, "span_rank", off_by_one)
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "lambda")
@@ -388,7 +501,8 @@ class TestPairingCommand:
         real = limits.independence_matrix
 
         def off_by_2e_3(frame, L, seed=None):
-            return real(frame, L, seed=seed)._replace(det=complex(-L - 2e-3))
+            res = real(frame, L, seed=seed)
+            return limits.IndependenceResult(res.matrix, complex(-L - 2e-3), res.L, res.verdict, res.max_residual)
 
         monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
         code, out = run(capsys, "--format", "json", "pairing")
@@ -512,31 +626,39 @@ def test_cli_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_loads_every_layer_and_no_dataclasses():
-    # the report classes are plain classes and named tuples: importing the
-    # CLI pays for neither dataclasses nor what it pulls in (inspect, ast)
+def test_cli_start_path_loads_every_layer_and_no_machinery():
+    # the value classes are plain _Frozen slot classes and the command line
+    # is read from a table: a job pays for neither dataclasses (inspect,
+    # ast), typing.NamedTuple nor argparse (gettext, locale, textwrap)
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import hodge_degen.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hodge_degen.cli.main(['--format', 'json', 'basis', '--d', '2']) == 0\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale', 'textwrap')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         "layers = ('exactlin', 'arrangement', 'degeneration', 'cycles',\n"
         "          'quadrature', 'periods', 'limits', 'cli')\n"
         "missing = [m for m in layers if 'hodge_degen.' + m not in sys.modules]\n"
         "assert not missing, missing\n"
-        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        "records = [f'{m}.{name}' for m in layers for name, obj in vars(sys.modules['hodge_degen.' + m]).items()\n"
+        "           if isinstance(obj, type) and obj.__module__ == 'hodge_degen.' + m and hasattr(obj, '_fields')]\n"
+        "assert not records, records\n"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 
-def _named_tuples(value, path="data"):
-    """Paths under value where a NamedTuple stands in for a plain value."""
-    if hasattr(value, "_fields"):
+def _records(value, path="data"):
+    """Paths under value where a record (a named tuple or a _Frozen value
+    class) stands in for a plain value."""
+    if hasattr(value, "_fields") or isinstance(value, _Frozen):
         return [path]
     if isinstance(value, dict):
-        return [p for k, v in value.items() for p in _named_tuples(v, f"{path}.{k}")]
+        return [p for k, v in value.items() for p in _records(v, f"{path}.{k}")]
     if isinstance(value, (list, tuple)):
-        return [p for i, v in enumerate(value) for p in _named_tuples(v, f"{path}[{i}]")]
+        return [p for i, v in enumerate(value) for p in _records(v, f"{path}[{i}]")]
     return []
 
 
@@ -552,7 +674,7 @@ def test_report_data_holds_no_named_tuple():
     cli.run_aj(report, True)
     cli.run_pairing(report, 0)
     assert report.ok
-    found = [f"{c.name}: {p}" for c in report.checks for p in _named_tuples(c.data)]
+    found = [f"{c.name}: {p}" for c in report.checks for p in _records(c.data)]
     assert not found, found
 
 
