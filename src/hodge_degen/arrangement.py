@@ -1,18 +1,19 @@
 """Plane arrangements in P^3 over Q(mu).
 
 Holds the 2d linear forms cutting out the degenerating pencil, certifies
-general position exactly by determinants over Z[mu] (each form scaled to
-integer coefficients), and computes the triple intersection points and
-the chart coordinates of the period triangle.  The distinguished d = 4
+general position exactly by minor expansions over Z[mu] (each form scaled
+to integer coefficients), and computes the triple intersection points and,
+with :func:`sweep_vertices`, the chart coordinates of the period triangle
+in the order the membrane integral sweeps them.  The distinguished d = 4
 arrangement with sixth-root-of-unity coefficients is built by
 :func:`tempered_arrangement`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import lcm
-from typing import Sequence
 
 from .exactlin import CYCLO_ONE, MU, CycloNumber, _Frozen
 
@@ -120,16 +121,6 @@ def _integer_coeffs(form: LinearForm) -> list[ZMu]:
     """
     m = lcm(*(q.denominator for c in form.coeffs for q in (c.a, c.b)))
     return [(int(c.a * m), int(c.b * m)) for c in form.coeffs]
-
-
-def _det(rows: Sequence[Sequence[ZMu]]) -> ZMu:
-    """Laplace expansion along the first row, exactly in Z[mu]; the oracle
-    of the minor expansions below."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return _signed_sum(
-        (-1 if j % 2 else 1, x, _det([r[:j] + r[j + 1 :] for r in rows[1:]])) for j, x in enumerate(rows[0])
-    )
 
 
 def _signed_sum(terms) -> ZMu:
@@ -257,27 +248,14 @@ def tempered_arrangement() -> Arrangement:
     return Arrangement(L, M)
 
 
-def triangle_vertices(a: Arrangement, i: int, l: int, m: int, n: int):
-    """Chart coordinates of the three pairwise intersections of the lines
-    cut on the i-th L-plane by M_l, M_m, M_n.
+def sweep_vertices(a: Arrangement, i: int, l: int, m: int, n: int):
+    """Chart coordinates of the triangle cut on the i-th L-plane by M_l,
+    M_m, M_n, in the order of the iterated period integral.
 
-    Returns [(x, y)] for the pairs (l,m), (l,n), (m,n) in that order; each
-    vertex must lie in the Z != 0 chart.
+    Returns [(x, y)] for the pairs (l,n), (l,m), (m,n) in that order: the
+    common inner-bound edge is the M_n line, running through the first and
+    last vertices.  Each vertex must lie in the Z != 0 chart.
     """
     if len({l, m, n}) != 3:
         raise DegenerateIntersectionError((("M", l), ("M", m), ("M", n)))
-    out = []
-    for p, q in [(l, m), (l, n), (m, n)]:
-        pt = intersection_point(a, ("L", i), ("M", p), ("M", q))
-        out.append(pt.chart_xy())
-    return out
-
-
-def sweep_vertices(a: Arrangement, i: int, l: int, m: int, n: int):
-    """Triangle vertices reordered for the iterated period integral.
-
-    Order [(l,n), (l,m), (m,n)]: the common inner-bound edge is the M_n
-    line, running through the first and last vertices.
-    """
-    v_lm, v_ln, v_mn = triangle_vertices(a, i, l, m, n)
-    return [v_ln, v_lm, v_mn]
+    return [intersection_point(a, ("L", i), ("M", p), ("M", q)).chart_xy() for p, q in ((l, n), (l, m), (m, n))]

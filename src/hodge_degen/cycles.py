@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal
 
 from . import degeneration
 from .degeneration import H2Class, in_kernel, reduce_raw
@@ -53,7 +52,7 @@ class Precycle(_Frozen):
 
 class HigherCycle(_Frozen):
     __slots__ = ("kind", "indices", "terms")
-    kind: Literal["gamma", "lambda", "delta"]
+    kind: str  # "gamma", "lambda" or "delta"
     indices: tuple[int, ...]
     terms: tuple[Precycle, ...]
 
@@ -346,7 +345,7 @@ class ThreefoldBoundary(_Frozen):
     """
 
     __slots__ = ("side", "lines")
-    side: Literal["L", "M"]
+    side: str  # "L" or "M"
     lines: tuple[tuple[tuple[int, int, int], Fraction], ...]
 
 

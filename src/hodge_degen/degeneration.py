@@ -23,10 +23,10 @@ genuinely rational.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .exactlin import QMatrix, QVector, _Frozen, _as_fraction, kernel_basis
 

@@ -2,7 +2,10 @@
 
 Scalars are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator) and :class:`CycloNumber`, the quadratic extension Q(mu) with
-mu a primitive 6th root of unity, presented by mu^2 = mu - 1.
+mu a primitive 6th root of unity, presented by mu^2 = mu - 1; it divides
+by multiplying with :meth:`CycloNumber.inverse`.  An exact input is an
+``int``, a ``Fraction`` or a ``CycloNumber``; anything else, a float or a
+string, raises TypeError.
 
 Matrix routines (rank, kernel, span membership) run a fraction-free
 elimination: rows are scaled to integers once and reduced by their gcd
@@ -11,9 +14,9 @@ after every pivot step, so no intermediate Fractions are produced.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, sqrt
-from typing import Iterable, Sequence
 
 QVector = tuple[Fraction, ...]
 
@@ -24,8 +27,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -93,16 +94,11 @@ class CycloNumber(_Frozen):
         o = CycloNumber.coerce(o)
         return CycloNumber(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CycloNumber(-self.a, -self.b)
 
     def __sub__(self, o):
         return self + (-CycloNumber.coerce(o))
-
-    def __rsub__(self, o):
-        return CycloNumber.coerce(o) + (-self)
 
     def __mul__(self, o):
         o = CycloNumber.coerce(o)
@@ -126,12 +122,6 @@ class CycloNumber(_Frozen):
             raise ZeroDivisionError("inverse of zero in Q(mu)")
         c = self.conjugate()
         return CycloNumber(c.a / n, c.b / n)
-
-    def __truediv__(self, o):
-        return self * CycloNumber.coerce(o).inverse()
-
-    def __rtruediv__(self, o):
-        return CycloNumber.coerce(o) * self.inverse()
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Literal, Sequence
+from collections.abc import Sequence
 
 from .exactlin import _Frozen
 
@@ -175,7 +175,7 @@ class NormalFunctionModel(_Frozen):
     """
 
     __slots__ = ("kind", "L", "i", "a", "b")
-    kind: Literal["R", "Ri"]
+    kind: str  # "R" or "Ri"
     L: float
     i: int
     a: tuple[PolyTail, PolyTail, PolyTail]
@@ -322,7 +322,7 @@ class IndependenceResult(_Frozen):
     matrix: tuple[tuple[complex, ...], ...]
     det: complex
     L: float
-    verdict: Literal["independent", "fail"]
+    verdict: str  # "independent" or "fail"
     max_residual: float  # worst final Neville residual over the entries
 
     def to_json_dict(self):

@@ -7,7 +7,7 @@ error estimate against the requested absolute tolerance.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 
 class QuadratureError(RuntimeError):

@@ -17,7 +17,6 @@ from hodge_degen.arrangement import (
     intersection_point,
     sweep_vertices,
     tempered_arrangement,
-    triangle_vertices,
     validate_general_position,
 )
 from hodge_degen.exactlin import MU, CycloNumber, cyclo_embed
@@ -36,10 +35,28 @@ def cyclo_det(rows):
     if len(rows) == 1:
         return rows[0][0]
     acc = CycloNumber(0)
-    for j in range(len(rows)):
-        term = rows[0][j] * cyclo_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+    for j, x in enumerate(rows[0]):
+        if x.is_zero():
+            continue
+        term = x * cyclo_det([r[:j] + r[j + 1 :] for r in rows[1:]])
         acc = acc + (-term if j % 2 else term)
     return acc
+
+
+def cyclo_rows(rows):
+    """Z[mu] pairs (a, b) as CycloNumbers a + b mu."""
+    return [[CycloNumber(a, b) for a, b in row] for row in rows]
+
+
+def minor_det(rows):
+    """The determinant of a 3x3 or 4x4 Z[mu] matrix by the minor
+    expansions: _det4 of the 2x2 minors, or the first 3x3 minor of the
+    rows padded with a zero column (column triple (0, 1, 2) comes first)."""
+    if len(rows) == 4:
+        r, s, u, v = rows
+        return arrangement._det4(arrangement._minors2(r, s), arrangement._minors2(u, v))
+    r, s, u = ([*row, (0, 0)] for row in rows)
+    return arrangement._minors3(r, arrangement._minors2(s, u))[0]
 
 
 small_zmu = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -62,15 +79,18 @@ class TestDeterminant:
     @given(zmu_matrices())
     @settings(max_examples=150, deadline=None)
     def test_matches_cyclo_laplace(self, rows):
-        a, b = arrangement._det(rows)
-        assert CycloNumber(a, b) == cyclo_det([[CycloNumber(*x) for x in r] for r in rows])
+        a, b = minor_det(rows)
+        assert CycloNumber(a, b) == cyclo_det(cyclo_rows(rows))
 
     def test_singular_examples(self):
         row = [(1, 2), (0, -1), (3, 0)]
-        assert arrangement._det([row, [(2, -1), (1, 1), (0, 0)], row]) == (0, 0)
+        assert minor_det([row, [(2, -1), (1, 1), (0, 0)], row]) == (0, 0)
         # mu times a row: (a + b mu) mu = -b + (a + b) mu
         mu_row = [(-b, a + b) for a, b in row]
-        assert arrangement._det([row, mu_row, [(5, 1), (0, 2), (1, -1)]]) == (0, 0)
+        assert minor_det([row, mu_row, [(5, 1), (0, 2), (1, -1)]]) == (0, 0)
+        row4, other = [*row, (1, 1)], [(2, 0), (0, 1), (1, -1), (3, 3)]
+        assert minor_det([row4, other, [(0, 0), (4, 1), (1, 0), (2, -2)], row4]) == (0, 0)
+        assert minor_det([other, row4, [(5, 1), (0, 2), (1, -1), (0, 0)], [(-b, a + b) for a, b in row4]]) == (0, 0)
 
     def test_integer_scaling(self):
         form = LinearForm([Fraction(1, 2), CycloNumber(Fraction(1, 3), Fraction(-1, 4)), 0, 2])
@@ -85,28 +105,26 @@ class TestMinorExpansion:
     @settings(max_examples=150, deadline=None)
     def test_matches_laplace(self, rows):
         # every 3x3 minor and the 4x4 determinant from 2x2 minors equal
-        # the recursive Laplace expansion
+        # the Laplace expansion over Q(mu)
         r, s, u, v = rows
-        want3 = [
-            arrangement._det([[row[c] for c in cols] for row in (r, s, u)]) for cols in combinations(range(4), 3)
-        ]
-        assert arrangement._minors3(r, arrangement._minors2(s, u)) == want3
+        cyclo = cyclo_rows(rows)
+        want3 = [cyclo_det([[row[c] for c in cols] for row in cyclo[:3]]) for cols in combinations(range(4), 3)]
+        assert [CycloNumber(*x) for x in arrangement._minors3(r, arrangement._minors2(s, u))] == want3
         m, n = arrangement._minors2(r, s), arrangement._minors2(u, v)
-        assert arrangement._det4(m, n) == arrangement._det(rows)
+        assert CycloNumber(*arrangement._det4(m, n)) == cyclo_det(cyclo)
 
 
 def laplace_general_position(arr):
-    """Oracle: the certificate by recursive Laplace expansion, each subset
+    """Oracle: the certificate by Laplace expansion over Q(mu), each subset
     of forms on its own."""
     sels = arr.all_selectors()
-    mats = {s: arrangement._integer_coeffs(arr.form(s)) for s in sels}
+    mats = dict(zip(sels, cyclo_rows(arrangement._integer_coeffs(arr.form(s)) for s in sels)))
     for tri in combinations(sels, 3):
         rows = [mats[s] for s in tri]
-        minors = [arrangement._det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(4), 3)]
-        if all(m == (0, 0) for m in minors):
+        if all(cyclo_det([[row[c] for c in cols] for row in rows]).is_zero() for cols in combinations(range(4), 3)):
             return GeneralPositionReport(False, tri, "three forms share a line")
     for quad in combinations(sels, 4):
-        if arrangement._det([mats[s] for s in quad]) == (0, 0):
+        if cyclo_det([mats[s] for s in quad]).is_zero():
             return GeneralPositionReport(False, quad, "four forms share a point")
     return GeneralPositionReport(True)
 
@@ -236,7 +254,7 @@ class TestIntersectionPoint:
 
 class TestTriangle:
     def test_tempered_triangle_set(self, tempered):
-        got = triangle_vertices(tempered, 4, 1, 2, 3)
+        got = sweep_vertices(tempered, 4, 1, 2, 3)
         expected = {
             (-MU, CycloNumber(2) - MU),
             (2 * MU - 1, MU - 1),
@@ -245,8 +263,8 @@ class TestTriangle:
         assert set(got) == expected
 
     def test_matches_intersection_point(self, tempered):
-        verts = triangle_vertices(tempered, 4, 1, 2, 3)
-        pairs = [(1, 2), (1, 3), (2, 3)]
+        verts = sweep_vertices(tempered, 4, 1, 2, 3)
+        pairs = [(1, 3), (1, 2), (2, 3)]
         for (x, y), (p, q) in zip(verts, pairs):
             pt = intersection_point(tempered, ("L", 4), ("M", p), ("M", q))
             assert (x, y) == pt.chart_xy()
@@ -261,9 +279,9 @@ class TestTriangle:
 
     def test_repeated_m_index(self, tempered):
         with pytest.raises(DegenerateIntersectionError):
-            triangle_vertices(tempered, 4, 1, 1, 3)
+            sweep_vertices(tempered, 4, 1, 1, 3)
 
     def test_chart_failure(self, tempered):
         # vertices on the L3 plane have Z = 0
         with pytest.raises(ChartError):
-            triangle_vertices(tempered, 3, 1, 2, 4)
+            sweep_vertices(tempered, 3, 1, 2, 4)

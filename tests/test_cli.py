@@ -519,7 +519,8 @@ class TestPairingCommand:
 
 
 def test_report_path_runs_no_elimination(capsys, monkeypatch):
-    # passing basis and sing reports rest on witnesses alone
+    # passing reports rest on witnesses and closed forms alone; the one
+    # report that eliminates is sing for the gamma or lambda family
     from hodge_degen import exactlin
 
     def refuse(rows):
@@ -531,6 +532,8 @@ def test_report_path_runs_no_elimination(capsys, monkeypatch):
     for d in range(3, 9):
         for family in ("all", "delta"):
             assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
+    for argv in (["aj"], ["aj", "--oracle"], ["pairing", "--seed", "3"], ["verify-all"]):
+        assert run(capsys, "--format", "json", *argv)[0] == 0, argv
     with pytest.raises(AssertionError):
         exactlin.rank(exactlin.QMatrix([[1]]))  # the patch is live
 
@@ -580,9 +583,11 @@ def fresh_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def run_fresh(code):
-    """Run code in a fresh interpreter that imports this checkout's package."""
-    return subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=120)
+def run_fresh(code, *flags):
+    """Run code in a fresh interpreter, started with flags, that imports
+    this checkout's package."""
+    argv = [sys.executable, *flags, "-c", code]
+    return subprocess.run(argv, env=fresh_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_closed_pipe_exits_quietly():
@@ -627,15 +632,17 @@ def test_cli_never_imports_numpy():
 
 
 def test_cli_start_path_loads_every_layer_and_no_machinery():
-    # the value classes are plain _Frozen slot classes and the command line
-    # is read from a table: a job pays for neither dataclasses (inspect,
-    # ast), typing.NamedTuple nor argparse (gettext, locale, textwrap)
+    # the value classes are plain _Frozen slot classes, the command line
+    # is read from a table and annotations take their types from
+    # collections.abc: a job pays for neither dataclasses (inspect, ast),
+    # typing nor argparse (gettext, locale, textwrap); -S keeps out site
+    # hooks, which may load typing themselves
     code = (
         "import contextlib, io, sys\n"
         "import hodge_degen.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert hodge_degen.cli.main(['--format', 'json', 'basis', '--d', '2']) == 0\n"
-        "loaded = [m for m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale', 'textwrap')\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale', 'textwrap')\n"
         "          if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "layers = ('exactlin', 'arrangement', 'degeneration', 'cycles',\n"
@@ -646,7 +653,7 @@ def test_cli_start_path_loads_every_layer_and_no_machinery():
         "           if isinstance(obj, type) and obj.__module__ == 'hodge_degen.' + m and hasattr(obj, '_fields')]\n"
         "assert not records, records\n"
     )
-    proc = run_fresh(code)
+    proc = run_fresh(code, "-S")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -300,11 +300,14 @@ class TestH2Class:
             H2Class(4, {("e", 1, 2, 4): Fraction(1)})
 
     def test_float_coefficient_rejected(self):
-        # the same error as QMatrix([[0.1]]), not a silent binary fraction
+        # the same error as QMatrix([[0.1]]), not a silent binary fraction;
+        # a string is not an exact scalar either
         with pytest.raises(TypeError, match="not an exact rational"):
             H2Class(4, {("l", 1): 0.1})
         with pytest.raises(TypeError, match="not an exact rational"):
             H2Class(4, {("l", 1): 1}).scale(0.5)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            H2Class(3, {("l", 1): "1/2"})
 
     def test_integral_coefficients_are_int(self):
         x = H2Class(4, {("l", 1): Fraction(6, 3), ("l", 2): Fraction(1, 2), ("l", 3): 3})

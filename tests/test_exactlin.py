@@ -93,6 +93,14 @@ class TestCycloNumber:
         with pytest.raises(ZeroDivisionError):
             CycloNumber(0).inverse()
 
+    def test_inexact_scalars_rejected(self):
+        # an exact scalar is an int, a Fraction or a CycloNumber
+        for bad in ("1", "1/2", 0.5):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                CycloNumber(bad)
+            with pytest.raises(TypeError, match="not an exact rational"):
+                MU * bad
+
     @given(a=small_fraction, b=small_fraction, c=small_fraction, d=small_fraction,
            e=small_fraction, f=small_fraction)
     @settings(max_examples=60, deadline=None)
@@ -122,6 +130,11 @@ class TestRankKernel:
     def test_identity(self):
         assert rank(QMatrix([[1, 0], [0, 1]])) == 2
         assert kernel_basis(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+
+    def test_inexact_entries_rejected(self):
+        for bad in ("1/2", 0.1):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                QMatrix([[bad]])
 
     def test_single_row(self):
         m = QMatrix([[1, 1]])
