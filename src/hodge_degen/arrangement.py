@@ -4,14 +4,17 @@ Holds the 2d linear forms cutting out the degenerating pencil, certifies
 general position exactly by minor expansions over Z[mu] (each form scaled
 to integer coefficients), and computes the triple intersection points and,
 with :func:`sweep_vertices`, the chart coordinates of the period triangle
-in the order the membrane integral sweeps them.  The distinguished d = 4
-arrangement with sixth-root-of-unity coefficients is built by
-:func:`tempered_arrangement`.
+in the order the membrane integral sweeps them.  A point stays a
+homogeneous quadruple of Z[mu] integers, unnormalised; :func:`chart_xy`
+is the one division, X conj(Z) / N(Z) and Y conj(Z) / N(Z) by the
+positive integer N(Z).  The distinguished d = 4 arrangement with
+sixth-root-of-unity coefficients is built by :func:`tempered_arrangement`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -46,45 +49,6 @@ class LinearForm(_Frozen):
             raise ValueError("zero form")
         object.__setattr__(self, "coeffs", cs)
 
-    def evaluate(self, point: "P3Point") -> CycloNumber:
-        acc = CycloNumber(0)
-        for c, x in zip(self.coeffs, point.coords):
-            acc = acc + c * x
-        return acc
-
-
-class P3Point(_Frozen):
-    """Homogeneous coordinates, normalized so the last nonzero entry is 1."""
-
-    __slots__ = ("coords",)
-    coords: tuple[CycloNumber, CycloNumber, CycloNumber, CycloNumber]
-
-    def __init__(self, coords: Sequence):
-        cs = [CycloNumber.coerce(c) for c in coords]
-        if len(cs) != 4:
-            raise ValueError("P^3 point has 4 coordinates")
-        last = None
-        for k in range(3, -1, -1):
-            if not cs[k].is_zero():
-                last = k
-                break
-        if last is None:
-            raise ValueError("all coordinates zero")
-        inv = cs[last].inverse()
-        cs = [c * inv for c in cs]
-        object.__setattr__(self, "coords", tuple(cs))
-
-    def chart_xy(self) -> tuple[CycloNumber, CycloNumber]:
-        """(X/Z, Y/Z); requires Z != 0."""
-        x, y, z, _ = self.coords
-        if z.is_zero():
-            raise ChartError(f"point {self} has Z = 0")
-        zi = z.inverse()
-        return (x * zi, y * zi)
-
-    def __repr__(self):
-        return "[" + " : ".join(repr(c) for c in self.coords) + "]"
-
 
 class Arrangement(_Frozen):
     __slots__ = ("d", "L", "M")
@@ -111,13 +75,15 @@ class Arrangement(_Frozen):
 
 
 ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
+ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
 
 
 def _integer_coeffs(form: LinearForm) -> list[ZMu]:
     """The form's coefficients scaled by the lcm of their denominators.
 
     A positive rational multiple of a form cuts the same plane, so general
-    position and the normalised intersection points do not change.
+    position does not change, and neither do the intersection points as
+    points of P^3.
     """
     m = lcm(*(q.denominator for c in form.coeffs for q in (c.a, c.b)))
     return [(int(c.a * m), int(c.b * m)) for c in form.coeffs]
@@ -202,26 +168,40 @@ def validate_general_position(a: Arrangement) -> GeneralPositionReport:
     return GeneralPositionReport(True)
 
 
-def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: FormSelector) -> P3Point:
-    """Exact common point of three independent forms: coordinate k is
-    (-1)^k times the 3x3 minor without column k."""
+def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: FormSelector) -> ZMuPoint:
+    """Exact common point of three independent forms, as homogeneous Z[mu]
+    integers: coordinate k is (-1)^k times the 3x3 minor, of the rows
+    scaled by :func:`_integer_coeffs`, without column k.  Unnormalised."""
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(sels)
-    r, s, u = (_integer_coeffs(a.form(sel)) for sel in sels)
+    rows = [_integer_coeffs(a.form(sel)) for sel in sels]
+    r, s, u = rows
     # the minors come for the column triples in lex order, which omit
     # columns 3, 2, 1, 0 in turn
-    coords = [
-        CycloNumber(sign * m_a, sign * m_b)
-        for sign, (m_a, m_b) in zip((1, -1, 1, -1), reversed(_minors3(r, _minors2(s, u))))
-    ]
-    if all(c.is_zero() for c in coords):
+    point = tuple(
+        (sign * m_a, sign * m_b) for sign, (m_a, m_b) in zip((1, -1, 1, -1), reversed(_minors3(r, _minors2(s, u))))
+    )
+    if all(c == (0, 0) for c in point):
         raise DegenerateIntersectionError(sels)
-    p = P3Point(coords)
-    for sel in sels:
-        if not a.form(sel).evaluate(p).is_zero():
+    for row in rows:
+        if _signed_sum((1, c, x) for c, x in zip(row, point)) != (0, 0):
             raise AssertionError("intersection point fails exact substitution")
-    return p
+    return point
+
+
+def chart_xy(point: ZMuPoint) -> tuple[CycloNumber, CycloNumber]:
+    """(X/Z, Y/Z) of a homogeneous Z[mu] point, as X conj(Z) / N(Z) and
+    Y conj(Z) / N(Z): conj(a + b mu) = (a + b) - b mu and
+    N(a + b mu) = Z conj(Z) = a^2 + a b + b^2, a positive integer unless
+    Z = 0, which misses the chart."""
+    x, y, (a, b), _ = point
+    n = a * a + a * b + b * b
+    if n == 0:
+        raise ChartError(f"point {point} has Z = 0")
+    conj = (a + b, -b)
+    (xa, xb), (ya, yb) = (_signed_sum(((1, c, conj),)) for c in (x, y))
+    return CycloNumber(Fraction(xa, n), Fraction(xb, n)), CycloNumber(Fraction(ya, n), Fraction(yb, n))
 
 
 def tempered_arrangement() -> Arrangement:
@@ -258,4 +238,4 @@ def sweep_vertices(a: Arrangement, i: int, l: int, m: int, n: int):
     """
     if len({l, m, n}) != 3:
         raise DegenerateIntersectionError((("M", l), ("M", m), ("M", n)))
-    return [intersection_point(a, ("L", i), ("M", p), ("M", q)).chart_xy() for p, q in ((l, n), (l, m), (m, n))]
+    return [chart_xy(intersection_point(a, ("L", i), ("M", p), ("M", q))) for p, q in ((l, n), (l, m), (m, n))]

@@ -2,10 +2,11 @@
 
 Scalars are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator) and :class:`CycloNumber`, the quadratic extension Q(mu) with
-mu a primitive 6th root of unity, presented by mu^2 = mu - 1; it divides
-by multiplying with :meth:`CycloNumber.inverse`.  An exact input is an
-``int``, a ``Fraction`` or a ``CycloNumber``; anything else, a float or a
-string, raises TypeError.
+mu a primitive 6th root of unity, presented by mu^2 = mu - 1; it has
+``+``, ``-`` and ``*`` but no division: the exact point path runs on
+Z[mu] integers and divides only in ``arrangement.chart_xy``, by an
+integer norm.  An exact input is an ``int``, a ``Fraction`` or a
+``CycloNumber``; anything else, a float or a string, raises TypeError.
 
 Matrix routines (rank, kernel, span membership) run a fraction-free
 elimination: rows are scaled to integers once and reduced by their gcd
@@ -107,21 +108,6 @@ class CycloNumber(_Frozen):
         return CycloNumber(a * c - b * d, a * d + b * c + b * d)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "CycloNumber":
-        """Complex conjugation: mu -> 1 - mu."""
-        return CycloNumber(self.a + self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """x * conj(x) = a^2 + a b + b^2, a nonnegative rational."""
-        return self.a * self.a + self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "CycloNumber":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(mu)")
-        c = self.conjugate()
-        return CycloNumber(c.a / n, c.b / n)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

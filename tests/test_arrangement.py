@@ -14,6 +14,7 @@ from hodge_degen.arrangement import (
     DegenerateIntersectionError,
     GeneralPositionReport,
     LinearForm,
+    chart_xy,
     intersection_point,
     sweep_vertices,
     tempered_arrangement,
@@ -46,6 +47,19 @@ def cyclo_det(rows):
 def cyclo_rows(rows):
     """Z[mu] pairs (a, b) as CycloNumbers a + b mu."""
     return [[CycloNumber(a, b) for a, b in row] for row in rows]
+
+
+def cyclo_eval(form, point):
+    """Oracle: the form at a Z[mu] point, in CycloNumber arithmetic."""
+    return sum((c * CycloNumber(*x) for c, x in zip(form.coeffs, point)), CycloNumber(0))
+
+
+def same_point(p, q):
+    """Two nonzero homogeneous quadruples are one point of P^3 iff every
+    2x2 cross product p_i q_j - p_j q_i vanishes (CycloNumber arithmetic)."""
+    p, q = cyclo_rows([p, q])
+    assert any(p) and any(q)
+    return all((p[i] * q[j] - p[j] * q[i]).is_zero() for i, j in combinations(range(4), 2))
 
 
 def minor_det(rows):
@@ -156,12 +170,13 @@ class TestTempered:
         assert validate_general_position(tempered).ok
 
     def test_triple_points_distinct(self, tempered):
-        pts = set()
-        for i, j in combinations(range(1, 5), 2):
-            for l in range(1, 5):
-                p = intersection_point(tempered, ("L", i), ("L", j), ("M", l))
-                pts.add(p.coords)
-        assert len(pts) == 4 * 6  # d*C(d,2) nodes, pairwise distinct
+        pts = [
+            intersection_point(tempered, ("L", i), ("L", j), ("M", l))
+            for i, j in combinations(range(1, 5), 2)
+            for l in range(1, 5)
+        ]
+        assert len(pts) == 4 * 6  # d*C(d,2) nodes, pairwise distinct in P^3
+        assert not any(same_point(p, q) for p, q in combinations(pts, 2))
 
 
 class TestGeneralPositionViolations:
@@ -223,13 +238,13 @@ class TestGeneralPositionViolations:
 class TestIntersectionPoint:
     def test_distinguished_vertex(self, tempered):
         p = intersection_point(tempered, ("L", 4), ("M", 1), ("M", 2))
-        assert p.coords == (-MU, CycloNumber(2) - MU, ONE, CycloNumber(0))
+        assert same_point(p, ((0, -1), (2, -1), (1, 0), (0, 0)))  # [-mu : 2 - mu : 1 : 0]
 
     def test_root_of_unity_vertices(self, tempered):
         # the M2/M3 point is (2 mu - 1, mu - 1); M1/M3 is ((1+mu)/3, (1-2mu)/3)
-        x, y = intersection_point(tempered, ("L", 4), ("M", 2), ("M", 3)).chart_xy()
+        x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 2), ("M", 3)))
         assert x == 2 * MU - 1 and y == MU - 1
-        x, y = intersection_point(tempered, ("L", 4), ("M", 1), ("M", 3)).chart_xy()
+        x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 1), ("M", 3)))
         assert x == CycloNumber(THIRD, THIRD) and y == CycloNumber(THIRD, Fraction(-2, 3))
 
     def test_axis_planes(self):
@@ -238,18 +253,54 @@ class TestIntersectionPoint:
             [LinearForm([0, 0, 1, -1]), LinearForm([0, 0, 1, 1])],
         )
         p = intersection_point(arr, ("L", 1), ("L", 2), ("M", 1))
-        assert p.coords == (CycloNumber(0), CycloNumber(0), ONE, ONE)
+        assert same_point(p, ((0, 0), (0, 0), (1, 0), (1, 0)))
 
     def test_exact_substitution(self, tempered):
         sels = tempered.all_selectors()
         for tri in combinations(sels, 3):
             p = intersection_point(tempered, *tri)
             for s in tri:
-                assert tempered.form(s).evaluate(p).is_zero()
+                assert cyclo_eval(tempered.form(s), p).is_zero()
+
+    def test_substitution_guard_fails(self, tempered, monkeypatch):
+        # one perturbed minor moves W off the common point, and L4 = W sees it
+        real = arrangement._minors3
+
+        def perturbed(r, m):
+            minors = real(r, m)
+            a, b = minors[0]
+            minors[0] = (a + 1, b)
+            return minors
+
+        monkeypatch.setattr(arrangement, "_minors3", perturbed)
+        with pytest.raises(AssertionError, match="fails exact substitution"):
+            intersection_point(tempered, ("L", 4), ("M", 1), ("M", 2))
 
     def test_degenerate_triple(self, tempered):
         with pytest.raises(DegenerateIntersectionError):
             intersection_point(tempered, ("L", 1), ("L", 1), ("M", 2))
+
+    @given(small_arrangements())
+    @settings(max_examples=50, deadline=None)
+    def test_random_arrangements(self, arr):
+        # degenerate exactly when every 3x3 minor vanishes; otherwise a
+        # nonzero common point, and a chart that inverts x = X/Z, y = Y/Z
+        for tri in combinations(arr.all_selectors(), 3):
+            rows = [arr.form(s).coeffs for s in tri]
+            if not any(cyclo_det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(4), 3)):
+                with pytest.raises(DegenerateIntersectionError):
+                    intersection_point(arr, *tri)
+                continue
+            p = intersection_point(arr, *tri)
+            assert any(x != (0, 0) for x in p)
+            assert all(cyclo_eval(arr.form(s), p).is_zero() for s in tri)
+            X, Y, Z, _ = cyclo_rows([p])[0]
+            if Z.is_zero():
+                with pytest.raises(ChartError):
+                    chart_xy(p)
+            else:
+                x, y = chart_xy(p)
+                assert x * Z == X and y * Z == Y
 
 
 class TestTriangle:
@@ -267,7 +318,7 @@ class TestTriangle:
         pairs = [(1, 3), (1, 2), (2, 3)]
         for (x, y), (p, q) in zip(verts, pairs):
             pt = intersection_point(tempered, ("L", 4), ("M", p), ("M", q))
-            assert (x, y) == pt.chart_xy()
+            assert (x, y) == chart_xy(pt)
 
     def test_sweep_order(self, tempered):
         verts = sweep_vertices(tempered, 4, 1, 2, 3)

@@ -538,6 +538,23 @@ def test_report_path_runs_no_elimination(capsys, monkeypatch):
         exactlin.rank(exactlin.QMatrix([[1]]))  # the patch is live
 
 
+def test_aj_runs_no_cyclo_arithmetic(monkeypatch):
+    # the aj points stay Z[mu] integer pairs from the minors to the chart;
+    # CycloNumber is only the forms' input and the chart's output
+    from hodge_degen import cli
+
+    def refuse(self, other):
+        raise AssertionError("Q(mu) arithmetic on the aj path")
+
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycloNumber, op, refuse)
+    report = cli.Report("aj")
+    cli.run_aj(report, True)
+    assert report.ok
+    with pytest.raises(AssertionError):
+        CycloNumber(1) * CycloNumber(2)  # the patch is live
+
+
 @pytest.mark.parametrize("d", range(3, 7))
 def test_sing_builds_each_residue_once(d, capsys, monkeypatch):
     # span_rank builds the residues once, for every family; the reports
@@ -692,7 +709,6 @@ IMMUTABLE = {
     "CycloNumber": (lambda: CycloNumber(1, 2), "a"),
     "QMatrix": (lambda: QMatrix([[1, 2]]), "entries"),
     "LinearForm": (lambda: arrangement.LinearForm([1, 0, 0, 0]), "coeffs"),
-    "P3Point": (lambda: arrangement.P3Point([1, 0, 0, 1]), "coords"),
     "Arrangement": (arrangement.tempered_arrangement, "d"),
     "H2Class": (lambda: H2Class(3, {("l", 1): 1}), "coords"),
     "Precycle": (lambda: cycles.Precycle((1, 2), ("L", 2), ("L", 3)), "support"),

@@ -69,13 +69,6 @@ class TestCycloNumber:
     def test_defining_relation(self):
         assert MU * MU == MU - 1
 
-    def test_conjugation(self):
-        assert MU.conjugate() == CycloNumber(1) - MU
-        x = CycloNumber(Fraction(2, 3), Fraction(-5, 7))
-        n = x * x.conjugate()
-        assert n.b == 0 and n.a >= 0
-        assert n.a == x.norm()
-
     def test_sixth_root(self):
         z = cyclo_embed(MU)
         assert abs(z ** 6 - 1) < 1e-12
@@ -88,10 +81,6 @@ class TestCycloNumber:
         assert cyclo_embed(CycloNumber(2) - MU) == pytest.approx(complex(1.5, -0.8660254037844386))
         # mu^2 = mu - 1 numerically too
         assert cyclo_embed(MU * MU) == pytest.approx(cyclo_embed(MU - 1))
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            CycloNumber(0).inverse()
 
     def test_inexact_scalars_rejected(self):
         # an exact scalar is an int, a Fraction or a CycloNumber
@@ -110,8 +99,6 @@ class TestCycloNumber:
         z = CycloNumber(e, f)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        if not x.is_zero():
-            assert x * x.inverse() == CycloNumber(1)
 
     @given(a=small_fraction, b=small_fraction, c=small_fraction, d=small_fraction)
     @settings(max_examples=60, deadline=None)
@@ -120,10 +107,6 @@ class TestCycloNumber:
         y = CycloNumber(c, d)
         assert abs(cyclo_embed(x * y) - cyclo_embed(x) * cyclo_embed(y)) < 1e-12
         assert abs(cyclo_embed(x + y) - (cyclo_embed(x) + cyclo_embed(y))) < 1e-12
-
-    def test_conjugate_matches_complex_conjugation(self):
-        x = CycloNumber(Fraction(3, 5), Fraction(-2, 3))
-        assert cyclo_embed(x.conjugate()) == pytest.approx(cyclo_embed(x).conjugate())
 
 
 class TestRankKernel:
