@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import degeneration
 from .degeneration import H2Class, in_kernel, reduce_raw
-from .exactlin import QMatrix, _Frozen, rank
+from .exactlin import QMatrix, _Frozen, _exact, rank
 
 FormSel = tuple[str, int]
 
@@ -161,7 +161,7 @@ def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
     return reduce_raw(d, raw)
 
 
-def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
+def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
     """Exact coordinates of x over the distinguished kernel basis, or None
     when x lies off the kernel or the basis does not reassemble it.
 
@@ -182,12 +182,12 @@ def express_in_B(x: H2Class, d: int) -> tuple[Fraction, ...] | None:
         return None
     cx = dict(x.coords)
     pair = {
-        (i, j, l): Fraction(cx.get(("e", i, j, l), 0), d)
+        (i, j, l): _exact(Fraction(cx.get(("e", i, j, l), 0), d))
         for i, j in combinations(range(1, d + 1), 2)
         for l in range(1, d)
     }
     total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
-    coeffs = (Fraction(total), *pair.values())
+    coeffs = (_exact(total), *pair.values())
     if H2Class._sum(d, ((c, b.coords) for c, b in zip(coeffs, basis) if c)) != x:
         return None
     return coeffs
@@ -346,7 +346,7 @@ class ThreefoldBoundary(_Frozen):
 
     __slots__ = ("side", "lines")
     side: str  # "L" or "M"
-    lines: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    lines: tuple[tuple[tuple[int, int, int], int], ...]
 
 
 def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> ThreefoldBoundary:
@@ -358,8 +358,8 @@ def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> Three
     if side not in ("L", "M"):
         raise ValueError(f"side must be 'L' or 'M', got {side!r}")
     lines = (
-        ((i, j, l), Fraction(1)),
-        ((j, k, l), Fraction(1)),
-        ((i, k, l), Fraction(-1)),
+        ((i, j, l), 1),
+        ((j, k, l), 1),
+        ((i, k, l), -1),
     )
     return ThreefoldBoundary(side, lines)

@@ -17,8 +17,8 @@ in closed form: the relations by a signed identity block
 (:func:`relation_block_holds`), phi by its zero row sum and d-1 unit
 difference columns (:func:`phi_rank_holds`), and the kernel basis by
 membership, the diagonal-block certificate and the dimension count
-(:func:`spans_kernel`).  Coefficients are ``int`` unless a class is
-genuinely rational.
+(:func:`spans_kernel`).  Coefficients follow the one scalar rule of
+:mod:`exactlin`: ``int`` unless a class is genuinely rational.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactlin import QMatrix, QVector, _Frozen, _as_fraction, kernel_basis
+from .exactlin import QMatrix, QVector, _Frozen, _exact, kernel_basis
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -61,19 +61,11 @@ def coordinate_dim(d: int) -> int:
     return d + (d - 1) * (d * (d - 1) // 2)
 
 
-def _exact(c) -> int | Fraction:
-    """An exact coefficient: int when integral, else a Fraction.  Floats and
-    other inexact values raise TypeError."""
-    if type(c) is int:
-        return c
-    c = _as_fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class H2Class(_Frozen):
     """A class in canonical coordinates: no e-generator with l = d appears.
 
-    Integral coefficients are stored as ``int``, others as ``Fraction``.
+    Coefficients follow the exact-scalar rule of :mod:`exactlin`:
+    ``int`` when integral, else ``Fraction``.
     """
 
     __slots__ = ("d", "coords")

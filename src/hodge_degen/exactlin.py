@@ -1,12 +1,17 @@
 """Exact scalars and exact linear algebra over Q.
 
-Scalars are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator) and :class:`CycloNumber`, the quadratic extension Q(mu) with
-mu a primitive 6th root of unity, presented by mu^2 = mu - 1; it has
-``+``, ``-`` and ``*`` but no division: the exact point path runs on
-Z[mu] integers and divides only in ``arrangement.chart_xy``, by an
-integer norm.  An exact input is an ``int``, a ``Fraction`` or a
-``CycloNumber``; anything else, a float or a string, raises TypeError.
+One rule decides what an exact rational is, for the whole package
+(:func:`_exact`): an ``int`` when the value is integral, else a reduced
+stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
+float, a string or any other inexact value raises TypeError.  Every
+store follows it (``QMatrix`` entries, ``CycloNumber`` parts,
+``degeneration.H2Class`` coefficients) and so does every output of the
+routines below, so ``Fraction`` appears only for a genuinely rational
+value.  :class:`CycloNumber` is the quadratic extension Q(mu) with mu a
+primitive 6th root of unity, presented by mu^2 = mu - 1; it has ``+``,
+``-`` and ``*`` but no division: the exact point path runs on Z[mu]
+integers and divides only in ``arrangement.chart_xy``, by an integer
+norm.
 
 Matrix routines (rank, kernel, span membership) run a fraction-free
 elimination: rows are scaled to integers once and reduced by their gcd
@@ -17,18 +22,22 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 
-QVector = tuple[Fraction, ...]
+QVector = tuple[int | Fraction, ...]
 
 _SQRT3_2 = sqrt(3.0) / 2.0
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> int | Fraction:
+    """x as an exact scalar: an int when integral, else a reduced Fraction.
+    Floats, strings and other inexact values raise TypeError."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -78,18 +87,16 @@ class CycloNumber(_Frozen):
     """a + b*mu with mu = (1 + sqrt(3) i)/2, so mu^2 = mu - 1."""
 
     __slots__ = ("a", "b")
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        object.__setattr__(self, "a", _exact(a))
+        object.__setattr__(self, "b", _exact(b))
 
     @classmethod
     def coerce(cls, x) -> "CycloNumber":
-        if isinstance(x, CycloNumber):
-            return x
-        return cls(_as_fraction(x))
+        return x if isinstance(x, CycloNumber) else cls(x)
 
     def __add__(self, o):
         o = CycloNumber.coerce(o)
@@ -133,13 +140,13 @@ def cyclo_embed(x: CycloNumber) -> complex:
 
 
 class QMatrix(_Frozen):
-    """Dense matrix of Fractions."""
+    """Dense matrix of exact scalars."""
 
     __slots__ = ("entries",)
     entries: tuple[QVector, ...]
 
     def __init__(self, rows: Iterable[Iterable]):
-        ent = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        ent = tuple(tuple(map(_exact, row)) for row in rows)
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", ent)
@@ -152,12 +159,12 @@ class QMatrix(_Frozen):
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def mul_vector(self, v: Sequence[Fraction]) -> QVector:
+    def mul_vector(self, v: Sequence[int | Fraction]) -> QVector:
         """m v, summing only over the nonzero coordinates of v."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch")
         support = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in self.entries)
+        return tuple(_exact(sum(row[j] * x for j, x in support)) for row in self.entries)
 
 
 def _int_rows(m: QMatrix) -> list[dict[int, int]]:
@@ -165,10 +172,8 @@ def _int_rows(m: QMatrix) -> list[dict[int, int]]:
     out = []
     for row in m.entries:
         support = [(j, x) for j, x in enumerate(row) if x]
-        scale = 1
-        for _, x in support:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append({j: int(x * scale) for j, x in support})
+        scale = lcm(*(x.denominator for _, x in support))
+        out.append({j: x.numerator * (scale // x.denominator) for j, x in support})
     return out
 
 
@@ -181,11 +186,10 @@ def _reduce_row(r: dict[int, int]) -> dict[int, int]:
     return dict(r)
 
 
-def _echelon(rows: list[dict[int, int]]) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
+def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """Fraction-free forward elimination on sparse integer rows.
 
-    Returns (pivots, order) where pivots is a list of (pivot column, row)
-    and order records pivot columns in elimination order.
+    Returns the pivots as (pivot column, row), sorted by column.
     """
     pivots: list[tuple[int, dict[int, int]]] = []
     for r in rows:
@@ -207,15 +211,14 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[tuple[int, dict[int, int]
                 r = {j: -v for j, v in r.items()}
             pivots.append((pc, r))
     pivots.sort(key=lambda t: t[0])
-    return pivots, [pc for pc, _ in pivots]
+    return pivots
 
 
 def rank(m: QMatrix) -> int:
     """Rank over Q by exact fraction-free elimination."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    pivots, _ = _echelon(_int_rows(m))
-    return len(pivots)
+    return len(_echelon(_int_rows(m)))
 
 
 def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -227,7 +230,7 @@ def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int
             f = r.get(qc)
             if f:
                 for j, v in qrow.items():
-                    r[j] = r.get(j, Fraction(0)) - f * v
+                    r[j] = r.get(j, 0) - f * v
                 r = {j: v for j, v in r.items() if v != 0}
         reduced.append((pc, r))
     reduced.reverse()
@@ -239,31 +242,34 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
     n = m.cols
     if n == 0:
         return []
-    pivots, pivot_cols = _echelon(_int_rows(m))
-    reduced = _back_substitute(pivots)
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(n) if j not in pivot_set]
+    reduced = _back_substitute(_echelon(_int_rows(m)))
+    pivot_set = {pc for pc, _ in reduced}
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [0] * n
+        v[fc] = 1
         for pc, row in reduced:
-            v[pc] = -row.get(fc, Fraction(0))
+            v[pc] = -_exact(row.get(fc, 0))
         basis.append(tuple(v))
     return basis
 
 
-def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[bool, QVector | None]:
+def in_span(
+    vectors: Sequence[Sequence[int | Fraction]], v: Sequence[int | Fraction]
+) -> tuple[bool, QVector | None]:
     """Exact membership of v in span(vectors); returns coefficients when inside.
 
-    All vectors must share one dimension.
+    All vectors must share one dimension.  The entries are normalised
+    once, where the stacked matrix is built.
     """
-    vecs = [tuple(_as_fraction(x) for x in w) for w in vectors]
-    target = tuple(_as_fraction(x) for x in v)
+    vecs = [tuple(w) for w in vectors]
+    target = tuple(v)
     if any(len(w) != len(target) for w in vecs):
         raise ValueError("dimension mismatch")
     if not target:
-        return (True, tuple(Fraction(0) for _ in vecs))
+        return (True, (0,) * len(vecs))
     # v is in the span iff the last column of [vectors | v] is free; the
     # kernel vector of that column is then the last one and reads 1 there,
     # so v = sum_j -k_j w_j.  A pivot column reads 0 in every kernel vector.

@@ -91,21 +91,8 @@ def conjugate_at(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
 
 
 def imaginary_part(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
-    """-(i/2) (v - conj(v)) with the frame conjugation at t.
-
-    Built in one pass over v, with the arithmetic of :func:`conjugate_at`
-    inlined: only the e0 and e1 coordinates of conj(v) pick up terms.
-    """
-    if len(v) != frame.dim:
-        raise ValueError("frame vector dimension mismatch")
-    iml = imag_log_coeff(t)
-    x0, x1, x2 = v[0], v[1], v[2]
-    w1, w2 = x1.conjugate(), x2.conjugate()
-    return (
-        -0.5j * (x0 - (x0.conjugate() + 2j * iml * w1 - 2.0 * iml * iml * w2)),
-        -0.5j * (x1 - (w1 + 2j * iml * w2)),
-        *[-0.5j * (x - x.conjugate()) for x in v[2:]],
-    )
+    """-(i/2) (v - conj(v)) with the frame conjugation at t (:func:`conjugate_at`)."""
+    return tuple(-0.5j * (x - y) for x, y in zip(v, conjugate_at(v, t, frame)))
 
 
 def pair(u: FrameVector, v: FrameVector, frame: Frame) -> complex:
@@ -249,10 +236,6 @@ class PairingLimit(_Frozen):
     __slots__ = ("value", "residuals")
     value: complex
     residuals: tuple[float, ...]
-
-    def __init__(self, value: complex, residuals: tuple[float, ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "residuals", residuals)
 
 
 def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[PairingLimit]:

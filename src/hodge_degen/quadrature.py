@@ -68,9 +68,11 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Globally adaptive: the panel with the worst error estimate is bisected
-    until the total estimate meets tol.  Panels at the roundoff floor stop
-    counting towards the estimate.  If the budget of ``MAX_PANELS`` panels
-    runs out first, :class:`QuadratureError` is raised rather than an
+    until the total estimate meets tol.  A panel at the roundoff floor is
+    final: it leaves the queue and stops counting towards the estimate,
+    so the loop also ends once every panel is final.  If the budget of
+    ``MAX_PANELS`` panels, final ones included, runs out first, or the
+    estimate is NaN, :class:`QuadratureError` is raised rather than an
     unconverged value returned.  Deterministic for fixed inputs; the final
     sum runs in interval order.
     """
@@ -80,13 +82,14 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     b = float(b)
     val, err = _gk15(f, a, b)
     heap = [(-err, a, b, val)]
+    final = []
     total_err = err
-    while total_err > tol and len(heap) < MAX_PANELS:
+    while heap and total_err > tol and len(heap) + len(final) < MAX_PANELS:
         neg_err, pa, pb, pval = heapq.heappop(heap)
         worst = -neg_err
         if worst <= 1e-16 * (abs(pval) + 1.0) or pb - pa < 1e-15 * max(1.0, abs(pa)):
             # roundoff floor; further splitting cannot help
-            heapq.heappush(heap, (0.0, pa, pb, pval))
+            final.append((neg_err, pa, pb, pval))
             total_err -= worst
             continue
         m = 0.5 * (pa + pb)
@@ -95,11 +98,11 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
         heapq.heappush(heap, (-e1, pa, m, v1))
         heapq.heappush(heap, (-e2, m, pb, v2))
         total_err += e1 + e2 - worst
-    if not total_err <= tol:  # also catches a NaN estimate
+    if heap and not total_err <= tol:  # also catches a NaN estimate
         raise QuadratureError(
-            f"error estimate {total_err:.3g} above tol {tol:.3g} after {len(heap)} panels on [{a}, {b}]"
+            f"error estimate {total_err:.3g} above tol {tol:.3g} after {len(heap) + len(final)} panels on [{a}, {b}]"
         )
-    panels = sorted(heap, key=lambda p: p[1])
+    panels = sorted(heap + final, key=lambda p: p[1])
     return sum(p[3] for p in panels)
 
 

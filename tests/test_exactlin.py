@@ -13,8 +13,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_degen.degeneration import phi_matrix
-
+from hodge_degen.cycles import express_in_B, threefold_boundary
+from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
 from hodge_degen.exactlin import (
     MU,
     CycloNumber,
@@ -227,3 +227,75 @@ class TestInSpan:
         assert ok and coeffs == ()
         ok, coeffs = in_span([], (1, 0))
         assert not ok and coeffs is None
+
+
+# ints, bools, and integral and non-integral Fractions: every exact input
+exact_scalar = st.one_of(
+    st.integers(-6, 6),
+    st.booleans(),
+    st.integers(-6, 6).map(Fraction),
+    small_fraction,
+)
+
+
+def one_format(x) -> bool:
+    """The package's scalar rule: an int exactly when the value is integral,
+    else a Fraction (never a bool, float or integral Fraction)."""
+    if type(x) is int:
+        return True
+    return type(x) is Fraction and x.denominator != 1
+
+
+class TestOneScalarFormat:
+    """Every store and every output holds an int exactly when the value is
+    integral, and a Fraction otherwise."""
+
+    @given(st.lists(st.lists(exact_scalar, min_size=3, max_size=3), min_size=1, max_size=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matrix_stores_and_outputs(self, rows, data):
+        m = QMatrix(rows)
+        assert all(one_format(x) for row in m.entries for x in row)
+        assert m.entries == tuple(tuple(Fraction(x) for x in row) for row in rows)
+        v = data.draw(st.lists(exact_scalar, min_size=3, max_size=3))
+        assert all(one_format(x) for x in m.mul_vector(v))
+        assert all(one_format(x) for k in kernel_basis(m) for x in k)
+        ok, coeffs = in_span(rows, v)
+        assert ok == (coeffs is not None)
+        assert all(one_format(x) for x in coeffs or ())
+
+    @given(exact_scalar, exact_scalar, exact_scalar, exact_scalar)
+    @settings(max_examples=80, deadline=None)
+    def test_cyclo_parts(self, a, b, c, d):
+        x, y = CycloNumber(a, b), CycloNumber(c, d)
+        for z in (x, y, x + y, x - y, x * y, x * c, CycloNumber.coerce(a)):
+            assert one_format(z.a) and one_format(z.b)
+
+    @given(exact_scalar, exact_scalar, exact_scalar)
+    @settings(max_examples=80, deadline=None)
+    def test_h2_class_and_kernel_coordinates(self, a, b, c):
+        x = H2Class(3, {("l", 1): a, ("l", 2): b})
+        y = reduce_raw(3, {("e", 1, 2, 3): c, ("l", 3): a})
+        for z in (x, y, x + y, x - y, x.scale(c)):
+            assert all(one_format(v) for _, v in z.coords)
+            assert all(one_format(v) for v in z.vector())
+        basis = hodge_kernel_basis(3)
+        k = H2Class._sum(3, ((a, basis[0].coords), (b, basis[1].coords), (c, basis[5].coords)))
+        coords = express_in_B(k, 3)
+        assert coords is not None and all(one_format(v) for v in coords)
+        assert coords[:2] == (a, b) and coords[5] == c
+
+    def test_threefold_boundary_lines(self):
+        assert all(type(c) is int for _, c in threefold_boundary(1, 2, 3, 1).lines)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", "1/2"])
+    def test_inexact_raises_everywhere(self, bad):
+        for make in (
+            lambda: QMatrix([[1, bad]]),
+            lambda: CycloNumber(1, bad),
+            lambda: CycloNumber.coerce(bad),
+            lambda: H2Class(3, {("l", 1): bad}),
+            lambda: in_span([(1, 0)], (1, bad)),
+            lambda: in_span([(1, bad)], (1, 0)),
+        ):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                make()

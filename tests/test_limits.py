@@ -186,6 +186,21 @@ class TestModels:
         with pytest.raises(ValueError):
             imaginary_part((0j,) * (frame.dim - 1), T_UNIT, frame)
 
+    def test_imaginary_part_matches_conjugation_matrix(self, frame):
+        # Im v = (v - C conj(v)) / 2i with the conjugation matrix C written
+        # out: conj(e1) = e1 + 2i m e0, conj(e2) = e2 + 2i m e1 - 2 m^2 e0,
+        # m = -log|t| / 2 pi, every other basis vector real
+        rng = np.random.default_rng(22)
+        for t in (*T_SEQUENCE, T_UNIT, 0.7 - 0.2j):
+            m = -math.log(abs(t)) / (2 * math.pi)
+            conj = np.eye(frame.dim, dtype=complex)
+            conj[0, 1] = conj[1, 2] = 2j * m
+            conj[0, 2] = -2 * m * m
+            v = np.array(random_vector(rng, frame.dim))
+            want = (v - conj @ v.conj()) / 2j
+            got = np.array(imaginary_part(tuple(v), t, frame))
+            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
 
 class TestPairingLimits:
     def test_limit_vs_eta(self, frame):

@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,6 +35,33 @@ def test_exhausted_budget_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-14)
+
+
+BELOW_ROUNDOFF = """
+import cmath
+from hodge_degen.quadrature import adaptive_quad
+
+f = lambda x: cmath.exp(3j * x) / (1.1 + x)
+print(adaptive_quad(f, 0.0, 1.0, 1e-300) == adaptive_quad(f, 0.0, 1.0, 1e-12))
+"""
+
+
+def test_tol_below_roundoff_returns():
+    # every panel reaches the roundoff floor while float drift keeps the
+    # running estimate above tol; the call must still return, and with the
+    # value it has at a reachable tol.  A fresh process, so a hang fails by
+    # timeout instead of stalling the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadrature.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", BELOW_ROUNDOFF], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.nan if x > 0.9 else 1.0])
+def test_nan_estimate_raises(f):
+    with pytest.raises(QuadratureError):
+        adaptive_quad(f, 0.0, 1.0)
 
 
 def test_double_integral_separable():
