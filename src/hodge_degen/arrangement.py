@@ -1,8 +1,10 @@
-"""Plane arrangements in P^3 over Q(mu).
+"""Plane arrangements in P^3 over Z[mu].
 
-Holds the 2d linear forms cutting out the degenerating pencil, certifies
-general position exactly by minor expansions over Z[mu] (each form scaled
-to integer coefficients), and computes the triple intersection points and,
+An element a + b*mu, mu = (1 + sqrt(3) i)/2 so that mu^2 = mu - 1, is the
+pair (a, b) throughout; :func:`_signed_sum` is its one product.  Holds
+the 2d linear forms cutting out the degenerating pencil, each with Z[mu]
+integer coefficients, certifies general position exactly by minor
+expansions over Z[mu], and computes the triple intersection points and,
 with :func:`sweep_vertices`, the chart coordinates of the period triangle
 in the order the membrane integral sweeps them.  A point stays a
 homogeneous quadruple of Z[mu] integers, unnormalised; :func:`chart_xy`
@@ -16,11 +18,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .exactlin import CYCLO_ONE, MU, CycloNumber, _Frozen
+from .exactlin import _exact, _Frozen
 
 FormSelector = tuple[str, int]  # ("L", i) or ("M", l), 1-based
+ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
+ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
+QMu = tuple[int | Fraction, int | Fraction]  # a + b*mu in Q(mu)
 
 
 class DegenerateIntersectionError(ValueError):
@@ -36,18 +40,21 @@ class ChartError(ValueError):
 
 
 class LinearForm(_Frozen):
-    """Coefficients of X, Y, Z, W."""
+    """Coefficients of X, Y, Z, W, as Z[mu] integer pairs (a, b); an int n
+    reads as (n, 0)."""
 
     __slots__ = ("coeffs",)
-    coeffs: tuple[CycloNumber, CycloNumber, CycloNumber, CycloNumber]
+    coeffs: ZMuPoint
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(CycloNumber.coerce(c) for c in coeffs)
+        cs = tuple((c, 0) if isinstance(c, int) else c for c in coeffs)
+        if not all(type(c) is tuple and len(c) == 2 and all(isinstance(x, int) for x in c) for c in cs):
+            raise TypeError(f"not Z[mu] integers (a, b): {coeffs!r}")
         if len(cs) != 4:
             raise ValueError("a linear form on P^3 has 4 coefficients")
-        if all(c.is_zero() for c in cs):
+        if all(c == (0, 0) for c in cs):
             raise ValueError("zero form")
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple((int(a), int(b)) for a, b in cs))
 
 
 class Arrangement(_Frozen):
@@ -72,21 +79,6 @@ class Arrangement(_Frozen):
 
     def all_selectors(self) -> list[FormSelector]:
         return [("L", i) for i in range(1, self.d + 1)] + [("M", l) for l in range(1, self.d + 1)]
-
-
-ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
-ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
-
-
-def _integer_coeffs(form: LinearForm) -> list[ZMu]:
-    """The form's coefficients scaled by the lcm of their denominators.
-
-    A positive rational multiple of a form cuts the same plane, so general
-    position does not change, and neither do the intersection points as
-    points of P^3.
-    """
-    m = lcm(*(q.denominator for c in form.coeffs for q in (c.a, c.b)))
-    return [(int(c.a * m), int(c.b * m)) for c in form.coeffs]
 
 
 def _signed_sum(terms) -> ZMu:
@@ -157,7 +149,7 @@ def validate_general_position(a: Arrangement) -> GeneralPositionReport:
     selector subset is reported.
     """
     sels = a.all_selectors()
-    rows = [_integer_coeffs(a.form(s)) for s in sels]
+    rows = [a.form(s).coeffs for s in sels]
     minors = {(i, j): _minors2(rows[i], rows[j]) for i, j in combinations(range(len(rows)), 2)}
     for i, j, k in combinations(range(len(rows)), 3):
         if all(m == (0, 0) for m in _minors3(rows[i], minors[j, k])):
@@ -170,12 +162,12 @@ def validate_general_position(a: Arrangement) -> GeneralPositionReport:
 
 def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: FormSelector) -> ZMuPoint:
     """Exact common point of three independent forms, as homogeneous Z[mu]
-    integers: coordinate k is (-1)^k times the 3x3 minor, of the rows
-    scaled by :func:`_integer_coeffs`, without column k.  Unnormalised."""
+    integers: coordinate k is (-1)^k times the 3x3 minor of the forms'
+    coefficients without column k.  Unnormalised."""
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(sels)
-    rows = [_integer_coeffs(a.form(sel)) for sel in sels]
+    rows = [a.form(sel).coeffs for sel in sels]
     r, s, u = rows
     # the minors come for the column triples in lex order, which omit
     # columns 3, 2, 1, 0 in turn
@@ -190,29 +182,29 @@ def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: F
     return point
 
 
-def chart_xy(point: ZMuPoint) -> tuple[CycloNumber, CycloNumber]:
+def chart_xy(point: ZMuPoint) -> tuple[QMu, QMu]:
     """(X/Z, Y/Z) of a homogeneous Z[mu] point, as X conj(Z) / N(Z) and
     Y conj(Z) / N(Z): conj(a + b mu) = (a + b) - b mu and
     N(a + b mu) = Z conj(Z) = a^2 + a b + b^2, a positive integer unless
-    Z = 0, which misses the chart."""
+    Z = 0, which misses the chart.  Each coordinate is a pair of exact
+    scalars, an int when integral and a Fraction otherwise."""
     x, y, (a, b), _ = point
     n = a * a + a * b + b * b
     if n == 0:
         raise ChartError(f"point {point} has Z = 0")
     conj = (a + b, -b)
-    (xa, xb), (ya, yb) = (_signed_sum(((1, c, conj),)) for c in (x, y))
-    return CycloNumber(Fraction(xa, n), Fraction(xb, n)), CycloNumber(Fraction(ya, n), Fraction(yb, n))
+    return tuple(tuple(_exact(Fraction(v, n)) for v in _signed_sum(((1, c, conj),))) for c in (x, y))
 
 
 def tempered_arrangement() -> Arrangement:
-    """The distinguished d = 4 arrangement over Q(mu).
+    """The distinguished d = 4 arrangement over Z[mu].
 
     L forms are the coordinate planes; each M has unit and mu coefficients
     so that all triple points have root-of-unity chart coordinates.  Its
     general position is certified by :func:`validate_general_position`,
     which the ``aj`` report runs as a check of its own.
     """
-    one = CYCLO_ONE
+    mu = (0, 1)
     L = [
         LinearForm([1, 0, 0, 0]),
         LinearForm([0, 1, 0, 0]),
@@ -220,10 +212,10 @@ def tempered_arrangement() -> Arrangement:
         LinearForm([0, 0, 0, 1]),
     ]
     M = [
-        LinearForm([one, MU, -one, one]),
-        LinearForm([MU, -one, one, one]),
-        LinearForm([-one, one, MU, one]),
-        LinearForm([one, one, one, -MU]),
+        LinearForm([1, mu, -1, 1]),
+        LinearForm([mu, -1, 1, 1]),
+        LinearForm([-1, 1, mu, 1]),
+        LinearForm([1, 1, 1, (0, -1)]),
     ]
     return Arrangement(L, M)
 

@@ -4,14 +4,12 @@ One rule decides what an exact rational is, for the whole package
 (:func:`_exact`): an ``int`` when the value is integral, else a reduced
 stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
 float, a string or any other inexact value raises TypeError.  Every
-store follows it (``QMatrix`` entries, ``CycloNumber`` parts,
-``degeneration.H2Class`` coefficients) and so does every output of the
-routines below, so ``Fraction`` appears only for a genuinely rational
-value.  :class:`CycloNumber` is the quadratic extension Q(mu) with mu a
-primitive 6th root of unity, presented by mu^2 = mu - 1; it has ``+``,
-``-`` and ``*`` but no division: the exact point path runs on Z[mu]
-integers and divides only in ``arrangement.chart_xy``, by an integer
-norm.
+store follows it (``QMatrix`` entries, ``degeneration.H2Class``
+coefficients, the parts of ``arrangement.chart_xy``) and so does every
+output of the routines below, so ``Fraction`` appears only for a
+genuinely rational value.  An element a + b*mu of Q(mu), mu a primitive
+6th root of unity, is the pair (a, b); its arithmetic lives in
+``arrangement``, and :func:`cyclo_embed` maps it into the complex plane.
 
 Matrix routines (rank, kernel, span membership) run a fraction-free
 elimination: rows are scaled to integers once and reduced by their gcd
@@ -83,59 +81,10 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
 
 
-class CycloNumber(_Frozen):
-    """a + b*mu with mu = (1 + sqrt(3) i)/2, so mu^2 = mu - 1."""
-
-    __slots__ = ("a", "b")
-    a: int | Fraction
-    b: int | Fraction
-
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _exact(a))
-        object.__setattr__(self, "b", _exact(b))
-
-    @classmethod
-    def coerce(cls, x) -> "CycloNumber":
-        return x if isinstance(x, CycloNumber) else cls(x)
-
-    def __add__(self, o):
-        o = CycloNumber.coerce(o)
-        return CycloNumber(self.a + o.a, self.b + o.b)
-
-    def __neg__(self):
-        return CycloNumber(-self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-CycloNumber.coerce(o))
-
-    def __mul__(self, o):
-        o = CycloNumber.coerce(o)
-        # (a + b mu)(c + d mu) with mu^2 = mu - 1
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return CycloNumber(a * c - b * d, a * d + b * c + b * d)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"Cyclo({self.a})"
-        return f"Cyclo({self.a} + {self.b}*mu)"
-
-
-MU = CycloNumber(0, 1)
-CYCLO_ONE = CycloNumber(1, 0)
-
-
-def cyclo_embed(x: CycloNumber) -> complex:
-    """Numerical embedding sending mu to 0.5 + (sqrt(3)/2) i."""
-    a = float(x.a)
-    b = float(x.b)
+def cyclo_embed(x: tuple[int | Fraction, int | Fraction]) -> complex:
+    """Numerical embedding of a + b*mu, given as the pair (a, b) of exact
+    scalars, sending mu to 0.5 + (sqrt(3)/2) i."""
+    a, b = map(float, x)
     return complex(a + 0.5 * b, _SQRT3_2 * b)
 
 

@@ -11,7 +11,9 @@ from collections.abc import Callable
 
 
 class QuadratureError(RuntimeError):
-    """The panel budget ran out before the error estimate met the tolerance."""
+    """The error estimate did not meet the tolerance: the panel budget ran
+    out, a panel too narrow to split kept an error above roundoff, or the
+    estimate is NaN."""
 
 
 # the panel budget of one adaptive_quad call
@@ -71,7 +73,8 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     until the total estimate meets tol.  A panel at the roundoff floor is
     final: it leaves the queue and stops counting towards the estimate,
     so the loop also ends once every panel is final.  If the budget of
-    ``MAX_PANELS`` panels, final ones included, runs out first, or the
+    ``MAX_PANELS`` panels, final ones included, runs out first, a panel
+    too narrow to split has an error above the roundoff floor, or the
     estimate is NaN, :class:`QuadratureError` is raised rather than an
     unconverged value returned.  Deterministic for fixed inputs; the final
     sum runs in interval order.
@@ -87,11 +90,16 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     while heap and total_err > tol and len(heap) + len(final) < MAX_PANELS:
         neg_err, pa, pb, pval = heapq.heappop(heap)
         worst = -neg_err
-        if worst <= 1e-16 * (abs(pval) + 1.0) or pb - pa < 1e-15 * max(1.0, abs(pa)):
+        if worst <= 1e-16 * (abs(pval) + 1.0):
             # roundoff floor; further splitting cannot help
             final.append((neg_err, pa, pb, pval))
             total_err -= worst
             continue
+        if pb - pa < 1e-15 * max(1.0, abs(pa)):
+            # the worst panel cannot be split, and its error is not roundoff
+            raise QuadratureError(
+                f"panel [{pa}, {pb}] too narrow to split, error estimate {worst:.3g} above roundoff, tol {tol:.3g}"
+            )
         m = 0.5 * (pa + pb)
         v1, e1 = _gk15(f, pa, m)
         v2, e2 = _gk15(f, m, pb)

@@ -1,11 +1,17 @@
-"""Arrangement geometry: general position, triple points, chart triangle."""
+"""Arrangement geometry: general position, triple points, chart triangle.
+
+The oracles compute in sympy's field Q(sqrt(-3)), which contains
+mu = (1 + sqrt(-3))/2, and share no code with the package.
+"""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from hodge_degen import arrangement
 from hodge_degen.arrangement import (
@@ -20,10 +26,11 @@ from hodge_degen.arrangement import (
     tempered_arrangement,
     validate_general_position,
 )
-from hodge_degen.exactlin import MU, CycloNumber, cyclo_embed
+from hodge_degen.exactlin import cyclo_embed
 
-ONE = CycloNumber(1)
 THIRD = Fraction(1, 3)
+QMU = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+MU = QMU.from_sympy((1 + sympy.sqrt(-3)) / 2)
 
 
 @pytest.fixture(scope="module")
@@ -31,35 +38,36 @@ def tempered():
     return tempered_arrangement()
 
 
-def cyclo_det(rows):
-    """Oracle: Laplace expansion over Q(mu) with CycloNumber arithmetic."""
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = CycloNumber(0)
-    for j, x in enumerate(rows[0]):
-        if x.is_zero():
-            continue
-        term = x * cyclo_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        acc = acc + (-term if j % 2 else term)
-    return acc
+def to_field(x):
+    """a + b mu in sympy's Q(sqrt(-3)), from the pair (a, b) of exact
+    scalars."""
+    a, b = x
+    return QMU.convert(a) + QMU.convert(b) * MU
 
 
-def cyclo_rows(rows):
-    """Z[mu] pairs (a, b) as CycloNumbers a + b mu."""
-    return [[CycloNumber(a, b) for a, b in row] for row in rows]
+def from_field(x):
+    """The Z[mu] integer pair (a, b) of a + b mu = re + im i in Q(sqrt(-3)):
+    b = 2 im / sqrt(3) and a = re - b / 2."""
+    re, im = QMU.to_sympy(x).as_real_imag()
+    b = 2 * im / sympy.sqrt(3)
+    return (int(re - b / 2), int(b))
 
 
-def cyclo_eval(form, point):
-    """Oracle: the form at a Z[mu] point, in CycloNumber arithmetic."""
-    return sum((c * CycloNumber(*x) for c, x in zip(form.coeffs, point)), CycloNumber(0))
+def field_matrix(rows):
+    """A matrix of Z[mu] pairs as a sympy DomainMatrix over Q(sqrt(-3))."""
+    return DomainMatrix([[to_field(x) for x in row] for row in rows], (len(rows), len(rows[0])), QMU)
+
+
+def field_eval(form, point):
+    """Oracle: the form at a Z[mu] point, in Q(sqrt(-3))."""
+    return sum((to_field(c) * to_field(x) for c, x in zip(form.coeffs, point)), QMU.zero)
 
 
 def same_point(p, q):
-    """Two nonzero homogeneous quadruples are one point of P^3 iff every
-    2x2 cross product p_i q_j - p_j q_i vanishes (CycloNumber arithmetic)."""
-    p, q = cyclo_rows([p, q])
-    assert any(p) and any(q)
-    return all((p[i] * q[j] - p[j] * q[i]).is_zero() for i, j in combinations(range(4), 2))
+    """Two nonzero homogeneous quadruples are one point of P^3 iff they
+    span a line: the 2x4 matrix of both has rank 1 over Q(sqrt(-3))."""
+    assert any(x != (0, 0) for x in p) and any(x != (0, 0) for x in q)
+    return field_matrix([p, q]).rank() == 1
 
 
 def minor_det(rows):
@@ -83,9 +91,9 @@ def zmu_matrices(draw):
     n = draw(st.sampled_from([3, 4]))
     rows = [draw(st.lists(small_zmu, min_size=n, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
-        coeffs = [CycloNumber(*draw(small_zmu)) for _ in range(n - 1)]
-        last = [sum((c * CycloNumber(*r[k]) for c, r in zip(coeffs, rows)), CycloNumber(0)) for k in range(n)]
-        rows[-1] = [(int(x.a), int(x.b)) for x in last]
+        coeffs = [to_field(draw(small_zmu)) for _ in range(n - 1)]
+        last = [sum((c * to_field(r[k]) for c, r in zip(coeffs, rows)), QMU.zero) for k in range(n)]
+        rows[-1] = [from_field(x) for x in last]
     return rows
 
 
@@ -93,8 +101,7 @@ class TestDeterminant:
     @given(zmu_matrices())
     @settings(max_examples=150, deadline=None)
     def test_matches_cyclo_laplace(self, rows):
-        a, b = minor_det(rows)
-        assert CycloNumber(a, b) == cyclo_det(cyclo_rows(rows))
+        assert to_field(minor_det(rows)) == field_matrix(rows).det()
 
     def test_singular_examples(self):
         row = [(1, 2), (0, -1), (3, 0)]
@@ -106,9 +113,11 @@ class TestDeterminant:
         assert minor_det([row4, other, [(0, 0), (4, 1), (1, 0), (2, -2)], row4]) == (0, 0)
         assert minor_det([other, row4, [(5, 1), (0, 2), (1, -1), (0, 0)], [(-b, a + b) for a, b in row4]]) == (0, 0)
 
-    def test_integer_scaling(self):
-        form = LinearForm([Fraction(1, 2), CycloNumber(Fraction(1, 3), Fraction(-1, 4)), 0, 2])
-        assert arrangement._integer_coeffs(form) == [(6, 0), (4, -3), (0, 0), (24, 0)]
+    def test_field_pairs_round_trip(self):
+        # the oracle's own conversions, checked on mu^2 = mu - 1
+        assert MU * MU == MU - QMU.one
+        for x in [(0, 0), (1, 0), (0, 1), (-3, 2), (5, -7)]:
+            assert from_field(to_field(x)) == x
 
 
 zmu_rows = st.lists(st.lists(small_zmu, min_size=4, max_size=4), min_size=4, max_size=4)
@@ -119,26 +128,25 @@ class TestMinorExpansion:
     @settings(max_examples=150, deadline=None)
     def test_matches_laplace(self, rows):
         # every 3x3 minor and the 4x4 determinant from 2x2 minors equal
-        # the Laplace expansion over Q(mu)
+        # the determinants over Q(sqrt(-3))
         r, s, u, v = rows
-        cyclo = cyclo_rows(rows)
-        want3 = [cyclo_det([[row[c] for c in cols] for row in cyclo[:3]]) for cols in combinations(range(4), 3)]
-        assert [CycloNumber(*x) for x in arrangement._minors3(r, arrangement._minors2(s, u))] == want3
+        top = field_matrix(rows[:3])
+        want3 = [top.extract(range(3), cols).det() for cols in combinations(range(4), 3)]
+        assert [to_field(x) for x in arrangement._minors3(r, arrangement._minors2(s, u))] == want3
         m, n = arrangement._minors2(r, s), arrangement._minors2(u, v)
-        assert CycloNumber(*arrangement._det4(m, n)) == cyclo_det(cyclo)
+        assert to_field(arrangement._det4(m, n)) == field_matrix(rows).det()
 
 
 def laplace_general_position(arr):
-    """Oracle: the certificate by Laplace expansion over Q(mu), each subset
-    of forms on its own."""
+    """Oracle: the certificate over Q(sqrt(-3)), each subset of forms on
+    its own: three forms share a line when their matrix has rank below 3,
+    four share a point when their determinant vanishes."""
     sels = arr.all_selectors()
-    mats = dict(zip(sels, cyclo_rows(arrangement._integer_coeffs(arr.form(s)) for s in sels)))
     for tri in combinations(sels, 3):
-        rows = [mats[s] for s in tri]
-        if all(cyclo_det([[row[c] for c in cols] for row in rows]).is_zero() for cols in combinations(range(4), 3)):
+        if field_matrix([arr.form(s).coeffs for s in tri]).rank() < 3:
             return GeneralPositionReport(False, tri, "three forms share a line")
     for quad in combinations(sels, 4):
-        if cyclo_det([mats[s] for s in quad]).is_zero():
+        if not field_matrix([arr.form(s).coeffs for s in quad]).det():
             return GeneralPositionReport(False, quad, "four forms share a point")
     return GeneralPositionReport(True)
 
@@ -156,15 +164,27 @@ def small_arrangements(draw):
         coeffs = draw(st.lists(unit_zmu, min_size=4, max_size=4))
         if all(c == (0, 0) for c in coeffs):
             coeffs[0] = (1, 0)  # no zero form
-        forms.append(LinearForm([CycloNumber(a, b) for a, b in coeffs]))
+        forms.append(LinearForm(coeffs))
     return Arrangement(forms[:d], forms[d:])
+
+
+class TestLinearForm:
+    def test_coefficients_are_zmu_pairs(self):
+        assert LinearForm([1, (2, -3), 0, True]).coeffs == ((1, 0), (2, -3), (0, 0), (1, 0))
+        for bad in (Fraction(1, 2), 0.5, "1", [1, 2], (1, 2, 3), (Fraction(1, 2), 0), (1, 0.0)):
+            with pytest.raises(TypeError, match="not Z\\[mu\\] integers"):
+                LinearForm([1, 0, 0, bad])
+        with pytest.raises(ValueError, match="zero form"):
+            LinearForm([0, (0, 0), 0, 0])
+        with pytest.raises(ValueError, match="4 coefficients"):
+            LinearForm([1, 0, 0])
 
 
 class TestTempered:
     def test_form_table(self, tempered):
-        assert tempered.L[0].coeffs == (ONE, CycloNumber(0), CycloNumber(0), CycloNumber(0))
-        assert tempered.M[0].coeffs == (ONE, MU, -ONE, ONE)
-        assert tempered.M[3].coeffs == (ONE, ONE, ONE, -MU)
+        assert tempered.L[0].coeffs == ((1, 0), (0, 0), (0, 0), (0, 0))
+        assert tempered.M[0].coeffs == ((1, 0), (0, 1), (-1, 0), (1, 0))
+        assert tempered.M[3].coeffs == ((1, 0), (1, 0), (1, 0), (0, -1))
 
     def test_certified(self, tempered):
         assert validate_general_position(tempered).ok
@@ -198,15 +218,15 @@ class TestGeneralPositionViolations:
         assert len(report.violation) == 4
 
     # the remaining forms are generic, so the first violation is the planted one
-    GENERIC_L = (LinearForm([1, 2, 3, 5]), LinearForm([2, 1, 1, MU]))
-    GENERIC_M = (LinearForm([1, MU, -ONE, 1]), LinearForm([1, 3, 1, -MU]))
+    GENERIC_L = (LinearForm([1, 2, 3, 5]), LinearForm([2, 1, 1, (0, 1)]))
+    GENERIC_M = (LinearForm([1, (0, 1), -1, 1]), LinearForm([1, 3, 1, (0, -1)]))
 
     def test_three_planes_through_a_line(self):
         # L2, L3 and M2 all contain the line X = Y = 0
         (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
         arr = Arrangement(
             [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
-            [m1, LinearForm([1, MU, 0, 0]), LinearForm([-ONE, 1, MU, 1]), m4],
+            [m1, LinearForm([1, (0, 1), 0, 0]), LinearForm([-1, 1, (0, 1), 1]), m4],
         )
         report = validate_general_position(arr)
         assert report == GeneralPositionReport(False, (("L", 2), ("L", 3), ("M", 2)), "three forms share a line")
@@ -217,7 +237,7 @@ class TestGeneralPositionViolations:
         (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
         arr = Arrangement(
             [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
-            [m1, LinearForm([0, 0, 1, 0]), LinearForm([MU, -ONE, 2, 0]), m4],
+            [m1, LinearForm([0, 0, 1, 0]), LinearForm([(0, 1), -1, 2, 0]), m4],
         )
         report = validate_general_position(arr)
         assert report == GeneralPositionReport(
@@ -243,9 +263,9 @@ class TestIntersectionPoint:
     def test_root_of_unity_vertices(self, tempered):
         # the M2/M3 point is (2 mu - 1, mu - 1); M1/M3 is ((1+mu)/3, (1-2mu)/3)
         x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 2), ("M", 3)))
-        assert x == 2 * MU - 1 and y == MU - 1
+        assert x == (-1, 2) and y == (-1, 1)
         x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 1), ("M", 3)))
-        assert x == CycloNumber(THIRD, THIRD) and y == CycloNumber(THIRD, Fraction(-2, 3))
+        assert x == (THIRD, THIRD) and y == (THIRD, Fraction(-2, 3))
 
     def test_axis_planes(self):
         arr = Arrangement(
@@ -260,7 +280,7 @@ class TestIntersectionPoint:
         for tri in combinations(sels, 3):
             p = intersection_point(tempered, *tri)
             for s in tri:
-                assert cyclo_eval(tempered.form(s), p).is_zero()
+                assert field_eval(tempered.form(s), p) == QMU.zero
 
     def test_substitution_guard_fails(self, tempered, monkeypatch):
         # one perturbed minor moves W off the common point, and L4 = W sees it
@@ -286,20 +306,19 @@ class TestIntersectionPoint:
         # degenerate exactly when every 3x3 minor vanishes; otherwise a
         # nonzero common point, and a chart that inverts x = X/Z, y = Y/Z
         for tri in combinations(arr.all_selectors(), 3):
-            rows = [arr.form(s).coeffs for s in tri]
-            if not any(cyclo_det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(4), 3)):
+            if field_matrix([arr.form(s).coeffs for s in tri]).rank() < 3:
                 with pytest.raises(DegenerateIntersectionError):
                     intersection_point(arr, *tri)
                 continue
             p = intersection_point(arr, *tri)
             assert any(x != (0, 0) for x in p)
-            assert all(cyclo_eval(arr.form(s), p).is_zero() for s in tri)
-            X, Y, Z, _ = cyclo_rows([p])[0]
-            if Z.is_zero():
+            assert all(field_eval(arr.form(s), p) == QMU.zero for s in tri)
+            X, Y, Z, _ = map(to_field, p)
+            if Z == QMU.zero:
                 with pytest.raises(ChartError):
                     chart_xy(p)
             else:
-                x, y = chart_xy(p)
+                x, y = map(to_field, chart_xy(p))
                 assert x * Z == X and y * Z == Y
 
 
@@ -307,9 +326,9 @@ class TestTriangle:
     def test_tempered_triangle_set(self, tempered):
         got = sweep_vertices(tempered, 4, 1, 2, 3)
         expected = {
-            (-MU, CycloNumber(2) - MU),
-            (2 * MU - 1, MU - 1),
-            (CycloNumber(THIRD, THIRD), CycloNumber(THIRD, Fraction(-2, 3))),
+            ((0, -1), (2, -1)),  # (-mu, 2 - mu)
+            ((-1, 2), (-1, 1)),  # (2 mu - 1, mu - 1)
+            ((THIRD, THIRD), (THIRD, Fraction(-2, 3))),
         }
         assert set(got) == expected
 

@@ -175,8 +175,30 @@ class TestFunctionalEquations:
         assert abs(lhs - rhs) < 1e-13
 
     def test_mu_instances(self):
+        # mu's embedding is cyclo_embed((0, 1)), the same bits as the literal
+        assert MU_C == complex(0.5, math.sqrt(3.0) / 2.0)
+        assert MU_C.imag.hex() == "0x1.bb67ae8584caap-1"
         for name, res in mu_instance_residuals().items():
             assert res < 1e-13, name
+
+    @pytest.mark.parametrize("at, slot", [(1, 0), (1000, 1)])
+    def test_nan_residual_is_the_worst(self, monkeypatch, at, slot):
+        # one NaN among 1,000 samples, first or last, in either identity,
+        # is the worst residual, so the check on it fails
+        real = periods._residuals
+        calls = []
+
+        def one_nan(z):
+            calls.append(z)
+            res = list(real(z))
+            if len(calls) == at:
+                res[slot] = math.nan
+            return tuple(res)
+
+        monkeypatch.setattr(periods, "_residuals", one_nan)
+        rep = check_functional_equations(1000, seed=0)
+        assert len(calls) == rep.samples == 1000
+        assert math.isnan(rep.max_residual)
 
     def test_seed_changes_samples_not_verdict(self):
         assert check_functional_equations(200, seed=9).max_residual < 1e-12

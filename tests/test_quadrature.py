@@ -37,6 +37,26 @@ def test_exhausted_budget_raises(monkeypatch):
         adaptive_quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-14)
 
 
+@pytest.mark.parametrize("f", [lambda x: 1.0 / x, lambda x: x**-1.5], ids=["1/x", "x^-1.5"])
+def test_divergent_raises(f):
+    # the panel at 0 reaches the width floor with an error far above
+    # roundoff; it may not leave the estimate
+    with pytest.raises(QuadratureError, match="too narrow to split"):
+        adaptive_quad(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+def test_width_floor_is_never_converged(tol):
+    # 1/sqrt(x) integrates to 2, but the panel at 0 reaches the width
+    # floor with an error of about 2e-9: either a refusal or a value
+    # within tol
+    try:
+        got = adaptive_quad(lambda x: x**-0.5, 0.0, 1.0, tol)
+    except QuadratureError:
+        return
+    assert abs(got - 2.0) <= tol
+
+
 BELOW_ROUNDOFF = """
 import cmath
 from hodge_degen.quadrature import adaptive_quad
