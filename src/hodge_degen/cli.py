@@ -4,8 +4,8 @@ One subcommand per headline computation: ``basis`` (presentation and
 kernel of the component pairing), ``sing`` (residue classes and their
 span), ``aj`` (the period closed form against quadrature), ``pairing``
 (the limit matrix determinant), and ``verify-all``.  Reports render as
-markdown or deterministic JSON; exit status 0 means every check passed,
-1 a failed check, 2 a usage error.
+markdown or deterministic, strict JSON; exit status 0 means every check
+passed, 1 a failed check, 2 a usage error.
 
 The ranks that ``basis`` and ``sing`` state are proved by short exact
 witnesses where one exists (see :mod:`hodge_degen.degeneration` and
@@ -19,6 +19,7 @@ fails, so a failing report still states the true rank.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,18 @@ class Check:
         self.status = status
         self.data = data
         self.elapsed_ms = elapsed_ms
+
+
+def _strict(value):
+    """``value`` with each non-finite float written as the text the markdown
+    report shows ("nan", "inf", "-inf"): strict JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 class Report:
@@ -91,7 +104,7 @@ class Report:
             ],
             "elapsed_ms": self.elapsed_ms,
         }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        return json.dumps(_strict(doc), indent=2, sort_keys=False, allow_nan=False)
 
     def to_markdown(self) -> str:
         lines = [f"# {TOOL} {self.command}", ""]

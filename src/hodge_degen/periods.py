@@ -2,13 +2,17 @@
 
 The membrane of dx/x ^ dy/y over a triangle whose edges lie on three
 lines is ruled: over each point y of a path in the y coordinate it holds
-the segment from the lower edge's x_l(y) to the upper edge's x_u(y).  The
-path is routed around the zeros of the edges (see :func:`_cut_free_legs`),
-which fixes the membrane.  Every ruling must miss x = 0, which is tested
-exactly on each leg of the path; the inner integral over a ruling is then
-Log(x_u / x_l), and the membrane integral is one quadrature of
-Log(x_u / x_l) dy / y per leg.  The same checked legs drive the
-independent raw 2D quadrature oracle.
+the segment from the lower edge's x_l(y) to the upper edge's x_u(y).  A
+leg of the path is the plain tuple (pl, ql, pu, qu, y0, y1): the edges
+x_l = pl + ql y and x_u = pu + qu y over the straight y path from y0 to
+y1.  :func:`_sweep_legs` validates the vertices, builds the edges and
+routes the path around the zeros of the edges (:func:`_cut_free_legs`),
+which fixes the membrane.  :func:`_check_leg` tests each leg exactly for
+rulings through x = 0 and for its distance from y = 0, and
+:func:`_membrane_legs` hands out the list only when every leg passes.
+The inner integral over a ruling is then Log(x_u / x_l), and the
+membrane integral is one quadrature of Log(x_u / x_l) dy / y per leg;
+the same checked list drives the independent raw 2D quadrature oracle.
 """
 
 from __future__ import annotations
@@ -151,23 +155,14 @@ def _cut_crossing(w0: complex, w1: complex) -> float | None:
 # membrane integral over a triangle of lines
 
 
-class _EdgeLine(_Frozen):
-    """x = p + q y: the chart equation of the line through two vertices."""
-
-    __slots__ = ("p", "q")
-    p: complex
-    q: complex
-
-    def x_at(self, y: complex) -> complex:
-        return self.p + self.q * y
-
-
-def _edge_through(v0, v1) -> _EdgeLine:
+def _edge_through(v0, v1) -> tuple[complex, complex]:
+    """(p, q) of x = p + q y, the chart equation of the line through two
+    vertices."""
     (x0, y0), (x1, y1) = v0, v1
     if abs(y1 - y0) < 1e-14:
         raise PathSingularityError("edge with constant y; sweep coordinate degenerate")
     q = (x1 - x0) / (y1 - y0)
-    return _EdgeLine(x0 - q * y0, q)
+    return x0 - q * y0, q
 
 
 def _cut_free_legs(edges, y0: complex, y1: complex, depth: int = 0):
@@ -182,37 +177,28 @@ def _cut_free_legs(edges, y0: complex, y1: complex, depth: int = 0):
     jumps there, its integral along the straight path is -0.744 - 4.060i
     instead of zeta(2) - 4.060i, and the 2D oracle does not converge.
     """
-    for e in edges:
-        s = _cut_crossing(e.x_at(y0), e.x_at(y1))
-        if s is not None:
+    for p, q in edges:
+        x0, x1 = p + q * y0, p + q * y1
+        if _cut_crossing(x0, x1) is not None:
             if depth >= 8:
                 raise PathSingularityError("cannot route sweep path around the cuts of x")
-            r = math.sqrt(abs(e.x_at(y0)) * abs(e.x_at(y1)))
+            r = math.sqrt(abs(x0) * abs(x1))
             if r < 1e-9:
                 raise PathSingularityError("edge line passes through x = 0 at a vertex")
-            yw = (r - e.p) / e.q
+            yw = (r - p) / q
             return _cut_free_legs(edges, y0, yw, depth + 1) + _cut_free_legs(edges, yw, y1, depth + 1)
     return [(y0, y1)]
 
 
-def _sweep_pieces(v1, v2, v3):
-    """The two sweep pieces: (lower edge, upper edge, leg list).
+def _sweep_legs(vertices):
+    """The routed legs of the membrane, as (pl, ql, pu, qu, y0, y1), not
+    yet cleared of x = 0 and y = 0.
 
-    The common lower bound is the line through the first and last vertex;
-    y runs v1 -> v2 -> v3.  On no leg does either edge's x cross its cut.
+    x = pl + ql y is the lower edge, the line through the first and last
+    vertex, and x = pu + qu y the upper edge, the line through the first
+    and second vertex and then through the second and third; y runs
+    v1 -> v2 -> v3.  On no leg does either edge's x cross its cut.
     """
-    common = _edge_through(v1, v3)
-    pieces = []
-    for upper, ya, yb in (
-        (_edge_through(v1, v2), v1[1], v2[1]),
-        (_edge_through(v2, v3), v2[1], v3[1]),
-    ):
-        legs = _cut_free_legs((common, upper), ya, yb)
-        pieces.append((common, upper, legs))
-    return pieces
-
-
-def _check_vertices(vertices):
     vs = [(complex(x), complex(y)) for x, y in vertices]
     if len(vs) != 3:
         raise ValueError("need exactly 3 vertices")
@@ -220,14 +206,19 @@ def _check_vertices(vertices):
         for j in range(i + 1, 3):
             if abs(vs[i][0] - vs[j][0]) < 1e-12 and abs(vs[i][1] - vs[j][1]) < 1e-12:
                 raise ValueError("degenerate triangle: repeated vertex")
-    return vs
+    v1, v2, v3 = vs
+    lower = _edge_through(v1, v3)
+    legs = []
+    for upper, ya, yb in ((_edge_through(v1, v2), v1[1], v2[1]), (_edge_through(v2, v3), v2[1], v3[1])):
+        legs += [(*lower, *upper, y0, y1) for y0, y1 in _cut_free_legs((lower, upper), ya, yb)]
+    return legs
 
 
-def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs):
-    """The swept rulings must stay clear of x = 0, and the y path must keep
-    ``_Y_MARGIN`` from y = 0.
+def _check_leg(pl, ql, pu, qu, y0, y1) -> None:
+    """The rulings swept along a leg must stay clear of x = 0, and the leg
+    must keep ``_Y_MARGIN`` from y = 0.
 
-    On a leg y = y0 + s (y1 - y0), 0 <= s <= 1, the ruling at s is the
+    On the leg y = y0 + s (y1 - y0), 0 <= s <= 1, the ruling at s is the
     segment from x_l = A + B s to x_u = E + F s.  It meets x = 0 exactly
     when x_u conj x_l is real and <= 0, so only at a real root s of the
     quadratic Im(x_u conj x_l) = a s^2 + b s + c.  Each ruling's distance
@@ -239,44 +230,43 @@ def _check_piece_clearance(lower: _EdgeLine, upper: _EdgeLine, legs):
     line through 0 and can reach it only at an end of the leg or where
     x_l or x_u vanishes.
     """
-    for y0, y1 in legs:
-        if _segment_distance_to_zero(y0, y1) < _Y_MARGIN:
-            raise PathSingularityError(f"sweep path passes within {_Y_MARGIN} of y = 0")
-        dy = y1 - y0
-        A, B = lower.x_at(y0), lower.q * dy
-        E, F = upper.x_at(y0), upper.q * dy
-        a = (F * B.conjugate()).imag
-        b = (E * B.conjugate() + F * A.conjugate()).imag
-        c = (E * A.conjugate()).imag
-        ss = [0.0, 1.0] + [(-p / q).real for p, q in ((A, B), (E, F)) if q]
-        if a:
-            disc = b * b - 4.0 * a * c
-            if disc < 0.0:
-                ss.append(-b / (2.0 * a))
-            else:
-                # the root of larger modulus first, then the other from the
-                # product of the roots, so neither cancels
-                h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-                ss += [h / a, c / h] if h else [0.0]
-        elif b:
-            ss.append(-c / b)
-        for s in ss:
-            s = min(1.0, max(0.0, s))
-            if _segment_distance_to_zero(A + s * B, E + s * F) < _X_MARGIN:
-                raise PathSingularityError("ruling passes through x = 0")
+    if _segment_distance_to_zero(y0, y1) < _Y_MARGIN:
+        raise PathSingularityError(f"sweep path passes within {_Y_MARGIN} of y = 0")
+    dy = y1 - y0
+    A, B = pl + ql * y0, ql * dy
+    E, F = pu + qu * y0, qu * dy
+    a = (F * B.conjugate()).imag
+    b = (E * B.conjugate() + F * A.conjugate()).imag
+    c = (E * A.conjugate()).imag
+    ss = [0.0, 1.0] + [(-p / q).real for p, q in ((A, B), (E, F)) if q]
+    if a:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            ss.append(-b / (2.0 * a))
+        else:
+            # the root of larger modulus first, then the other from the
+            # product of the roots, so neither cancels
+            h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            ss += [h / a, c / h] if h else [0.0]
+    elif b:
+        ss.append(-c / b)
+    for s in ss:
+        s = min(1.0, max(0.0, s))
+        if _segment_distance_to_zero(A + s * B, E + s * F) < _X_MARGIN:
+            raise PathSingularityError("ruling passes through x = 0")
 
 
 def _membrane_legs(vertices):
-    """The checked legs of the membrane, as (lower, upper, y0, y1).
+    """The checked legs of the membrane, as (pl, ql, pu, qu, y0, y1).
 
-    The vertices are validated and both sweep pieces are cleared of x = 0
-    and y = 0 before any leg is handed out, so neither the integral nor
-    its oracle starts integrating a membrane that is later refused.
+    Every leg is cleared of x = 0 and y = 0 before any is handed out, so
+    neither the integral nor its oracle starts integrating a membrane that
+    is later refused.
     """
-    pieces = _sweep_pieces(*_check_vertices(vertices))
-    for lower, upper, legs in pieces:
-        _check_piece_clearance(lower, upper, legs)
-    return [(lower, upper, y0, y1) for lower, upper, legs in pieces for y0, y1 in legs]
+    legs = _sweep_legs(vertices)
+    for leg in legs:
+        _check_leg(*leg)
+    return legs
 
 
 def membrane_integral(vertices) -> complex:
@@ -291,12 +281,12 @@ def membrane_integral(vertices) -> complex:
     Log(x_u / x_l) dy / y to within ``_LOG_TOL``.
     """
     total = 0j
-    for lower, upper, y0, y1 in _membrane_legs(vertices):
+    for pl, ql, pu, qu, y0, y1 in _membrane_legs(vertices):
         dy = y1 - y0
 
-        def f(s, lower=lower, upper=upper, y0=y0, dy=dy):
+        def f(s, pl=pl, ql=ql, pu=pu, qu=qu, y0=y0, dy=dy):
             y = y0 + s * dy
-            return cmath.log(upper.x_at(y) / lower.x_at(y)) / y * dy
+            return cmath.log((pu + qu * y) / (pl + ql * y)) / y * dy
 
         total += adaptive_quad(f, 0.0, 1.0, _LOG_TOL)
     return total
@@ -306,14 +296,14 @@ def membrane_quadrature(vertices) -> complex:
     """Independent oracle: raw 2D quadrature of the form over the same
     ruled membrane, no logarithms or dilogarithms involved."""
     total = 0j
-    for lower, upper, y0, y1 in _membrane_legs(vertices):
+    for pl, ql, pu, qu, y0, y1 in _membrane_legs(vertices):
         dy = y1 - y0
 
-        def row(s, lower=lower, upper=upper, y0=y0, dy=dy):
+        def row(s, pl=pl, ql=ql, pu=pu, qu=qu, y0=y0, dy=dy):
             # the ruling at y: x = xl + t d, with the form (d / x) dt (dy / y)
             y = y0 + s * dy
-            xl = lower.x_at(y)
-            d = upper.x_at(y) - xl
+            xl = pl + ql * y
+            d = pu + qu * y - xl
             k = dy / y
             return lambda t: d / (xl + t * d) * k
 

@@ -469,8 +469,24 @@ class TestAjCommand:
         assert code == 1
         by_name = {c["name"]: c for c in json.loads(out)["checks"]}
         assert by_name["dilogarithm functional equations"]["status"] == "fail"
-        assert math.isnan(by_name["dilogarithm functional equations"]["data"]["max_residual"])
+        assert by_name["dilogarithm functional equations"]["data"]["max_residual"] == "nan"
         assert by_name["closed form vs membrane"]["status"] == "pass"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_stay_strict_json(self, capsys, monkeypatch, bad):
+        # a non-finite metric is written as the text of the markdown report,
+        # not as the bare token NaN or Infinity, which strict parsers refuse
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        monkeypatch.setattr(periods, "_residuals", lambda z: (bad, 0.0))
+        code, out = run(capsys, "--format", "json", "aj")
+        assert code == 1
+        by_name = {c["name"]: c for c in json.loads(out, parse_constant=refuse)["checks"]}
+        assert by_name["dilogarithm functional equations"]["data"]["max_residual"] == str(bad)
+        code, out = run(capsys, "aj")
+        assert code == 1
+        assert f"    - max_residual: {bad}\n" in out
 
     def test_arrangement_check_can_fail(self, capsys, monkeypatch):
         from hodge_degen import cli
@@ -717,7 +733,6 @@ IMMUTABLE = {
         lambda: arrangement.validate_general_position(arrangement.tempered_arrangement()),
         "ok",
     ),
-    "_EdgeLine": (lambda: periods._edge_through((1, 1), (2, 3)), "p"),
     "FunctionalEquationReport": (lambda: periods.check_functional_equations(10, 0), "samples"),
     "Frame": (lambda: _FRAME, "dk"),
     "PolyTail": (limits.PolyTail, "coeffs"),

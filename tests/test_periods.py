@@ -252,6 +252,19 @@ class TestMembrane:
         with pytest.raises(ValueError):
             membrane_integral([v1, v2, v1])
 
+    def test_two_vertices(self, tempered_verts):
+        with pytest.raises(ValueError, match="need exactly 3 vertices"):
+            membrane_integral(tempered_verts[:2])
+
+    def test_edge_zero_at_a_vertex(self):
+        # the first vertex lies 1.4e-20 from x = 0, so an edge through it
+        # whose x crosses its cut has no waypoint modulus to route round
+        verts = [(-1e-20 + 1e-20j, 0j), (-1 - 1j, 1 + 0j), (2 + 1j, 2 + 0.5j)]
+        with pytest.raises(PathSingularityError, match="edge line passes through x = 0 at a vertex"):
+            membrane_integral(verts)
+        with pytest.raises(PathSingularityError, match="edge line passes through x = 0 at a vertex"):
+            membrane_quadrature(verts)
+
     def test_edge_through_x_origin(self):
         # common edge x = -3 + 2y vanishes at y = 1.5 inside the sweep
         verts = [(-1 + 0j, 1 + 0j), (5 + 0j, 1.2 + 0j), (1 + 0j, 2 + 0j)]
@@ -284,13 +297,14 @@ class TestMembrane:
         assert min(periods._segment_distance_to_zero(y0, y1) for *_, y0, y1 in legs) > 100 * periods._Y_MARGIN
 
 
-def leg_clearance(lower, upper, y0, y1, samples=2000):
+def leg_clearance(pl, ql, pu, qu, y0, y1, samples=2000):
     """Smallest sampled distance from x = 0 of the rulings swept along one
     leg, at samples + 1 evenly spaced points."""
     out = math.inf
     for k in range(samples + 1):
         y = y0 + (k / samples) * (y1 - y0)
-        xl, dx = lower.x_at(y), upper.x_at(y) - lower.x_at(y)
+        xl = pl + ql * y
+        dx = pu + qu * y - xl
         t = min(1.0, max(0.0, -(xl * dx.conjugate()).real / abs(dx) ** 2)) if dx else 0.0
         out = min(out, abs(xl + t * dx))
     return out
@@ -349,21 +363,21 @@ class TestMembraneFuzz:
         # is 0 to round-off is refused, and a refused leg samples within
         # the margin plus what the rulings can move between two samples
         try:
-            pieces = periods._sweep_pieces(*periods._check_vertices(verts))
+            legs = periods._sweep_legs(verts)
         except PathSingularityError:
             return
-        for lower, upper, legs in pieces:
-            for y0, y1 in legs:
-                if periods._segment_distance_to_zero(y0, y1) < periods._Y_MARGIN:
-                    continue
-                sampled = leg_clearance(lower, upper, y0, y1)
-                try:
-                    periods._check_piece_clearance(lower, upper, [(y0, y1)])
-                except PathSingularityError:
-                    speed = max(abs(lower.q), abs(upper.q)) * abs(y1 - y0)
-                    assert sampled <= periods._X_MARGIN + speed / 4000
-                else:
-                    assert sampled >= periods._X_MARGIN
+        for leg in legs:
+            _, ql, _, qu, y0, y1 = leg
+            if periods._segment_distance_to_zero(y0, y1) < periods._Y_MARGIN:
+                continue
+            sampled = leg_clearance(*leg)
+            try:
+                periods._check_leg(*leg)
+            except PathSingularityError:
+                speed = max(abs(ql), abs(qu)) * abs(y1 - y0)
+                assert sampled <= periods._X_MARGIN + speed / 4000
+            else:
+                assert sampled >= periods._X_MARGIN
 
     @given(triangles)
     @settings(max_examples=100, deadline=None)
@@ -373,13 +387,12 @@ class TestMembraneFuzz:
         # the waypoint routing, which picks the membrane, must leave no
         # edge's x crossing its cut on any leg it hands out
         try:
-            pieces = periods._sweep_pieces(*periods._check_vertices(verts))
+            legs = periods._sweep_legs(verts)
         except PathSingularityError:
             return
-        for lower, upper, legs in pieces:
-            for y0, y1 in legs:
-                for edge in (lower, upper):
-                    assert periods._cut_crossing(edge.x_at(y0), edge.x_at(y1)) is None
+        for pl, ql, pu, qu, y0, y1 in legs:
+            for p, q in ((pl, ql), (pu, qu)):
+                assert periods._cut_crossing(p + q * y0, p + q * y1) is None
 
 
 class TestClosedForm:
