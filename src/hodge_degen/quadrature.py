@@ -7,6 +7,7 @@ error estimate against the requested absolute tolerance.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
 
 
@@ -79,8 +80,6 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float, tol: float 
     unconverged value returned.  Deterministic for fixed inputs; the final
     sum runs in interval order.
     """
-    import heapq
-
     a = float(a)
     b = float(b)
     val, err = _gk15(f, a, b)

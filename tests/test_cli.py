@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report schema, determinism."""
 
+import gc
 import hashlib
 import json
 import math
@@ -633,6 +634,64 @@ def test_closed_pipe_exits_quietly():
         _, err = p.communicate(timeout=120)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
     assert p.returncode == 0
+
+
+def run_module(*argv):
+    """``python -m hodge_degen.cli argv`` in a fresh interpreter."""
+    cmd = [sys.executable, "-m", "hodge_degen.cli", *argv]
+    return subprocess.run(cmd, env=fresh_env(), capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["basis", "--d", "2"], ["--help"], ["basis", "--d", "1"]], ids=" ".join)
+def test_main_never_freezes_the_heap(argv, capsys):
+    # gc.freeze is process-wide: only the process entry run() may call it,
+    # so callers of main() in-process (tests, perfbench/tracer.py) keep
+    # their collector as it was, on a report, on --help and on a usage error
+    before = gc.get_freeze_count()
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [["basis", "--d", "2"], ["--help"]], ids=" ".join)
+def test_run_freezes_the_start_up_heap(argv):
+    # the freeze comes before parsing, so --help skips the shutdown scan too
+    code = (
+        "import contextlib, gc, io, sys\n"
+        "import hodge_degen.cli as cli\n"
+        f"sys.argv = ['hodge-degen', *{argv!r}]\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        status = cli.run()\n"
+        "    except SystemExit as e:\n"
+        "        status = e.code\n"
+        "assert status == 0, status\n"
+        "assert gc.get_freeze_count() > 1000, gc.get_freeze_count()\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["aj", "--oracle"], ["pairing", "--seed", "1"], ["basis", "--d", "4"]], ids=" ".join)
+def test_process_entry_prints_the_in_process_report(argv, capsys):
+    proc = run_module("--format", "json", *argv)
+    assert (proc.returncode, proc.stdout) == run(capsys, "--format", "json", *argv)
+    assert proc.stderr == ""
+
+
+def test_process_entry_exit_statuses():
+    proc = run_module("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: hodge-degen [-h]")
+    proc = run_module("basis", "--d", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("hodge-degen: error: ")
 
 
 def test_package_import_loads_no_submodule():
