@@ -16,15 +16,14 @@ sixth-root-of-unity coefficients is built by :func:`tempered_arrangement`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import combinations
 
-from .exactlin import _exact, _Frozen
+from .exactlin import _Frozen, _ratio
 
 FormSelector = tuple[str, int]  # ("L", i) or ("M", l), 1-based
 ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
 ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
-QMu = tuple[int | Fraction, int | Fraction]  # a + b*mu in Q(mu)
+QMu = tuple  # a + b*mu in Q(mu) as (a, b), each an exact scalar int | Fraction
 
 
 class DegenerateIntersectionError(ValueError):
@@ -193,7 +192,7 @@ def chart_xy(point: ZMuPoint) -> tuple[QMu, QMu]:
     if n == 0:
         raise ChartError(f"point {point} has Z = 0")
     conj = (a + b, -b)
-    return tuple(tuple(_exact(Fraction(v, n)) for v in _signed_sum(((1, c, conj),))) for c in (x, y))
+    return tuple(tuple(_ratio(v, n) for v in _signed_sum(((1, c, conj),))) for c in (x, y))
 
 
 def tempered_arrangement() -> Arrangement:

@@ -19,7 +19,6 @@ fails, so a failing report still states the true rank.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
 import sys
@@ -53,16 +52,63 @@ class Check:
         self.elapsed_ms = elapsed_ms
 
 
-def _strict(value):
-    """``value`` with each non-finite float written as the text the markdown
-    report shows ("nan", "inf", "-inf"): strict JSON has no NaN or Infinity."""
+# the escapes of json.dumps other than \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json_str(s: str) -> str:
+    """s as a JSON string in ASCII, escaped as ``json.dumps`` escapes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    out = []
+    for c in s:
+        code = ord(c)
+        if c in _ESCAPES:
+            out.append(_ESCAPES[c])
+        elif 0x20 <= code < 0x7F:
+            out.append(c)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:  # a surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(value, indent: str = "") -> str:
+    """value as the text of ``json.dumps(value, indent=2)``, except that a
+    non-finite float is written as the string the markdown report shows
+    ("nan", "inf", "-inf"): strict JSON has no NaN or Infinity.  A key
+    that is not a str, or a value of any other type, raises TypeError."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return value if math.isfinite(value) else str(value)
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
+        items = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(f"{_json_str(k)}: {_json(v, inner)}")
+        open_, close = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        open_, close = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return open_ + close
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
 
 
 class Report:
@@ -105,7 +151,7 @@ class Report:
             ],
             "elapsed_ms": self.elapsed_ms,
         }
-        return json.dumps(_strict(doc), indent=2, sort_keys=False, allow_nan=False)
+        return _json(doc)
 
     def to_markdown(self) -> str:
         lines = [f"# {TOOL} {self.command}", ""]

@@ -17,12 +17,11 @@ their failure to cancel falsifies the construction and raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import degeneration
 from .degeneration import H2Class, in_kernel, reduce_raw
-from .exactlin import QMatrix, _Frozen, _exact, rank
+from .exactlin import QMatrix, _Frozen, _exact, _ratio, rank
 
 FormSel = tuple[str, int]
 
@@ -182,7 +181,7 @@ def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
         return None
     cx = dict(x.coords)
     pair = {
-        (i, j, l): _exact(Fraction(cx.get(("e", i, j, l), 0), d))
+        (i, j, l): _ratio(cx.get(("e", i, j, l), 0), d)
         for i, j in combinations(range(1, d + 1), 2)
         for l in range(1, d)
     }

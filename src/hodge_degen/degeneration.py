@@ -24,7 +24,6 @@ membership, the diagonal-block certificate and the dimension count
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 

@@ -7,7 +7,9 @@ float, a string or any other inexact value raises TypeError.  Every
 store follows it (``QMatrix`` entries, ``degeneration.H2Class``
 coefficients, the parts of ``arrangement.chart_xy``) and so does every
 output of the routines below, so ``Fraction`` appears only for a
-genuinely rational value.  An element a + b*mu of Q(mu), mu a primitive
+genuinely rational value; a quotient n/d is :func:`_ratio`.  The
+``fractions`` module, too, is imported only once such a value occurs:
+a job whose scalars all stay integral never loads it.  An element a + b*mu of Q(mu), mu a primitive
 6th root of unity, is the pair (a, b); its arithmetic lives in
 ``arrangement``, and :func:`cyclo_embed` maps it into the complex plane.
 
@@ -19,10 +21,9 @@ after every pivot step, so no intermediate Fractions are produced.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm, sqrt
 
-QVector = tuple[int | Fraction, ...]
+QVector = tuple  # of exact scalars, each int | Fraction
 
 _SQRT3_2 = sqrt(3.0) / 2.0
 
@@ -32,11 +33,23 @@ def _exact(x) -> int | Fraction:
     Floats, strings and other inexact values raise TypeError."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):  # bool
         return int(x)
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _ratio(n, d: int) -> int | Fraction:
+    """The exact scalar n/d, for n an exact scalar and d a nonzero int: an
+    int when d divides n, else a reduced Fraction."""
+    if type(n) is int and n % d == 0:
+        return n // d
+    from fractions import Fraction
+
+    return _exact(Fraction(n, d))
 
 
 class _Frozen:
@@ -170,11 +183,11 @@ def rank(m: QMatrix) -> int:
     return len(_echelon(_int_rows(m)))
 
 
-def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, Fraction]]]:
+def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int | Fraction]]]:
     """Fully reduce the echelon rows (RREF), pivot entries normalized to 1."""
-    reduced: list[tuple[int, dict[int, Fraction]]] = []
+    reduced: list[tuple[int, dict[int, int | Fraction]]] = []
     for pc, row in reversed(pivots):
-        r = {j: Fraction(v, row[pc]) for j, v in row.items()}
+        r = {j: _ratio(v, row[pc]) for j, v in row.items()}
         for qc, qrow in reduced:
             f = r.get(qc)
             if f:

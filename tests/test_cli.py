@@ -10,10 +10,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hodge_degen
 from hodge_degen import arrangement, cycles, limits, periods
-from hodge_degen.cli import COMMANDS, main
+from hodge_degen.cli import COMMANDS, _json, main
 from hodge_degen.degeneration import H2Class, reduce_raw
 from hodge_degen.exactlin import QMatrix, _Frozen
 
@@ -152,6 +154,54 @@ def test_exact_reports_unchanged(argv, capsys):
     code, out = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
+
+
+# every value a report may hold: str (control characters, non-ASCII and
+# astral code points included), int (big ones included), finite float,
+# bool, None, and dicts, lists and tuples of them
+json_scalars = (
+    st.text()
+    | st.sampled_from(["", '"\\/', "\x00\x1f\x7f\b\f\n\r\t", "\u00e9\u2028\ufeff", "\U0001f600\U0010ffff"])
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans()
+    | st.none()
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(json_docs)
+    @example({"a": [], "b": {}, "c": (), "d": [[{}]]})
+    @example({"\U0001f600": "\ud83d", "k": [1.5e300, -0.0, 10**40, True, None]})
+    @settings(max_examples=300, deadline=None)
+    def test_writes_the_bytes_of_json_dumps(self, doc):
+        assert _json(doc) == json.dumps(doc, indent=2)
+
+    @given(json_docs, st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_float_becomes_its_string(self, doc, bad):
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        text = _json({"doc": doc, "bad": [bad]})
+        assert text == json.dumps({"doc": doc, "bad": [str(bad)]}, indent=2)
+        assert json.loads(text, parse_constant=refuse)["bad"] == [str(bad)]
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+    def test_non_str_key_raises(self, key):
+        with pytest.raises(TypeError):
+            _json({"data": [{key: 1}]})
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", 1j])
+    def test_unwritable_value_raises(self, value):
+        with pytest.raises(TypeError):
+            _json({"data": [value]})
 
 
 class TestReports:
@@ -746,6 +796,40 @@ def test_cli_start_path_loads_every_layer_and_no_machinery():
     )
     proc = run_fresh(code, "-S")
     assert proc.returncode == 0, proc.stderr
+
+
+# the stdlib modules a job may load, beyond what the interpreter has loaded
+# before it imports the package: a report is written without json, and
+# fractions (which imports decimal) only once a scalar is not integral
+IMPORT_BUDGET = {
+    ("--help",): set(),
+    ("basis", "--d", "4"): set(),
+    ("sing", "--d", "4", "--family", "delta"): set(),
+    ("pairing", "--seed", "0"): set(),
+    ("aj",): {"fractions", "decimal"},
+    ("sing", "--d", "4", "--family", "all"): {"fractions", "decimal"},
+}
+
+
+@pytest.mark.parametrize("argv", IMPORT_BUDGET, ids=" ".join)
+def test_job_imports_stay_in_budget(argv):
+    report = [] if argv == ("--help",) else ["--format", "json"]
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import hodge_degen.cli as cli\n"
+        f"sys.argv = ['hodge-degen', *{[*report, *argv]!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        status = cli.run()\n"
+        "    except SystemExit as e:\n"
+        "        status = e.code\n"
+        "assert status == 0, status\n"
+        "print(*(m for m in ('json', 'fractions', 'decimal') if m in sys.modules and m not in before))\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= IMPORT_BUDGET[argv], proc.stdout
 
 
 def _records(value, path="data"):

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodge_degen.arrangement import _signed_sum, chart_xy
 from hodge_degen.cycles import express_in_B, threefold_boundary
 from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
-from hodge_degen.exactlin import QMatrix, cyclo_embed, in_span, kernel_basis, rank
+from hodge_degen.exactlin import QMatrix, _exact, _ratio, cyclo_embed, in_span, kernel_basis, rank
 
 
 def gauss_rank(rows):
@@ -261,6 +261,20 @@ class TestOneScalarFormat:
         coords = express_in_B(k, 3)
         assert coords is not None and all(one_format(v) for v in coords)
         assert coords[:2] == (a, b) and coords[5] == c
+
+    @given(
+        st.integers(-(10**30), 10**30) | st.fractions(max_denominator=10**6),
+        st.integers(-(10**12), 10**12).filter(bool),
+    )
+    @example(-(10**30), 1)
+    @example(10**30, -(10**15))
+    @example(-7, 7)
+    @example(0, -3)
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_is_the_exact_quotient(self, n, d):
+        got, want = _ratio(n, d), _exact(Fraction(n, d))
+        assert got == want and type(got) is type(want)
+        assert one_format(got)
 
     def test_threefold_boundary_lines(self):
         assert all(type(c) is int for _, c in threefold_boundary(1, 2, 3, 1).lines)
