@@ -9,9 +9,10 @@ coefficients, the parts of ``arrangement.chart_xy``) and so does every
 output of the routines below, so ``Fraction`` appears only for a
 genuinely rational value; a quotient n/d is :func:`_ratio`.  The
 ``fractions`` module, too, is imported only once such a value occurs:
-a job whose scalars all stay integral never loads it.  An element a + b*mu of Q(mu), mu a primitive
-6th root of unity, is the pair (a, b); its arithmetic lives in
-``arrangement``, and :func:`cyclo_embed` maps it into the complex plane.
+a job whose scalars all stay integral never loads it.  An element
+a + b*mu of Q(mu), mu a primitive 6th root of unity, is the pair (a, b);
+its arithmetic lives in ``arrangement``, and :func:`cyclo_embed` maps it
+into the complex plane.
 
 Matrix routines (rank, kernel, span membership) run a fraction-free
 elimination: rows are scaled to integers once and reduced by their gcd
