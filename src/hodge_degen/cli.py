@@ -7,13 +7,13 @@ span), ``aj`` (the period closed form against quadrature), ``pairing``
 markdown or deterministic, strict JSON; exit status 0 means every check
 passed, 1 a failed check, 2 a usage error.
 
-The ranks that ``basis`` and ``sing`` state are proved by short exact
-witnesses where one exists (see :mod:`hodge_degen.degeneration` and
-:func:`hodge_degen.cycles.span_rank`); each check names its witness and
-the witness size.  The single families gamma and lambda have no witness
-yet: their rank is computed by elimination and checked against its
-closed form.  Elsewhere the rank is eliminated only when a witness
-fails, so a failing report still states the true rank.
+Every rank that ``basis`` and ``sing`` state is proved by a short exact
+witness (see :mod:`hodge_degen.degeneration` and
+:func:`hodge_degen.cycles.span_rank`); each rank check names its
+witness and the witness size.  No rank is computed any other way: when
+a witness fails, its check reports the rank as null, names the failed
+clause under ``failed`` and fails, and so does every check derived from
+that rank.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import limits as limits_mod
 from . import periods
 from .arrangement import sweep_vertices, tempered_arrangement, validate_general_position
 from .cycles import express_in_B, span_rank
-from .exactlin import QMatrix, cyclo_embed, rank
+from .exactlin import cyclo_embed
 
 TOOL = "hodge-degen"
 
@@ -185,44 +185,37 @@ def _emit(report: Report, fmt: str) -> int:
     return 0 if report.ok else 1
 
 
-def _witnessed(kind: str, size: int) -> dict:
-    return {"witness": kind, "witness_size": size}
-
-
-def _eliminated(m: QMatrix) -> tuple[int, dict]:
-    """Rank by elimination, for an input whose witness failed."""
-    return rank(m), _witnessed("elimination", m.rows * m.cols)
+def _witnessed(kind: str, size: int, failed: str | None = None) -> dict:
+    """The witness fields of a rank check; ``failed`` names the clause of
+    the witness that failed, and appears only then."""
+    return {"witness": kind, "witness_size": size} | ({} if failed is None else {"failed": failed})
 
 
 def run_basis(report: Report, d: int) -> None:
     gens, relations, dim = degeneration.presentation(d)
-    if degeneration.relation_block_holds(d, gens, relations):
-        relation_rank, witness = len(relations), _witnessed("signed identity block", len(relations))
-    else:
-        relation_rank, witness = _eliminated(QMatrix([[rel.get(g, 0) for g in gens] for rel in relations]))
+    failed = None if degeneration.relation_block_holds(d, gens, relations) else "block"
+    relation_rank = len(relations) if failed is None else None
     report.add(
         f"presentation dimension d={d}",
         "H2 presentation of the degenerate fiber",
-        2 * dim == d * (2 + (d - 1) ** 2) and dim == len(gens) - relation_rank,
+        relation_rank is not None and 2 * dim == d * (2 + (d - 1) ** 2) and dim == len(gens) - relation_rank,
         generators=len(gens),
         relations=len(relations),
         dim=dim,
         relation_rank=relation_rank,
-        **witness,
+        **_witnessed("signed identity block", len(relations), failed),
     )
     cols = degeneration.phi_columns(d)
-    if degeneration.phi_rank_holds(d, cols):
-        rk, witness = d - 1, _witnessed("zero row sum + unit differences", d - 1)
-    else:
-        rk, witness = _eliminated(degeneration.phi_matrix(d))
+    failed = degeneration.phi_rank_failure(d, cols)
+    rk = d - 1 if failed is None else None
     report.add(
         f"component pairing rank d={d}",
         "intersection matrix against components",
         rk == d - 1,
         rank=rk,
-        **witness,
+        **_witnessed("zero row sum + unit differences", d - 1, failed),
     )
-    kdim = len(cols) - rk
+    kdim = None if rk is None else len(cols) - rk
     report.add(
         f"kernel dimension d={d}",
         "Hodge classes killed by the pairing",
@@ -231,19 +224,15 @@ def run_basis(report: Report, d: int) -> None:
         expected=degeneration.kernel_dim(d),
     )
     basis = degeneration.hodge_kernel_basis(d)
-    if degeneration.spans_kernel(d, basis):
-        stacked_rank, witness = kdim, _witnessed("membership + diagonal certificate", len(basis))
-    else:
-        stacked_rank, witness = _eliminated(
-            QMatrix([b.vector() for b in basis] + list(degeneration.kernel_of_phi(d)))
-        )
+    failed = degeneration.kernel_basis_failure(d, basis)
+    stacked_rank = kdim if failed is None else None
     report.add(
         f"kernel basis spans d={d}",
         "distinguished kernel basis",
-        len(basis) == kdim and stacked_rank == kdim,
+        stacked_rank == len(basis),
         basis_size=len(basis),
         stacked_rank=stacked_rank,
-        **witness,
+        **_witnessed("membership + diagonal certificate", len(basis), failed),
     )
 
 
@@ -264,7 +253,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
             "no singularity classes from the swapped family",
             res.rank == res.expected,
             rank=res.rank,
-            **_witnessed(res.witness, res.witness_size),
+            **_witnessed(res.witness, res.witness_size, res.failed),
         )
         return
     if fam == "both":
@@ -279,7 +268,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
         rank=res.rank,
         expected=res.expected,
         spanning=res.spanning,
-        **_witnessed(res.witness, res.witness_size),
+        **_witnessed(res.witness, res.witness_size, res.failed),
     )
     if fam == "both":
         report.add(

@@ -20,8 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import degeneration
-from .degeneration import H2Class, in_kernel, reduce_raw
-from .exactlin import QMatrix, _Frozen, _exact, _ratio, rank
+from .degeneration import Generator, H2Class, in_kernel, independence_certificate, reduce_raw
+from .exactlin import _Frozen, _exact, _ratio
 
 FormSel = tuple[str, int]
 
@@ -248,22 +248,141 @@ def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
     return H2Class._sum(target.d, ((c, sing[key].coords) for c, key in combination)) == target
 
 
+# the key of the total class T = sum_i l_i in the lambda spanning set
+TOTAL: CycleKey = ("total", ())
+
+
+def cocycle_combination(i: int, j: int, k: int, l: int) -> list[tuple[int, CycleKey]]:
+    """gamma(i,j,k; l), for 1 < i, as gamma(1,j,k; l) - gamma(1,i,k; l) +
+    gamma(1,i,j; l): the coboundary of the triangle ijk is the alternating
+    sum of the coboundaries of the triangles that join vertex 1 to its
+    edges."""
+    return [(1, ("gamma", (1, j, k, l))), (-1, ("gamma", (1, i, k, l))), (1, ("gamma", (1, i, j, l)))]
+
+
+def spanning_set(d: int, family: str) -> tuple[list[tuple[CycleKey, Generator]], H2Class | None]:
+    """The spanning set S of a single family's witness: its cycles, each
+    with the generator its class owns, and the total class T when S holds
+    it.
+
+    gamma: gamma(1,j,k; l) for 1 < j < k and l < d, owning e^{jk}_l.
+    lambda: lambda(i; l) for i, l < d, owning e^{id}_l, and
+    T = sum_i l_i, which has no e-coordinate.
+    """
+    if family == "gamma":
+        pairs = combinations(range(2, d + 1), 2)
+        return [(("gamma", (1, j, k, l)), ("e", j, k, l)) for j, k in pairs for l in range(1, d)], None
+    owners = [(("lambda", (i, l)), ("e", i, d, l)) for i in range(1, d) for l in range(1, d)]
+    return owners, H2Class(d, {("l", i): 1 for i in range(1, d + 1)})
+
+
+def membership_replays(d: int, family: str) -> list[tuple[CycleKey, list[tuple[int, CycleKey]]]]:
+    """Each cycle of a single family outside S, with a combination of S
+    and of the cycles listed before it whose class is the cycle's class.
+
+    gamma: gamma(i,j,k; l) for 1 < i and l < d by
+    :func:`cocycle_combination`, then each gamma(i,j,k; d) as minus the
+    sum over l < d.  lambda: every column sum of the d x d array
+    lambda(i; l) is T, so lambda(d; l) = T - sum_{i<d} lambda(i; l) for
+    l < d; every row sum is T, so lambda(i; d) = T - sum_{l<d} lambda(i; l)
+    for every i.  The last column sum follows from the others.
+    """
+    if family == "gamma":
+        triples = list(combinations(range(1, d + 1), 3))
+        inner = [
+            (("gamma", (i, j, k, l)), cocycle_combination(i, j, k, l))
+            for i, j, k in triples
+            if i > 1
+            for l in range(1, d)
+        ]
+        return inner + [(("gamma", (*t, d)), [(-1, ("gamma", (*t, l))) for l in range(1, d)]) for t in triples]
+    columns = [((d, l), [(-1, ("lambda", (i, l))) for i in range(1, d)]) for l in range(1, d)]
+    rows = [((i, d), [(-1, ("lambda", (i, l))) for l in range(1, d)]) for i in range(1, d + 1)]
+    return [(("lambda", idx), [(1, TOTAL), *combination]) for idx, combination in columns + rows]
+
+
+def _label(key: CycleKey) -> str:
+    """gamma(1,2,3;4), lambda(1;2), delta(1;2,3,4): a cycle as its report
+    names it."""
+    kind, idx = key
+    cut = 1 if kind == "delta" else len(idx) - 1
+    return f"{kind}({','.join(map(str, idx[:cut]))};{','.join(map(str, idx[cut:]))})"
+
+
+def _kernel_span_failure(d: int, sing: dict[CycleKey, H2Class], basis) -> tuple[str | None, bool]:
+    """The first clause of the both-families witness that fails, or None,
+    and whether the pair replays hold.  The kernel basis witness comes
+    first, since the replays read the basis; then :func:`pair_combination`
+    against the pair class B_(i,j,l) for l < d and :func:`pair_kernel_class`
+    for l = d, :func:`total_combination` against B_0, and membership of
+    every class in ker(phi)."""
+    failed = degeneration.kernel_basis_failure(d, basis)
+    if failed is not None:
+        return f"kernel basis {failed}", False
+    k = 0
+    for i, j in combinations(range(1, d + 1), 2):
+        for l in range(1, d + 1):
+            if l < d:
+                k += 1
+                target = basis[k]
+            else:
+                target = pair_kernel_class(d, i, j, l)
+            if not replay(sing, pair_combination(d, i, j, l), target):
+                return f"replay pair({i},{j};{l})", False
+    for l in range(1, d + 1):
+        if not replay(sing, total_combination(d, l), basis[0]):
+            return f"replay total({l})", True
+    if not all(in_kernel(cl) for cl in sing.values()):
+        return "membership", True
+    return None, True
+
+
+def _single_family_failure(sing: dict[CycleKey, H2Class], owners, total: H2Class | None, replays) -> str | None:
+    """The first clause of a single family's witness that fails: a replay
+    (one whose combination leaves the span found so far fails too), a
+    cycle that no replay reaches, or the diagonal certificate of S."""
+    known = {key for key, _ in owners}
+    if total is not None:
+        sing = {**sing, TOTAL: total}
+        known.add(TOTAL)
+    for key, combination in replays:
+        if not all(k in known for _, k in combination) or not replay(sing, combination, sing[key]):
+            return f"replay {_label(key)}"
+        known.add(key)
+    missing = [key for key in sing if key not in known]
+    if missing:
+        return f"no replay of {_label(missing[0])}"
+    if not independence_certificate([sing[key] for key, _ in owners], [g for _, g in owners], total):
+        return "diagonal certificate"
+    return None
+
+
 class SpanRankResult(_Frozen):
-    __slots__ = ("rank", "expected", "spanning", "combination_verified", "witness", "witness_size", "residues")
-    rank: int
+    __slots__ = (
+        "rank",
+        "expected",
+        "spanning",
+        "combination_verified",
+        "witness",
+        "witness_size",
+        "failed",
+        "residues",
+    )
+    rank: int | None  # None when the witness fails
     expected: int
     spanning: bool
     combination_verified: bool
     witness: str
     witness_size: int
+    failed: str | None  # the clause of the witness that fails
     # (cycle, residue class) in family_cycles order, for reports to reuse
     residues: tuple[tuple[HigherCycle, H2Class], ...]
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
-    """Rank of the singularity classes of a family, against the family's
-    own rank in closed form (``expected``); ``spanning`` says whether the
-    classes span the kernel, i.e. whether the rank is the kernel dim.
+    """Rank of the singularity classes of a family, proved by a witness,
+    against the family's own rank in closed form (``expected``);
+    ``spanning`` says whether the rank is the kernel dim.
 
     The closed forms: "both" spans the kernel.  gamma: for fixed l < d the
     class of gamma(i<j<k; l) is the coboundary e^{ij}_l + e^{jk}_l - e^{ik}_l
@@ -274,10 +393,11 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     these 2(d-1) relations are all, so the rank is d^2 - 2(d-1) =
     (d-1)^2 + 1.  delta: every class is zero.
 
-    For family "both" the rank is proved by a witness, with no elimination:
+    Each family has one witness, and no rank is computed any other way.
+    For "both":
 
     * the kernel basis B is a basis of ker(phi)
-      (:func:`degeneration.spans_kernel`);
+      (:func:`degeneration.kernel_basis_failure`);
     * every class lies in ker(phi) (sparse product), so the span of the
       classes lies in ker(phi);
     * replaying :func:`pair_combination` gives the pair class B_(i,j,l) for
@@ -285,53 +405,45 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
       :func:`total_combination` gives the total class B_0, so B lies in
       the span.
 
-    The span is then ker(phi) and the rank is |B|.
+    The span is then ker(phi) and the rank is |B|.  For gamma and lambda
+    the rank is |S|, S the :func:`spanning_set`: S lies in the span of
+    the family (T is a column sum), :func:`membership_replays` puts every
+    class of the family in the span of S, and
+    :func:`degeneration.independence_certificate` proves S independent.
+    For delta the witness is "all classes zero" and the rank is 0.
 
-    When every class is zero (the delta family), the rank is 0 with the
-    witness "all classes zero", of size the number of classes.  Otherwise,
-    when any part of the witness fails, and for a single family, the rank
-    comes from exact elimination over the nonzero classes; only that branch
-    builds dense vectors.  ``combination_verified`` records the pair
-    replays alone.  ``residues`` hands the (cycle, class) pairs on, so a
-    report need not build them again.
+    When a clause fails, ``rank`` is None and ``failed`` names the clause:
+    a replay, "membership", "diagonal certificate", a nonzero delta class
+    or a clause of the kernel basis.  ``witness_size`` counts the replays
+    (the classes, for delta).  ``combination_verified`` records the pair
+    replays of "both" alone.  ``residues`` hands the (cycle, class) pairs
+    on, so a report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
-    classes = [cl for _, cl in residues]
-    kdim = degeneration.kernel_dim(d)
+    sing = {(c.kind, c.indices): cl for c, cl in residues}
     expected = {
-        "both": kdim,
+        "both": degeneration.kernel_dim(d),
         "gamma": (d - 1) * ((d - 1) * (d - 2) // 2),
         "lambda": (d - 1) ** 2 + 1,
         "delta": 0,
     }[family]
-    verified = True
-    witness = False
+    verified = True  # the pair replays, which only "both" has
     if family == "both":
-        sing = {(c.kind, c.indices): cl for c, cl in residues}
         basis = degeneration.hodge_kernel_basis(d)
-        k = 0
-        for i, j in combinations(range(1, d + 1), 2):
-            for l in range(1, d + 1):
-                if l < d:
-                    k += 1
-                    target = basis[k]
-                else:
-                    target = pair_kernel_class(d, i, j, l)
-                verified = replay(sing, pair_combination(d, i, j, l), target) and verified
-        witness = (
-            verified
-            and all(replay(sing, total_combination(d, l), basis[0]) for l in range(1, d + 1))
-            and all(in_kernel(cl) for cl in classes)
-            and degeneration.spans_kernel(d, basis)
-        )
-    if witness:
+        failed, verified = _kernel_span_failure(d, sing, basis)
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
-    elif all(cl.is_zero() for cl in classes):
-        rk, kind, size = 0, "all classes zero", len(classes)
+    elif family == "delta":
+        failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if not cl.is_zero()), None)
+        rk, kind, size = 0, "all classes zero", len(residues)
     else:
-        nonzero = [cl.vector() for cl in classes if not cl.is_zero()]
-        rk, kind, size = rank(QMatrix(nonzero)), "elimination", len(nonzero) * degeneration.coordinate_dim(d)
-    return SpanRankResult(rk, expected, rk == kdim, verified, kind, size, residues)
+        owners, total = spanning_set(d, family)
+        replays = membership_replays(d, family)
+        failed = _single_family_failure(sing, owners, total, replays)
+        kind = {"gamma": "cocycle replay", "lambda": "row and column sums"}[family] + " + diagonal certificate"
+        rk, size = len(owners) + (total is not None), len(replays)
+    if failed is not None:
+        rk = None
+    return SpanRankResult(rk, expected, rk == degeneration.kernel_dim(d), verified, kind, size, failed, residues)
 
 
 class ThreefoldBoundary(_Frozen):

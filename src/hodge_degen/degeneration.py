@@ -15,10 +15,12 @@ distinguished basis returned by :func:`hodge_kernel_basis`.
 Every rank stated about these objects has a short exact witness, checked
 in closed form: the relations by a signed identity block
 (:func:`relation_block_holds`), phi by its zero row sum and d-1 unit
-difference columns (:func:`phi_rank_holds`), and the kernel basis by
+difference columns (:func:`phi_rank_failure`), and the kernel basis by
 membership, the diagonal-block certificate and the dimension count
-(:func:`spans_kernel`).  Coefficients follow the one scalar rule of
-:mod:`exactlin`: ``int`` unless a class is genuinely rational.
+(:func:`kernel_basis_failure`).  No rank is computed any other way: the
+``*_failure`` functions name the clause of their witness that fails.
+Coefficients follow the one scalar rule of :mod:`exactlin`: ``int``
+unless a class is genuinely rational.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .exactlin import QMatrix, QVector, _Frozen, _exact, kernel_basis
+from .exactlin import QVector, _Frozen, _exact
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -219,31 +221,21 @@ def _phi_columns(d: int) -> dict[Generator, dict[int, int]]:
     return cols
 
 
-def phi_matrix(d: int) -> QMatrix:
-    """phi as a dense d x coordinate_dim(d) matrix (see :func:`phi_columns`),
-    for elimination cross checks.  Built once per d; immutable and shared."""
-    _require_d(d)
-    return _phi_matrix(d)
+def phi_rank_failure(d: int, columns: Mapping[Generator, Mapping[int, int]]) -> str | None:
+    """The failed clause of the witness that phi has rank d - 1, or None
+    when the witness holds.
 
-
-@lru_cache(maxsize=None)
-def _phi_matrix(d: int) -> QMatrix:
-    cols = list(_phi_columns(d).values())
-    return QMatrix([[col.get(comp, 0) for col in cols] for comp in range(1, d + 1)])
-
-
-def phi_rank_holds(d: int, columns: Mapping[Generator, Mapping[int, int]]) -> bool:
-    """Witness that phi has rank d - 1.
-
-    Every column is supported on the components 1..d and sums to zero, so
-    the rows of phi sum to zero and the rank is at most d - 1; the columns
-    of e^{id}_1 (i < d) are the independent differences e_i - e_d, so it
-    is at least d - 1.
+    "row sums": every column is supported on the components 1..d and
+    sums to zero, so the rows of phi sum to zero and the rank is at most
+    d - 1.  "unit differences": the columns of e^{id}_1 (i < d) are the
+    independent differences e_i - e_d, so it is at least d - 1.
     """
     comps = set(range(1, d + 1))
-    return all(col.keys() <= comps and sum(col.values()) == 0 for col in columns.values()) and all(
-        columns.get(("e", i, d, 1)) == {i: 1, d: -1} for i in range(1, d)
-    )
+    if not all(col.keys() <= comps and sum(col.values()) == 0 for col in columns.values()):
+        return "row sums"
+    if not all(columns.get(("e", i, d, 1)) == {i: 1, d: -1} for i in range(1, d)):
+        return "unit differences"
+    return None
 
 
 def in_kernel(x: H2Class) -> bool:
@@ -266,7 +258,7 @@ def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
 
     In canonical coordinates the pair classes read d*e^{ij}_l - l_j + l_i.
     Built once per d and not checked here: the reports that rely on it
-    check it with :func:`spans_kernel`.
+    check it with :func:`kernel_basis_failure`.
     """
     _require_d(d)
     return _kernel_basis(d)
@@ -283,47 +275,46 @@ def _kernel_basis(d: int) -> tuple[H2Class, ...]:
     return (total, *pairs)
 
 
-def spans_kernel(d: int, basis: Sequence[H2Class]) -> bool:
-    """Witness that ``basis`` is a basis of ker(phi).
+def kernel_basis_failure(d: int, basis: Sequence[H2Class]) -> str | None:
+    """The failed clause of the witness that ``basis`` is a basis of
+    ker(phi), or None when the witness holds.
 
-    phi has rank d - 1 (:func:`phi_rank_holds`), so ker(phi) has dimension
-    cols - (d - 1); the basis has that many elements, each lies in
-    ker(phi) (:func:`in_kernel`), and they are linearly independent
-    (:func:`independence_certificate`).
+    phi has rank d - 1 (:func:`phi_rank_failure`), so ker(phi) has
+    dimension cols - (d - 1); "count": the basis has that many elements;
+    "membership": each lies in ker(phi) (:func:`in_kernel`); "diagonal
+    certificate": they are linearly independent, since basis[k] alone
+    owns the k-th exceptional generator and basis[0] is a nonzero class
+    without e-coordinates (:func:`independence_certificate`).
     """
     cols = phi_columns(d)
-    return (
-        phi_rank_holds(d, cols)
-        and len(basis) == len(cols) - (d - 1)
-        and all(in_kernel(b) for b in basis)
-        and independence_certificate(d, basis)
-    )
+    if (failed := phi_rank_failure(d, cols)) is not None:
+        return failed
+    if len(basis) != len(cols) - (d - 1):
+        return "count"
+    if not all(in_kernel(b) for b in basis):
+        return "membership"
+    if not independence_certificate(basis[1:], canonical_generators(d)[d:], basis[0]):
+        return "diagonal certificate"
+    return None
 
 
-def independence_certificate(d: int, basis: Sequence[H2Class]) -> bool:
-    """Exact proof that a candidate kernel basis is linearly independent.
+def independence_certificate(
+    classes: Sequence[H2Class], owned: Sequence[Generator], total: H2Class | None = None
+) -> bool:
+    """Exact proof that the classes, and ``total`` when given, are
+    linearly independent.
 
-    The certificate holds when basis[0] is a nonzero class without
-    e-coordinates and, for the k-th exceptional generator e^{ij}_l in
-    canonical order, basis[k] is the only element with a nonzero
-    e^{ij}_l coordinate.  Then the e-columns of the stacked vectors form
-    a diagonal block under a zero row, so in any vanishing combination
-    every pair coefficient is 0, and then so is the total-line one.
+    classes[k] owns the generator owned[k]: it has a nonzero coordinate
+    there and every other class, total included, has none.  Then those
+    coordinates of the stacked vectors form a diagonal block, so in any
+    vanishing combination every coefficient of a class is 0; the total
+    is nonzero, so its coefficient is 0 too.
     """
-    exc = canonical_generators(d)[d:]
-    if len(basis) != 1 + len(exc):
+    if len(classes) != len(owned) or (total is not None and total.is_zero()):
         return False
-    total = basis[0]
-    if total.is_zero() or any(g[0] == "e" for g, _ in total.coords):
-        return False
-    owners: dict[Generator, list[int]] = {}
-    for k, b in enumerate(basis):
-        for g, _ in b.coords:
-            if g[0] == "e":
-                owners.setdefault(g, []).append(k)
-    return all(owners.get(g) == [k] for k, g in enumerate(exc, start=1))
-
-
-def kernel_of_phi(d: int) -> list[QVector]:
-    """Kernel of phi computed by elimination, for cross checks."""
-    return kernel_basis(phi_matrix(d))
+    owners: dict[Generator, list[int]] = {g: [] for g in owned}
+    for k, x in enumerate([*classes, *([] if total is None else [total])]):
+        for g, _ in x.coords:
+            if g in owners:
+                owners[g].append(k)
+    return all(owners[g] == [k] for k, g in enumerate(owned))

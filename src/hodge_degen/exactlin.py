@@ -1,28 +1,29 @@
-"""Exact scalars and exact linear algebra over Q.
+"""Exact scalars over Q.
 
 One rule decides what an exact rational is, for the whole package
 (:func:`_exact`): an ``int`` when the value is integral, else a reduced
 stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
 float, a string or any other inexact value raises TypeError.  Every
 store follows it (``QMatrix`` entries, ``degeneration.H2Class``
-coefficients, the parts of ``arrangement.chart_xy``) and so does every
-output of the routines below, so ``Fraction`` appears only for a
-genuinely rational value; a quotient n/d is :func:`_ratio`.  The
-``fractions`` module, too, is imported only once such a value occurs:
-a job whose scalars all stay integral never loads it.  An element
-a + b*mu of Q(mu), mu a primitive 6th root of unity, is the pair (a, b);
-its arithmetic lives in ``arrangement``, and :func:`cyclo_embed` maps it
-into the complex plane.
+coefficients, the parts of ``arrangement.chart_xy``), so ``Fraction``
+appears only for a genuinely rational value; a quotient n/d is
+:func:`_ratio`.  The ``fractions`` module, too, is imported only once
+such a value occurs: a job whose scalars all stay integral never loads
+it.  An element a + b*mu of Q(mu), mu a primitive 6th root of unity, is
+the pair (a, b); its arithmetic lives in ``arrangement``, and
+:func:`cyclo_embed` maps it into the complex plane.
 
-Matrix routines (rank, kernel, span membership) run a fraction-free
-elimination: rows are scaled to integers once and reduced by their gcd
-after every pivot step, so no intermediate Fractions are produced.
+The package computes no rank by elimination: every rank it states has a
+witness that is checked in closed form, and a witness that fails fails
+its report check.  The fraction-free elimination that cross-checks the
+witnesses is a test oracle, ``tests/oracle.py``, built on
+:class:`QMatrix`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import gcd, lcm, sqrt
+from math import sqrt
 
 QVector = tuple  # of exact scalars, each int | Fraction
 
@@ -128,115 +129,3 @@ class QMatrix(_Frozen):
             raise ValueError("dimension mismatch")
         support = [(j, x) for j, x in enumerate(v) if x]
         return tuple(_exact(sum(row[j] * x for j, x in support)) for row in self.entries)
-
-
-def _int_rows(m: QMatrix) -> list[dict[int, int]]:
-    """Rows as sparse {col: int}, each scaled by the lcm of its denominators."""
-    out = []
-    for row in m.entries:
-        support = [(j, x) for j, x in enumerate(row) if x]
-        scale = lcm(*(x.denominator for _, x in support))
-        out.append({j: x.numerator * (scale // x.denominator) for j, x in support})
-    return out
-
-
-def _reduce_row(r: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in r.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {j: v // g for j, v in r.items()}
-    return dict(r)
-
-
-def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free forward elimination on sparse integer rows.
-
-    Returns the pivots as (pivot column, row), sorted by column.
-    """
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for r in rows:
-        r = _reduce_row(r)
-        for pc, prow in pivots:
-            if pc in r:
-                a, b = r[pc], prow[pc]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                new = {}
-                for j, v in r.items():
-                    new[j] = v * ma
-                for j, v in prow.items():
-                    new[j] = new.get(j, 0) - v * mb
-                r = _reduce_row({j: v for j, v in new.items() if v != 0})
-        if r:
-            pc = min(r)
-            if r[pc] < 0:
-                r = {j: -v for j, v in r.items()}
-            pivots.append((pc, r))
-    pivots.sort(key=lambda t: t[0])
-    return pivots
-
-
-def rank(m: QMatrix) -> int:
-    """Rank over Q by exact fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_echelon(_int_rows(m)))
-
-
-def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int | Fraction]]]:
-    """Fully reduce the echelon rows (RREF), pivot entries normalized to 1."""
-    reduced: list[tuple[int, dict[int, int | Fraction]]] = []
-    for pc, row in reversed(pivots):
-        r = {j: _ratio(v, row[pc]) for j, v in row.items()}
-        for qc, qrow in reduced:
-            f = r.get(qc)
-            if f:
-                for j, v in qrow.items():
-                    r[j] = r.get(j, 0) - f * v
-                r = {j: v for j, v in r.items() if v != 0}
-        reduced.append((pc, r))
-    reduced.reverse()
-    return reduced
-
-
-def kernel_basis(m: QMatrix) -> list[QVector]:
-    """Exact basis of {v : m v = 0}; count equals cols - rank(m)."""
-    n = m.cols
-    if n == 0:
-        return []
-    reduced = _back_substitute(_echelon(_int_rows(m)))
-    pivot_set = {pc for pc, _ in reduced}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for pc, row in reduced:
-            v[pc] = -_exact(row.get(fc, 0))
-        basis.append(tuple(v))
-    return basis
-
-
-def in_span(
-    vectors: Sequence[Sequence[int | Fraction]], v: Sequence[int | Fraction]
-) -> tuple[bool, QVector | None]:
-    """Exact membership of v in span(vectors); returns coefficients when inside.
-
-    All vectors must share one dimension.  The entries are normalised
-    once, where the stacked matrix is built.
-    """
-    vecs = [tuple(w) for w in vectors]
-    target = tuple(v)
-    if any(len(w) != len(target) for w in vecs):
-        raise ValueError("dimension mismatch")
-    if not target:
-        return (True, (0,) * len(vecs))
-    # v is in the span iff the last column of [vectors | v] is free; the
-    # kernel vector of that column is then the last one and reads 1 there,
-    # so v = sum_j -k_j w_j.  A pivot column reads 0 in every kernel vector.
-    kernel = kernel_basis(QMatrix([*(w[i] for w in vecs), target[i]] for i in range(len(target))))
-    if not kernel or not kernel[-1][-1]:
-        return (False, None)
-    return (True, tuple(-c for c in kernel[-1][:-1]))

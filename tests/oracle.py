@@ -1,0 +1,136 @@
+"""Exact elimination over Q: the oracle that the package's rank witnesses
+are tested against.
+
+The package states every rank through a witness checked in closed form
+and never eliminates; this module is the independent route.  It runs a
+fraction-free elimination on sparse integer rows: each row is scaled to
+integers once and reduced by its gcd after every pivot step, so no
+intermediate Fractions are produced.  Its outputs follow the package's
+scalar rule (``int`` unless genuinely rational), and the tests check it
+against sympy's ``Matrix.rank`` and ``nullspace``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from math import gcd, lcm
+
+from hodge_degen.degeneration import phi_columns
+from hodge_degen.exactlin import QMatrix, QVector, _exact, _ratio
+
+
+def phi_matrix(d: int) -> QMatrix:
+    """The component pairing phi as a dense d x coordinate_dim(d) matrix,
+    built from the sparse columns of ``degeneration.phi_columns``."""
+    cols = list(phi_columns(d).values())
+    return QMatrix([[col.get(comp, 0) for col in cols] for comp in range(1, d + 1)])
+
+
+def _int_rows(m: QMatrix) -> list[dict[int, int]]:
+    """Rows as sparse {col: int}, each scaled by the lcm of its denominators."""
+    out = []
+    for row in m.entries:
+        support = [(j, x) for j, x in enumerate(row) if x]
+        scale = lcm(*(x.denominator for _, x in support))
+        out.append({j: x.numerator * (scale // x.denominator) for j, x in support})
+    return out
+
+
+def _reduce_row(r: dict[int, int]) -> dict[int, int]:
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+    if g > 1:
+        return {j: v // g for j, v in r.items()}
+    return dict(r)
+
+
+def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free forward elimination on sparse integer rows.
+
+    Returns the pivots as (pivot column, row), sorted by column.
+    """
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for r in rows:
+        r = _reduce_row(r)
+        for pc, prow in pivots:
+            if pc in r:
+                a, b = r[pc], prow[pc]
+                g = gcd(a, b)
+                ma, mb = b // g, a // g
+                new = {}
+                for j, v in r.items():
+                    new[j] = v * ma
+                for j, v in prow.items():
+                    new[j] = new.get(j, 0) - v * mb
+                r = _reduce_row({j: v for j, v in new.items() if v != 0})
+        if r:
+            pc = min(r)
+            if r[pc] < 0:
+                r = {j: -v for j, v in r.items()}
+            pivots.append((pc, r))
+    pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def rank(m: QMatrix) -> int:
+    """Rank over Q by exact fraction-free elimination."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(_echelon(_int_rows(m)))
+
+
+def _back_substitute(pivots: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict]]:
+    """Fully reduce the echelon rows (RREF), pivot entries normalized to 1."""
+    reduced: list[tuple[int, dict]] = []
+    for pc, row in reversed(pivots):
+        r = {j: _ratio(v, row[pc]) for j, v in row.items()}
+        for qc, qrow in reduced:
+            f = r.get(qc)
+            if f:
+                for j, v in qrow.items():
+                    r[j] = r.get(j, 0) - f * v
+                r = {j: v for j, v in r.items() if v != 0}
+        reduced.append((pc, r))
+    reduced.reverse()
+    return reduced
+
+
+def kernel_basis(m: QMatrix) -> list[QVector]:
+    """Exact basis of {v : m v = 0}; count equals cols - rank(m)."""
+    n = m.cols
+    if n == 0:
+        return []
+    reduced = _back_substitute(_echelon(_int_rows(m)))
+    pivot_set = {pc for pc, _ in reduced}
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for pc, row in reduced:
+            v[pc] = -_exact(row.get(fc, 0))
+        basis.append(tuple(v))
+    return basis
+
+
+def in_span(vectors: Sequence[Sequence], v: Sequence) -> tuple[bool, QVector | None]:
+    """Exact membership of v in span(vectors); returns coefficients when inside.
+
+    All vectors must share one dimension.  The entries are normalised
+    once, where the stacked matrix is built.
+    """
+    vecs = [tuple(w) for w in vectors]
+    target = tuple(v)
+    if any(len(w) != len(target) for w in vecs):
+        raise ValueError("dimension mismatch")
+    if not target:
+        return (True, (0,) * len(vecs))
+    # v is in the span iff the last column of [vectors | v] is free; the
+    # kernel vector of that column is then the last one and reads 1 there,
+    # so v = sum_j -k_j w_j.  A pivot column reads 0 in every kernel vector.
+    kernel = kernel_basis(QMatrix([*(w[i] for w in vecs), target[i]] for i in range(len(target))))
+    if not kernel or not kernel[-1][-1]:
+        return (False, None)
+    return (True, tuple(-c for c in kernel[-1][:-1]))

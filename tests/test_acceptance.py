@@ -22,12 +22,10 @@ from hodge_degen.cycles import (
 from hodge_degen.degeneration import (
     hodge_kernel_basis,
     kernel_dim,
-    kernel_of_phi,
-    phi_matrix,
     presentation,
     reduce_raw,
 )
-from hodge_degen.exactlin import QMatrix, cyclo_embed, rank
+from hodge_degen.exactlin import QMatrix, cyclo_embed
 from hodge_degen.limits import (
     EtaModel,
     Frame,
@@ -43,6 +41,7 @@ from hodge_degen.periods import (
     membrane_quadrature,
     mu_instance_residuals,
 )
+from oracle import kernel_basis, phi_matrix, rank
 
 L_VALUE = 4.0597664256386145
 
@@ -73,7 +72,7 @@ def test_criterion_2_kernel_basis():
         basis = hodge_kernel_basis(d)
         for b in basis:
             assert all(x == 0 for x in phi.mul_vector(b.vector())), f"d={d} membership"
-        stacked = QMatrix([b.vector() for b in basis] + list(kernel_of_phi(d)))
+        stacked = QMatrix([b.vector() for b in basis] + list(kernel_basis(phi)))
         assert rank(QMatrix([b.vector() for b in basis])) == len(basis), f"d={d} independence"
         assert rank(stacked) == len(basis) == kernel_dim(d), f"d={d} span"
     elapsed = time.monotonic() - start

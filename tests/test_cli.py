@@ -1,7 +1,9 @@
 """Command line interface: exit codes, report schema, determinism."""
 
+import ast
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from hodge_degen import arrangement, cycles, limits, periods
 from hodge_degen.cli import COMMANDS, _json, main
 from hodge_degen.degeneration import H2Class, reduce_raw
 from hodge_degen.exactlin import QMatrix, _Frozen
+from oracle import rank
 
 
 def run(capsys, *argv):
@@ -128,24 +131,24 @@ JSON_DIGESTS = {
     ("basis", "--d", "9"): "451cc58207d3b49f90bb753fbc0822875ff0efe6797768071d60f990b7dbdbe7",
     ("sing", "--d", "3", "--family", "all"): "b011d2208f5fc0b48715631e7dc3312bf8151554f5eca9b3b6503051dc45ffe3",
     ("sing", "--d", "3", "--family", "delta"): "386c36cd4d3e7cb4c01a1f481275085dcf76cb37feb3d95c864749f8c622957c",
-    ("sing", "--d", "3", "--family", "gamma"): "423676549758fe169000e26ddb3f47401ad7617a8acddb76978c7b8d0735f928",
-    ("sing", "--d", "3", "--family", "lambda"): "a62cd0a3095bdc43d51c58025c2b04d94559ebb1b13c240f1184fd8bdcf9d00c",
+    ("sing", "--d", "3", "--family", "gamma"): "fb0c7a326afe77087481e552a2378a7b03db08315403e05e61593ed9cc73dcd6",
+    ("sing", "--d", "3", "--family", "lambda"): "6e92570947d9c8b212b5cbbec75e4bb1ae77bf803092fc1e5bd1d6dc5e27c914",
     ("sing", "--d", "4", "--family", "all"): "f072ea0eed714f7bd72b875d319409931e19021d7e26535848f2f8bc9baad29f",
     ("sing", "--d", "4", "--family", "delta"): "5df5fa99c516cbf8cc0e2ca15c635ba5b1b52964d83e11883dba8216672b4bce",
-    ("sing", "--d", "4", "--family", "gamma"): "31f9a9ab6d02bf90157d73423714737c8a6b37958b6f9280da6c31cd1320bcc6",
-    ("sing", "--d", "4", "--family", "lambda"): "34fa63b8971e7311001f1ffd847b76ba0f04388050f635e22553d90153ce2a5d",
+    ("sing", "--d", "4", "--family", "gamma"): "4024fd291b37473f14b6cdcdd90a9261e6292d2a5831c09929e719dbee4c190f",
+    ("sing", "--d", "4", "--family", "lambda"): "d8b5c511d11080c6fb51f904ab812a45eab5ebbb79fa90a71cdadf03d8ef056a",
     ("sing", "--d", "5", "--family", "all"): "58ec20c0a5e1880a1b3e2a862e1b0961a9e340e7d74171caed97c64e1c1ecfd3",
     ("sing", "--d", "5", "--family", "delta"): "571ad2d87e707bc1205254bc5711c530674f91a93c68a6874423e56e5dbc157f",
-    ("sing", "--d", "5", "--family", "gamma"): "c1a5083d1df05b2a0f4e66b6e5a0c4c4e31127a815f56f1ebac01ce9a86a6be4",
-    ("sing", "--d", "5", "--family", "lambda"): "492c5e7cd1dc963b1e0e4983ac25ea7a632dd6f6f093d82766b98415423382ef",
+    ("sing", "--d", "5", "--family", "gamma"): "25c34b96b0a4761c34343bfb325ce796949c1dd9a55c1d327a866d8c857616fc",
+    ("sing", "--d", "5", "--family", "lambda"): "6fba3893ae72aed248b99335eac9e1ef27847deddb8be7880c63f4db2c82d729",
     ("sing", "--d", "6", "--family", "all"): "bfd944343be8a3fbf5164b7cbe373b5a1b22d2b42985332569fa6e10f339ab8c",
     ("sing", "--d", "6", "--family", "delta"): "84b39c9e5a51e53c4d3f63496253afcf3f641ccbaf17dc9cc38f670387d2c7c7",
-    ("sing", "--d", "6", "--family", "gamma"): "5ea2528e28ccb6566177244b563ac80efcf523ebe94891907dafd28bff31ce42",
-    ("sing", "--d", "6", "--family", "lambda"): "98d630ce99676666b32d67036de54f3b5cd374c403a8a2232328fe3b12b41277",
+    ("sing", "--d", "6", "--family", "gamma"): "8de010e60e9caa60af659e8885ed843a19621983cdeaf08326b25707ff857a47",
+    ("sing", "--d", "6", "--family", "lambda"): "2e445f879cd4f8fecd316f402047efc1f9ecab75802e5762e4c94e3c7c105d56",
     ("sing", "--d", "7", "--family", "all"): "c197b75a74cab96bcc898a9b169bec3fd6887480df3f499732e8bb84d624c5b8",
     ("sing", "--d", "7", "--family", "delta"): "97231439d27067c494210dd62ddddd547463ad3d4404dfdfa9379328d60b7b43",
-    ("sing", "--d", "7", "--family", "gamma"): "28eb29ef8f63bcfc72dae002559ef765cbb66e02964ae2b65890419448e26c2a",
-    ("sing", "--d", "7", "--family", "lambda"): "9a3cbfda7b7fa99540c268b8a696e3651b7baf7ed66e1c0c69a89634571899dd",
+    ("sing", "--d", "7", "--family", "gamma"): "4a5c7438c221a854da2409a6f3fcc56bc77f82e1dd03ab825b449a12de2fbdc2",
+    ("sing", "--d", "7", "--family", "lambda"): "e382719f1ccb4ba42487608a0aa68310bb44edc6a771dc4f2256d76682263ef0",
 }
 
 
@@ -292,7 +295,8 @@ class TestBasisCommand:
         assert code == 1
         check = {c["name"]: c for c in json.loads(out)["checks"]}["presentation dimension d=4"]
         assert check["status"] == "fail"
-        assert check["data"]["relations"] == 6 and check["data"]["relation_rank"] == 5
+        assert check["data"]["relations"] == 6 and check["data"]["relation_rank"] is None
+        assert check["data"]["failed"] == "block"
 
     def test_witness_fields(self, capsys):
         _, out = run(capsys, "--format", "json", "basis", "--d", "4")
@@ -305,9 +309,9 @@ class TestBasisCommand:
             ("membership + diagonal certificate", 19),
         ]
 
-    def test_broken_witness_reports_eliminated_rank(self, capsys, monkeypatch):
+    def test_broken_relation_block_fails(self, capsys, monkeypatch):
         # a sign slip keeps the relations independent but breaks the block:
-        # the rank then comes from elimination and the check still passes
+        # with no witness there is no rank, and the check fails
         from hodge_degen import degeneration
 
         real = degeneration.presentation
@@ -319,10 +323,12 @@ class TestBasisCommand:
 
         monkeypatch.setattr(degeneration, "presentation", slipped)
         code, out = run(capsys, "--format", "json", "basis", "--d", "4")
-        assert code == 0
-        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["presentation dimension d=4"]
-        assert data["relation_rank"] == 6
-        assert (data["witness"], data["witness_size"]) == ("elimination", 6 * 28)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert [c["status"] for c in checks.values()] == ["fail", "pass", "pass", "pass"]
+        data = checks["presentation dimension d=4"]["data"]
+        assert data["relation_rank"] is None
+        assert (data["witness"], data["witness_size"], data["failed"]) == ("signed identity block", 6, "block")
 
     def test_missing_generator_fails(self, capsys, monkeypatch):
         # dropping a generator shrinks the presented space below its closed form
@@ -342,14 +348,20 @@ class TestBasisCommand:
         assert check["status"] == "fail"
         assert check["data"]["generators"] == 27 and check["data"]["dim"] == 21
 
-    def test_broken_phi_witness_reports_eliminated_rank(self, capsys, monkeypatch):
+    def test_broken_phi_witness_fails(self, capsys, monkeypatch):
+        # the kernel dimension is derived from the pairing rank, and the
+        # kernel basis witness rests on it: both fail with it
         from hodge_degen import degeneration
 
-        monkeypatch.setattr(degeneration, "phi_rank_holds", lambda d, cols: False)
+        monkeypatch.setattr(degeneration, "phi_rank_failure", lambda d, cols: "row sums")
         code, out = run(capsys, "--format", "json", "basis", "--d", "4")
-        assert code == 0
-        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["component pairing rank d=4"]
-        assert (data["rank"], data["witness"], data["witness_size"]) == (3, "elimination", 4 * 22)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert [c["status"] for c in checks.values()] == ["pass", "fail", "fail", "fail"]
+        data = checks["component pairing rank d=4"]["data"]
+        assert (data["rank"], data["witness"], data["failed"]) == (None, "zero row sum + unit differences", "row sums")
+        assert checks["kernel dimension d=4"]["data"]["kernel_dim"] is None
+        assert checks["kernel basis spans d=4"]["data"]["failed"] == "row sums"
 
     def test_broken_kernel_basis_fails(self, capsys, monkeypatch):
         # the builder does not check its basis; the report must
@@ -369,8 +381,9 @@ class TestBasisCommand:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert [c["status"] for c in checks.values()] == ["pass", "pass", "pass", "fail"]
         check = checks["kernel basis spans d=4"]
-        assert check["data"]["stacked_rank"] == 20
-        assert check["data"]["witness"] == "elimination"
+        assert check["data"]["stacked_rank"] is None
+        assert check["data"]["witness"] == "membership + diagonal certificate"
+        assert check["data"]["failed"] == "membership"
 
     def test_flag_position_equivalent(self, capsys):
         _, first = run(capsys, "--format", "json", "basis", "--d", "3")
@@ -410,7 +423,8 @@ class TestSingCommand:
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "delta")
         assert code == 1
         check = {c["name"]: c for c in json.loads(out)["checks"]}["delta span rank d=4"]
-        assert check["status"] == "fail" and check["data"]["rank"] == 1
+        assert check["status"] == "fail" and check["data"]["rank"] is None
+        assert check["data"]["failed"] == "nonzero class delta(1;1,2,3)"
 
     def test_lambda_family_rank(self, capsys):
         code, out = run(capsys, "--format", "json", "sing", "--d", "4", "--family", "lambda")
@@ -420,15 +434,17 @@ class TestSingCommand:
         assert by_name["span rank d=4 family=lambda"]["rank"] == 10
 
     @pytest.mark.parametrize(
-        "d,family", [(d, "lambda") for d in range(2, 9)] + [(d, "gamma") for d in range(3, 9)]
+        "d,family", [(d, "lambda") for d in range(2, 11)] + [(d, "gamma") for d in range(3, 11)]
     )
     def test_single_family_rank_closed_form(self, d, family):
-        # the rank comes from elimination, expected from the closed form
+        # the witness rank, the closed form and the oracle's elimination
+        # rank of the classes agree
         from hodge_degen.cycles import span_rank
 
         res = span_rank(d, family)
-        assert res.witness == "elimination"
-        assert res.rank == res.expected
+        assert res.failed is None
+        nonzero = [cl.vector() for _, cl in res.residues if not cl.is_zero()]
+        assert res.rank == res.expected == rank(QMatrix(nonzero))
 
     def test_single_family_check_passes(self, capsys):
         code, out = run(capsys, "--format", "json", "sing", "--d", "5", "--family", "gamma")
@@ -451,6 +467,7 @@ class TestSingCommand:
                 res.combination_verified,
                 res.witness,
                 res.witness_size,
+                res.failed,
                 res.residues,
             )
 
@@ -461,10 +478,25 @@ class TestSingCommand:
         assert check["status"] == "fail"
         assert check["data"]["rank"] == 11 and check["data"]["expected"] == 10
 
+    def test_broken_single_family_witness_fails(self, capsys, monkeypatch):
+        # a flipped sign in the cocycle replay, and T dropped from the
+        # lambda spanning set: each check fails and names its replay
+        from hodge_degen import cycles
+
+        real_cocycle, real_set = cycles.cocycle_combination, cycles.spanning_set
+        monkeypatch.setattr(cycles, "cocycle_combination", lambda *a: [(-c, k) for c, k in real_cocycle(*a)])
+        monkeypatch.setattr(cycles, "spanning_set", lambda d, family: (real_set(d, family)[0], None))
+        for family, failed in (("gamma", "replay gamma(2,3,4;1)"), ("lambda", "replay lambda(5;1)")):
+            code, out = run(capsys, "--format", "json", "sing", "--d", "5", "--family", family)
+            assert code == 1
+            (check,) = json.loads(out)["checks"]
+            assert check["status"] == "fail"
+            assert (check["data"]["rank"], check["data"]["failed"]) == (None, failed)
+
     def test_broken_kernel_basis_fails_residue_table(self, capsys, monkeypatch):
-        # a basis element off the kernel: span_rank drops to elimination and
-        # the residue table, which the basis cannot reassemble, fails with
-        # exit 1 instead of a traceback
+        # a basis element off the kernel fails the span witness, and the
+        # residue table, which the basis cannot reassemble, fails with exit
+        # 1 instead of a traceback
         from hodge_degen import degeneration
 
         real = degeneration._kernel_basis
@@ -479,7 +511,9 @@ class TestSingCommand:
         assert code == 1
         assert capsys.readouterr().err == ""
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert checks["span rank d=4 family=both"]["data"]["witness"] == "elimination"
+        span = checks["span rank d=4 family=both"]
+        assert span["status"] == "fail" and span["data"]["rank"] is None
+        assert span["data"]["failed"] == "kernel basis membership"
         table = checks["sample residue table d=4"]
         assert table["status"] == "fail"
         assert any(row["in_B"] is None for row in table["data"]["rows"])
@@ -601,24 +635,26 @@ class TestPairingCommand:
         assert L.hex() == im.hex() == periods.aj_closed_form().imag.hex()
 
 
-def test_report_path_runs_no_elimination(capsys, monkeypatch):
-    # passing reports rest on witnesses and closed forms alone; the one
-    # report that eliminates is sing for the gamma or lambda family
-    from hodge_degen import exactlin
-
-    def refuse(rows):
-        raise AssertionError("elimination on the report path")
-
-    monkeypatch.setattr(exactlin, "_echelon", refuse)
-    for d in range(2, 11):
-        assert run(capsys, "--format", "json", "basis", "--d", str(d))[0] == 0
-    for d in range(3, 9):
-        for family in ("all", "delta"):
-            assert run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)[0] == 0
-    for argv in (["aj"], ["aj", "--oracle"], ["pairing", "--seed", "3"], ["verify-all"]):
-        assert run(capsys, "--format", "json", *argv)[0] == 0, argv
-    with pytest.raises(AssertionError):
-        exactlin.rank(exactlin.QMatrix([[1]]))  # the patch is live
+def test_report_path_runs_no_elimination():
+    # every rank a report states rests on its witness alone: no module of
+    # the package defines or imports an elimination routine, so a failed
+    # witness cannot be papered over by a recomputed rank
+    elimination = {"rank", "kernel_basis", "in_span", "_echelon"}
+    package = os.path.dirname(hodge_degen.__file__)
+    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "cycles.py" in modules and "exactlin.py" in modules
+    found = []
+    for name in modules:
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in elimination:
+                found.append(f"{name}: defines {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}: imports {a.name}" for a in node.names if a.name.split(".")[-1] in elimination]
+        module = importlib.import_module(f"hodge_degen.{name[:-3]}")
+        found += [f"{name}: binds {n}" for n in sorted(elimination) if hasattr(module, n)]
+    assert not found, found
 
 
 @pytest.mark.parametrize("d", range(3, 7))
@@ -648,13 +684,13 @@ def test_kernel_basis_checked_once_per_report(argv, capsys, monkeypatch):
     from hodge_degen import degeneration
 
     calls = []
-    real = degeneration.spans_kernel
+    real = degeneration.kernel_basis_failure
 
     def counted(d, basis):
         calls.append(d)
         return real(d, basis)
 
-    monkeypatch.setattr(degeneration, "spans_kernel", counted)
+    monkeypatch.setattr(degeneration, "kernel_basis_failure", counted)
     degeneration._kernel_basis.cache_clear()  # a first build counts too
     assert run(capsys, "--format", "json", *argv)[0] == 0
     assert calls == [5]

@@ -28,8 +28,9 @@ from hodge_degen.cycles import (
     threefold_boundary,
     total_combination,
 )
-from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
-from hodge_degen.exactlin import QMatrix, in_span, rank
+from hodge_degen.degeneration import H2Class, hodge_kernel_basis, reduce_raw
+from hodge_degen.exactlin import QMatrix
+from oracle import in_span, phi_matrix, rank
 
 
 def gamma_closed_form(d, i, j, k, l):
@@ -292,8 +293,8 @@ class TestSpanWitness:
             assert not replay(sing, combo[1:], total)
 
     def tampered_rank(self, monkeypatch, d, shift):
-        """span_rank over residues shifted by shift(cycle, d), against the
-        elimination rank of the shifted classes."""
+        """span_rank over residues shifted by shift(cycle, d), and the
+        oracle's elimination rank of the shifted classes."""
         real = cycles.singularity_at_zero
 
         def shifted(c, d):
@@ -314,8 +315,9 @@ class TestSpanWitness:
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
-        assert res.witness == "elimination"
-        assert res.rank == oracle == res.expected + 1 and not res.spanning
+        assert res.failed == "membership"
+        assert res.rank is None and not res.spanning
+        assert oracle == res.expected + 1
 
     def test_total_class_missing_fails_total_replay(self, monkeypatch):
         # every lambda_il minus B_0 / d: pair replays and membership hold,
@@ -325,12 +327,12 @@ class TestSpanWitness:
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
-        assert res.witness == "elimination"
-        assert res.rank == oracle == res.expected - 1 and not res.spanning
+        assert res.failed == "replay total(1)"
+        assert res.rank is None and not res.spanning
+        assert oracle == res.expected - 1
 
-    def test_broken_witness_falls_back_to_elimination(self, monkeypatch):
-        # a slipped sign fails the witness; the rank is then eliminated,
-        # so it is still the true one
+    def test_broken_witness_fails(self, monkeypatch):
+        # a slipped sign fails the witness, and no other route states a rank
         real = cycles.pair_combination
 
         def slipped(d, i, j, l):
@@ -340,12 +342,35 @@ class TestSpanWitness:
         monkeypatch.setattr(cycles, "pair_combination", slipped)
         res = span_rank(4, "both")
         assert not res.combination_verified
-        assert res.witness == "elimination"
-        assert res.rank == res.expected == 19
+        assert res.failed == "replay pair(1,2;1)"
+        assert res.rank is None and not res.spanning
+        assert res.witness == "replay + membership + diagonal certificate"
 
-    def test_single_family_keeps_elimination(self):
-        res = span_rank(4, "gamma")
-        assert res.witness == "elimination" and res.rank == 9
+    def test_broken_kernel_basis_names_its_clause(self, monkeypatch):
+        real = degeneration._kernel_basis
+        monkeypatch.setattr(degeneration, "_kernel_basis", lambda d: real(d)[:-1])
+        res = span_rank(4, "both")
+        assert res.failed == "kernel basis count" and res.rank is None
+        assert not res.combination_verified  # the replays read the basis, so they do not run
+
+    def test_single_family_witness(self):
+        for family, witness, rk in (
+            ("gamma", "cocycle replay + diagonal certificate", 9),
+            ("lambda", "row and column sums + diagonal certificate", 10),
+        ):
+            res = span_rank(4, family)
+            assert (res.witness, res.rank, res.failed) == (witness, rk, None)
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_delta_witness_names_a_nonzero_class(self, d, monkeypatch):
+        real = cycles.singularity_at_zero
+
+        def shifted(c, d):
+            return real(c, d) + H2Class(d, {("l", 1): int(c.indices == (2, 1, 2, 3))})
+
+        monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
+        res = span_rank(d, "delta")
+        assert res.failed == "nonzero class delta(2;1,2,3)" and res.rank is None
 
     @pytest.mark.parametrize("d", range(3, 8))
     def test_delta_rank_zero_without_elimination(self, d):
@@ -353,6 +378,92 @@ class TestSpanWitness:
         assert res.rank == 0 and not res.spanning
         assert res.witness == "all classes zero"
         assert res.witness_size == len(res.residues) == d * math.comb(d, 3)
+
+
+class TestSingleFamilyWitness:
+    """The gamma and lambda witnesses: a spanning set S of the closed-form
+    size, replays that put every class of the family in span(S), and the
+    diagonal certificate of S."""
+
+    @pytest.mark.parametrize("family,d", [("gamma", d) for d in range(3, 9)] + [("lambda", d) for d in range(2, 9)])
+    def test_spanning_set_owns_its_generators(self, family, d):
+        owners, total = cycles.spanning_set(d, family)
+        res = span_rank(d, family)
+        assert len(owners) + (total is not None) == res.expected
+        sing = {(c.kind, c.indices): cl for c, cl in res.residues}
+        for key, g in owners:
+            assert dict(sing[key].coords).get(g)
+            assert [k for k, _ in owners if dict(sing[k].coords).get(g)] == [key]
+        if family == "lambda":
+            assert total == hodge_kernel_basis(d)[0]
+
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_replay_counts(self, d):
+        gamma = len(cycles.membership_replays(d, "gamma"))
+        assert gamma == math.comb(d - 1, 3) * (d - 1) + math.comb(d, 3) == span_rank(d, "gamma").witness_size
+        assert len(cycles.membership_replays(d, "lambda")) == 2 * d - 1 == span_rank(d, "lambda").witness_size
+
+    def test_flipped_cocycle_sign_fails_the_replay(self, monkeypatch):
+        real = cycles.cocycle_combination
+
+        def flipped(i, j, k, l):
+            (c, key), *rest = real(i, j, k, l)
+            return [(-c, key), *rest]
+
+        monkeypatch.setattr(cycles, "cocycle_combination", flipped)
+        res = span_rank(5, "gamma")
+        assert res.failed == "replay gamma(2,3,4;1)"
+        assert res.rank is None and res.rank != res.expected
+
+    def test_dropped_total_fails_the_replay(self, monkeypatch):
+        # without T the column sums leave span(S)
+        real = cycles.spanning_set
+        monkeypatch.setattr(cycles, "spanning_set", lambda d, family: (real(d, family)[0], None))
+        res = span_rank(4, "lambda")
+        assert res.failed == "replay lambda(4;1)" and res.rank is None
+
+    @pytest.mark.parametrize("family", ["gamma", "lambda"])
+    def test_duplicated_element_fails_the_certificate(self, family, monkeypatch):
+        real = cycles.spanning_set
+
+        def duplicated(d, family):
+            owners, total = real(d, family)
+            return [*owners, owners[0]], total
+
+        monkeypatch.setattr(cycles, "spanning_set", duplicated)
+        res = span_rank(5, family)
+        assert res.failed == "diagonal certificate" and res.rank is None
+
+    def test_replaced_element_leaves_a_class_outside_the_span(self, monkeypatch):
+        real = cycles.spanning_set
+
+        def replaced(d, family):
+            # gamma(1,3,4;3), the last element, gives way to a second gamma(1,2,3;1)
+            owners, total = real(d, family)
+            return [owners[0], *owners[:-1]], total
+
+        monkeypatch.setattr(cycles, "spanning_set", replaced)
+        res = span_rank(4, "gamma")
+        assert res.failed == "replay gamma(2,3,4;3)" and res.rank is None
+
+    def test_unreplayed_class_fails(self, monkeypatch):
+        real = cycles.membership_replays
+        monkeypatch.setattr(cycles, "membership_replays", lambda d, family: real(d, family)[:-1])
+        res = span_rank(4, "lambda")
+        assert res.failed == "no replay of lambda(4;4)" and res.rank is None
+
+    def test_lambda_at_d2_builds_no_gamma(self, monkeypatch):
+        families = []
+        real = cycles.family_cycles
+
+        def recorded(d, family):
+            families.append(family)
+            return real(d, family)
+
+        monkeypatch.setattr(cycles, "family_cycles", recorded)
+        res = span_rank(2, "lambda")
+        assert families == ["lambda"]
+        assert (res.rank, res.expected, res.spanning, res.failed) == (2, 2, True, None)
 
 
 class TestThreefoldBoundary:

@@ -2,8 +2,8 @@
 
 Dimension counts are cross-checked by an independent route: the number of
 generators minus the exact rank of the relation matrix.  Every rank
-witness is checked against exact elimination for d <= 10, and tampered
-witnesses must fail.
+witness is checked against the elimination oracle of ``tests/oracle.py``
+for d <= 10, and tampered witnesses must fail and name their clause.
 """
 
 import json
@@ -21,17 +21,16 @@ from hodge_degen.degeneration import (
     hodge_kernel_basis,
     in_kernel,
     independence_certificate,
+    kernel_basis_failure,
     kernel_dim,
-    kernel_of_phi,
     phi_columns,
-    phi_matrix,
-    phi_rank_holds,
+    phi_rank_failure,
     presentation,
     reduce_raw,
     relation_block_holds,
-    spans_kernel,
 )
-from hodge_degen.exactlin import QMatrix, rank
+from hodge_degen.exactlin import QMatrix
+from oracle import kernel_basis, phi_matrix, rank
 
 
 def relation_rank(d):
@@ -45,6 +44,12 @@ def relation_rank(d):
             row[idx[g]] = c
         rows.append(row)
     return len(gens), rank(QMatrix(rows))
+
+
+def certified(d, basis):
+    """The diagonal certificate of a candidate kernel basis: basis[k] owns
+    the k-th exceptional generator, and basis[0] is the total class."""
+    return independence_certificate(basis[1:], canonical_generators(d)[d:], basis[0])
 
 
 class TestPresentation:
@@ -179,13 +184,18 @@ class TestPhi:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_rank(self, d):
         assert rank(phi_matrix(d)) == d - 1
-        assert phi_rank_holds(d, phi_columns(d))
+        assert phi_rank_failure(d, phi_columns(d)) is None
 
     @pytest.mark.parametrize("g,comp", [(("e", 1, 4, 1), 1), (("e", 2, 3, 2), 3), (("l", 2), 3)])
     def test_column_off_by_one_breaks_witness(self, g, comp):
         cols = {h: dict(col) for h, col in phi_columns(4).items()}
         cols[g][comp] = cols[g].get(comp, 0) + 1
-        assert not phi_rank_holds(4, cols)
+        assert phi_rank_failure(4, cols) == "row sums"
+
+    def test_unit_difference_column_breaks_witness(self):
+        # e^{14}_1 moved to e_2 - e_4 keeps every row sum zero
+        cols = {**phi_columns(4), ("e", 1, 4, 1): {2: 1, 4: -1}}
+        assert phi_rank_failure(4, cols) == "unit differences"
 
     def test_sparse_membership_matches_dense_product(self):
         import random
@@ -206,9 +216,9 @@ class TestPhi:
         assert coordinate_dim(4) == 22
 
     def test_built_once_per_d(self):
-        assert phi_matrix(5) is phi_matrix(5)
+        assert phi_columns(5) is phi_columns(5)
         with pytest.raises(ValueError):
-            phi_matrix(1)
+            phi_columns(1)
 
 
 class TestKernelBasis:
@@ -225,24 +235,32 @@ class TestKernelBasis:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_spans_kernel_exactly(self, d):
         basis = hodge_kernel_basis(d)
-        elim = kernel_of_phi(d)
+        elim = kernel_basis(phi_matrix(d))
         assert len(elim) == len(basis)
         stacked = QMatrix([b.vector() for b in basis] + list(elim))
         assert rank(stacked) == len(basis)
-        assert spans_kernel(d, basis)
+        assert kernel_basis_failure(d, basis) is None
 
     def test_element_off_kernel_breaks_witness(self):
         basis = list(hodge_kernel_basis(4))
         basis[5] = basis[5] + H2Class(4, {("l", 1): 1})
-        assert independence_certificate(4, basis)  # still independent
+        assert certified(4, basis)  # still independent
         assert not in_kernel(basis[5])
-        assert not spans_kernel(4, basis)
+        assert kernel_basis_failure(4, basis) == "membership"
         # elimination sees the direction outside the kernel
-        stacked = QMatrix([b.vector() for b in basis] + list(kernel_of_phi(4)))
+        stacked = QMatrix([b.vector() for b in basis] + list(kernel_basis(phi_matrix(4))))
         assert rank(stacked) == len(basis) + 1
 
     def test_short_basis_breaks_witness(self):
-        assert not spans_kernel(4, hodge_kernel_basis(4)[:-1])
+        assert kernel_basis_failure(4, hodge_kernel_basis(4)[:-1]) == "count"
+
+    def test_dependent_basis_fails_certificate(self):
+        # B_1 + B_2 in place of B_2: still in the kernel and still of the
+        # right count, but B_1 no longer owns its generator alone
+        basis = list(hodge_kernel_basis(4))
+        basis[2] = basis[1] + basis[2]
+        assert kernel_basis_failure(4, basis) == "diagonal certificate"
+        assert rank(QMatrix([b.vector() for b in basis])) == len(basis)  # the certificate is only sufficient
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_in_kernel(self, d):
@@ -263,27 +281,39 @@ class TestKernelBasis:
 class TestIndependenceCertificate:
     @pytest.mark.parametrize("d", range(2, 8))
     def test_accepts_basis(self, d):
-        assert independence_certificate(d, hodge_kernel_basis(d))
+        assert certified(d, hodge_kernel_basis(d))
 
     def test_rejects_duplicated_pair_class(self):
         basis = list(hodge_kernel_basis(4))
         basis[2] = basis[1]
         assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
-        assert not independence_certificate(4, basis)
+        assert not certified(4, basis)
 
     def test_rejects_zero_total_class(self):
         basis = list(hodge_kernel_basis(4))
         basis[0] = H2Class(4, {})
         assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
-        assert not independence_certificate(4, basis)
+        assert not certified(4, basis)
 
     def test_rejects_total_with_exceptional_part(self):
         basis = list(hodge_kernel_basis(4))
         basis[0] = basis[0] + basis[1]
-        assert not independence_certificate(4, basis)
+        assert not certified(4, basis)
 
     def test_rejects_wrong_length(self):
-        assert not independence_certificate(4, hodge_kernel_basis(4)[:-1])
+        assert not certified(4, hodge_kernel_basis(4)[:-1])
+
+    def test_total_is_optional(self):
+        assert independence_certificate(hodge_kernel_basis(4)[1:], canonical_generators(4)[4:])
+
+    def test_rejects_generator_owned_twice(self):
+        pairs, owned = hodge_kernel_basis(4)[1:], canonical_generators(4)[4:]
+        assert not independence_certificate([*pairs, pairs[0]], [*owned, owned[0]])
+
+    def test_rejects_class_off_its_generator(self):
+        # each class claims its neighbour's generator
+        pairs, owned = hodge_kernel_basis(4)[1:], canonical_generators(4)[4:]
+        assert not independence_certificate(pairs, [*owned[1:], owned[0]])
 
 
 class TestH2Class:

@@ -1,9 +1,11 @@
-"""Exact scalar and linear algebra tests.
+"""Exact scalars, and the elimination oracle of the tests.
 
-Rank and kernel results are cross-checked against a plain Fraction
-Gaussian elimination implemented here and against sympy's exact
-``Matrix.rank`` / ``nullspace``, both independent of the package's
-fraction-free routine.
+The package's exact scalar rule and ``QMatrix`` are tested here, and so
+is the fraction-free elimination of ``tests/oracle.py`` that every rank
+witness is cross-checked against: its rank and kernel results are
+checked against a plain Fraction Gaussian elimination implemented here
+and against sympy's exact ``Matrix.rank`` / ``nullspace``, both
+independent of it.
 """
 
 from fractions import Fraction
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 from hodge_degen.arrangement import _signed_sum, chart_xy
 from hodge_degen.cycles import express_in_B, threefold_boundary
-from hodge_degen.degeneration import H2Class, hodge_kernel_basis, phi_matrix, reduce_raw
-from hodge_degen.exactlin import QMatrix, _exact, _ratio, cyclo_embed, in_span, kernel_basis, rank
+from hodge_degen.degeneration import H2Class, hodge_kernel_basis, reduce_raw
+from hodge_degen.exactlin import QMatrix, _exact, _ratio, cyclo_embed
+from oracle import in_span, kernel_basis, phi_matrix, rank
 
 
 def gauss_rank(rows):
@@ -115,8 +118,6 @@ class TestRankKernel:
     def test_component_pairing_matrix(self):
         # the 4x22 pairing matrix: rank 3 against the independent oracle,
         # kernel of dimension 19
-        from hodge_degen.degeneration import phi_matrix
-
         m = phi_matrix(4)
         assert rank(m) == gauss_rank(m.entries) == 3
         assert len(kernel_basis(m)) == 19
