@@ -10,9 +10,10 @@ routes the path around the zeros of the edges (:func:`_cut_free_legs`),
 which fixes the membrane.  :func:`_check_leg` tests each leg exactly for
 rulings through x = 0 and for its distance from y = 0, and
 :func:`_membrane_legs` hands out the list only when every leg passes.
-The inner integral over a ruling is then Log(x_u / x_l), and the
-membrane integral is one quadrature of Log(x_u / x_l) dy / y per leg;
-the same checked list drives the independent raw 2D quadrature oracle.
+The inner integral over a ruling is then Log(x_u / x_l), and
+:func:`membrane_integral` takes the integral of Log(x_u / x_l) dy / y
+over each leg in closed form, through logarithms and dilogarithms; the
+same checked list drives the independent raw 2D quadrature oracle.
 """
 
 from __future__ import annotations
@@ -22,23 +23,31 @@ import math
 import random
 
 from .exactlin import _Frozen, cyclo_embed
-from .quadrature import adaptive_quad, double_integral
+from .quadrature import double_integral
 
 PI = math.pi
 ZETA2 = PI * PI / 6.0
 MU_C = cyclo_embed((0, 1))
 
-# error tolerance of the integral over each leg of membrane_integral and
-# of each leg of the 2D oracle membrane_quadrature
-_LOG_TOL = 1e-12
+# error tolerance of the integral over each leg of the 2D oracle
+# membrane_quadrature
 _ORACLE_LEG_TOL = 1e-9 / 3.0
+# largest distance from an integer of a branch number of membrane_integral
+# read in floating point; on the seeded sweeps of the tests round-off
+# leaves it below 1e-14
+_BRANCH_TOL = 1e-6
+# largest |Im z| / Re z of an end of a leg piece that is taken on the cut
+# of Li_2(z): a waypoint or vertex where 1 + q y / p is negative real in
+# exact arithmetic comes out a few ulp off it, on either side
+_CUT_ROUNDOFF = 1e-12
 # smallest distance of a ruling from x = 0 at the points where the exact
 # test takes it; it only absorbs round-off at an exact crossing, and the
 # accepted count of random triangle sweeps is the same for every margin
 # from 1e-12 to 1e-4
 _X_MARGIN = 1e-9
-# smallest distance of a y leg from y = 0; the leg integrands carry a
-# factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel budget
+# smallest distance of a y leg from y = 0; leg integrands of a quadrature
+# carry a factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel
+# budget of a quadrature of Log(x_u / x_l) dy / y
 _Y_MARGIN = 1e-3
 
 
@@ -202,6 +211,8 @@ def _sweep_legs(vertices):
     vs = [(complex(x), complex(y)) for x, y in vertices]
     if len(vs) != 3:
         raise ValueError("need exactly 3 vertices")
+    if not all(cmath.isfinite(c) for v in vs for c in v):
+        raise ValueError("vertex coordinates must be finite")
     for i in range(3):
         for j in range(i + 1, 3):
             if abs(vs[i][0] - vs[j][0]) < 1e-12 and abs(vs[i][1] - vs[j][1]) < 1e-12:
@@ -225,12 +236,12 @@ def _check_leg(pl, ql, pu, qu, y0, y1) -> None:
     from 0 is taken at s = 0 and s = 1, at the roots (the real part of a
     complex pair, the one root when a = 0) and at the points
     nearest the zeros of x_l and x_u, all clamped to the leg; a leg with a
-    distance below ``_X_MARGIN`` is refused.  The zeros of x_l and x_u
-    cover the identically zero quadratic, where every ruling lies on a
-    line through 0 and can reach it only at an end of the leg or where
-    x_l or x_u vanishes.
+    distance below ``_X_MARGIN``, or NaN, is refused.  The zeros of x_l
+    and x_u cover the identically zero quadratic, where every ruling lies
+    on a line through 0 and can reach it only at an end of the leg or
+    where x_l or x_u vanishes.
     """
-    if _segment_distance_to_zero(y0, y1) < _Y_MARGIN:
+    if not _segment_distance_to_zero(y0, y1) >= _Y_MARGIN:
         raise PathSingularityError(f"sweep path passes within {_Y_MARGIN} of y = 0")
     dy = y1 - y0
     A, B = pl + ql * y0, ql * dy
@@ -252,7 +263,7 @@ def _check_leg(pl, ql, pu, qu, y0, y1) -> None:
         ss.append(-c / b)
     for s in ss:
         s = min(1.0, max(0.0, s))
-        if _segment_distance_to_zero(A + s * B, E + s * F) < _X_MARGIN:
+        if not _segment_distance_to_zero(A + s * B, E + s * F) >= _X_MARGIN:
             raise PathSingularityError("ruling passes through x = 0")
 
 
@@ -269,27 +280,104 @@ def _membrane_legs(vertices):
     return legs
 
 
+def _branch(w: complex) -> int:
+    """The integer n of w = 2 pi i n, for a difference w of logarithms
+    that agree up to whole turns.  A quotient w.imag / 2 pi farther than
+    ``_BRANCH_TOL`` from an integer, NaN included, is refused rather than
+    rounded."""
+    t = w.imag / (2.0 * PI)
+    if not (math.isfinite(t) and abs(t - round(t)) <= _BRANCH_TOL):
+        raise PathSingularityError(f"branch number {t} is not an integer")
+    return round(t)
+
+
+def _li2_from(z: complex, zc: complex) -> complex:
+    """Li_2 at an end z of a piece of a y leg whose interior holds zc.
+
+    An end on the cut [1, oo), or off it by round-off only, is taken on
+    the cut from the piece's own side, which is zc's: dilog gives the
+    upper side, its conjugate the lower one.
+    """
+    if z.real > 1.0 and abs(z.imag) <= _CUT_ROUNDOFF * z.real:
+        v = dilog(z.real)
+        return v.conjugate() if zc.imag < 0.0 else v
+    return dilog(z)
+
+
+def _edge_log_integral(p: complex, q: complex, y0: complex, y1: complex, ym: complex) -> complex:
+    """E(p, q) = int Log(p + q y) dy / y over the straight leg from y0 to
+    y1, on the branch of the principal Log at the leg's midpoint ym."""
+    rho = cmath.log(y1 / y0)
+    if p == 0:
+        # Log(q y) = Log(q ym) + Log(y / ym) along the whole leg; p + q ym
+        # is bit for bit the x that the leg's k is read from
+        return (cmath.log(p + q * ym) - cmath.log(ym / y0)) * rho + 0.5 * rho * rho
+    w0, w1 = 1.0 + q * y0 / p, 1.0 + q * y1 / p
+    # the ends of the pieces as (y, z) with z = 1 - w = -q y / p; the split
+    # point's z is put on the real axis, where the cut of Li_2 lies
+    ends = [(y0, 1.0 - w0), (y1, 1.0 - w1)]
+    s = _cut_crossing(w0, w1)
+    if s is not None:
+        ends.insert(1, (y0 + s * (y1 - y0), complex(1.0 - (w0 + s * (w1 - w0)).real, 0.0)))
+    lp = cmath.log(p)
+    total = 0j
+    for (ya, za), (yb, zb) in zip(ends, ends[1:]):
+        yc = ym if s is None else 0.5 * (ya + yb)
+        zc = 0.5 * (za + zb)
+        # Log(1 - zc) on the side of the cut that _li2_from takes for zc
+        lw = cmath.log(complex(1.0 - zc.real, -zc.imag if zc.imag else -0.0))
+        n = _branch(cmath.log(p + q * yc) - lp - lw)
+        total += (lp + 2j * PI * n) * cmath.log(yb / ya) - (_li2_from(zb, zc) - _li2_from(za, zc))
+    return total
+
+
+def _leg_integral(pl, ql, pu, qu, y0, y1) -> complex:
+    """int Log(x_u / x_l) dy / y over one checked leg, in closed form."""
+    ym = 0.5 * (y0 + y1)
+    xl, xu = pl + ql * ym, pu + qu * ym
+    k = _branch(cmath.log(xu / xl) - cmath.log(xu) + cmath.log(xl))
+    return (
+        _edge_log_integral(pu, qu, y0, y1, ym)
+        - _edge_log_integral(pl, ql, y0, y1, ym)
+        + 2j * PI * k * cmath.log(y1 / y0)
+    )
+
+
 def membrane_integral(vertices) -> complex:
-    """Integral of dx/x ^ dy/y over the membrane spanned by the triangle.
+    """Integral of dx/x ^ dy/y over the membrane spanned by the triangle,
+    in closed form: logarithms and dilogarithms, no quadrature.
 
     ``vertices`` are three chart points (x, y); the sweep runs from the
     first through the second to the third, with the inner integral bounded
     below by the line through the first and last vertex.  The inner
     integral over the ruling from x_l to x_u is Log(x_u / x_l) on the
     principal branch, because the ruling misses x = 0 and so subtends an
-    angle below pi at it.  Each leg is one quadrature of
-    Log(x_u / x_l) dy / y to within ``_LOG_TOL``.
+    angle below pi at it.  On each checked leg (pl, ql, pu, qu, y0, y1):
+
+    - Log(x_u / x_l) = Log x_u - Log x_l + 2 pi i k.  All three logs are
+      continuous on the leg: the rulings miss x = 0 and neither edge's x
+      crosses its cut.  So k is constant, read at the leg's midpoint; it
+      is nonzero only when a vertex lies on the cut of x.
+    - The leg gives E(pu, qu) - E(pl, ql) + 2 pi i k Log(y1 / y0), with
+      E(p, q) = int Log(p + q y) dy / y.  Log(y1 / y0) = int dy / y,
+      because a straight leg that misses y = 0 subtends an angle below pi.
+    - p != 0: Log(p + q y) = Log p + Log(1 + q y / p) + 2 pi i n, and
+      int_0^z log(1 - t) / t dt = -Li_2(z) gives the antiderivative
+      -Li_2(-q y / p) of Log(1 + q y / p) / y.  The leg is split at most
+      once, where 1 + q y / p crosses (-oo, 0] and Li_2 its cut
+      (:func:`_cut_crossing`).  Each piece [ya, yb] adds
+      (Log p + 2 pi i n) Log(yb / ya) - (Li_2(-q yb / p) - Li_2(-q ya / p)),
+      with n read at the piece's midpoint, and Li_2 at an end on the cut
+      taken from the piece's own side (:func:`_li2_from`).
+    - p = 0, an edge through the chart origin: Log(q y) = Log(q ym) +
+      Log(y / ym) on the whole leg, since both sides are continuous and
+      agree at ym, so E = (Log(q ym) - Log(ym / y0)) rho + rho^2 / 2 with
+      rho = Log(y1 / y0).
+
+    Every branch number is read in floating point, and one farther than
+    ``_BRANCH_TOL`` from an integer is refused with PathSingularityError.
     """
-    total = 0j
-    for pl, ql, pu, qu, y0, y1 in _membrane_legs(vertices):
-        dy = y1 - y0
-
-        def f(s, pl=pl, ql=ql, pu=pu, qu=qu, y0=y0, dy=dy):
-            y = y0 + s * dy
-            return cmath.log((pu + qu * y) / (pl + ql * y)) / y * dy
-
-        total += adaptive_quad(f, 0.0, 1.0, _LOG_TOL)
-    return total
+    return sum((_leg_integral(*leg) for leg in _membrane_legs(vertices)), 0j)
 
 
 def membrane_quadrature(vertices) -> complex:

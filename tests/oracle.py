@@ -1,22 +1,28 @@
-"""Exact elimination over Q: the oracle that the package's rank witnesses
-are tested against.
+"""The generic routes that the package's closed forms are tested against.
 
-The package states every rank through a witness checked in closed form
-and never eliminates; this module is the independent route.  It runs a
+Exact elimination over Q, for the rank witnesses: the package states
+every rank through a witness checked in closed form and never
+eliminates; this module is the independent route.  It runs a
 fraction-free elimination on sparse integer rows: each row is scaled to
 integers once and reduced by its gcd after every pivot step, so no
 intermediate Fractions are produced.  Its outputs follow the package's
 scalar rule (``int`` unless genuinely rational), and the tests check it
 against sympy's ``Matrix.rank`` and ``nullspace``.
+
+Adaptive quadrature of Log(x_u / x_l) dy / y per leg, for the membrane
+integral that the package takes in closed form (:func:`log_membrane`).
 """
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Sequence
 from math import gcd, lcm
 
 from hodge_degen.degeneration import phi_columns
 from hodge_degen.exactlin import QMatrix, QVector, _exact, _ratio
+from hodge_degen.periods import _membrane_legs
+from hodge_degen.quadrature import adaptive_quad
 
 
 def phi_matrix(d: int) -> QMatrix:
@@ -134,3 +140,19 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> tuple[bool, QVector | N
     if not kernel or not kernel[-1][-1]:
         return (False, None)
     return (True, tuple(-c for c in kernel[-1][:-1]))
+
+
+def log_membrane(vertices, tol: float = 1e-12) -> complex:
+    """The membrane integral over the checked legs of
+    ``periods._membrane_legs``, each leg one adaptive quadrature of the
+    principal Log(x_u / x_l) dy / y to within ``tol``."""
+    total = 0j
+    for pl, ql, pu, qu, y0, y1 in _membrane_legs(vertices):
+        dy = y1 - y0
+
+        def f(s, pl=pl, ql=ql, pu=pu, qu=qu, y0=y0, dy=dy):
+            y = y0 + s * dy
+            return cmath.log((pu + qu * y) / (pl + ql * y)) / y * dy
+
+        total += adaptive_quad(f, 0.0, 1.0, tol)
+    return total

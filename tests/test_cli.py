@@ -573,6 +573,29 @@ class TestAjCommand:
         assert code == 1
         assert f"    - max_residual: {bad}\n" in out
 
+    def test_value_runs_no_quadrature(self, capsys, monkeypatch):
+        # the membrane value is a closed form: with adaptive_quad refusing in
+        # quadrature and in every module that binds it, aj passes every check
+        # and skips only the oracle, which does integrate
+        from hodge_degen import quadrature
+
+        real = quadrature.adaptive_quad
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature on the aj value path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] in ("hodge_degen", "oracle") and getattr(module, "adaptive_quad", None) is real:
+                monkeypatch.setattr(module, "adaptive_quad", refuse)
+        assert quadrature.adaptive_quad is refuse
+        code, out = run(capsys, "--format", "json", "aj")
+        assert code == 0
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses.pop("quadrature oracle") == "skipped"
+        assert statuses and set(statuses.values()) == {"pass"}
+        with pytest.raises(AssertionError, match="quadrature on the aj value path"):
+            periods.membrane_quadrature([(1 + 1j, 1 + 1j), (2 + 0.5j, 1.5 + 0j), (2 + 2j, 2 + 2j)])
+
     def test_arrangement_check_can_fail(self, capsys, monkeypatch):
         from hodge_degen import cli
         from hodge_degen.arrangement import GeneralPositionReport

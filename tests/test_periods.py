@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hodge_degen import periods
 from hodge_degen.arrangement import sweep_vertices, tempered_arrangement
 from hodge_degen.exactlin import cyclo_embed
+from oracle import log_membrane
 from hodge_degen.periods import (
     PI,
     ZETA2,
@@ -218,9 +219,9 @@ class TestMembrane:
         assert abs(m + aj_closed_form()) <= 2e-15
 
     def test_membrane_bits(self, tempered_verts):
-        # the value to the last bit (CPython 3.11, x86-64 Linux), one
-        # quadrature of Log(x_u / x_l) dy / y per leg
-        assert repr(membrane_integral(tempered_verts)) == "(1.6449340668482264-4.059766425638614j)"
+        # the value to the last bit (CPython 3.11, x86-64 Linux), the
+        # closed form in logarithms and dilogarithms per leg
+        assert repr(membrane_integral(tempered_verts)) == "(1.644934066848225-4.059766425638615j)"
 
     def test_quadrature_oracle(self, tempered_verts):
         m = membrane_integral(tempered_verts)
@@ -284,13 +285,46 @@ class TestMembrane:
     def test_sweep_near_y_origin(self, monkeypatch):
         # the first leg passes 1.7e-4 from y = 0, inside the margin; it used
         # to exhaust the quadrature panel budget, and is now refused before
-        # any integration
+        # any leg is integrated, by the closed form or by the oracle
         def refuse(*args):
             raise AssertionError("integrated a refused membrane")
 
-        monkeypatch.setattr(periods, "adaptive_quad", refuse)
-        with pytest.raises(PathSingularityError, match="of y = 0"):
-            membrane_integral(NEAR_Y_ORIGIN)
+        monkeypatch.setattr(periods, "_leg_integral", refuse)
+        monkeypatch.setattr(periods, "double_integral", refuse)
+        for integral in (membrane_integral, membrane_quadrature):
+            with pytest.raises(PathSingularityError, match="of y = 0"):
+                integral(NEAR_Y_ORIGIN)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex(self, bad):
+        # refused with the vertices, before a NaN or inf reaches an edge
+        verts = [(complex(bad, 0.0), 1 + 1j), (2 + 0j, 2 + 1j), (3 + 1j, 3 + 0j)]
+        for integral in (membrane_integral, membrane_quadrature):
+            with pytest.raises(ValueError, match="finite"):
+                integral(verts)
+            with pytest.raises(ValueError, match="finite"):
+                integral([verts[1], verts[2], (1 + 1j, complex(0.0, bad))])
+
+    def test_nan_leg_is_refused(self):
+        # a NaN distance fails the margin tests, which compare with >=; a NaN
+        # end of the y leg is refused by the y test, the first one
+        leg = (1 + 0j, 1 + 0j, 2 + 0j, 1 + 0j, 1 + 1j, 2 + 1j)
+        periods._check_leg(*leg)
+        for i in range(6):
+            bad = list(leg)
+            bad[i] = complex(math.nan, 0.0)
+            with pytest.raises(PathSingularityError, match="of y = 0" if i >= 4 else "through x = 0"):
+                periods._check_leg(*bad)
+
+    def test_branch_number(self):
+        turn = 2j * PI
+        assert periods._branch(0j) == 0
+        assert periods._branch(-turn) == -1
+        assert periods._branch(3 * turn + 1e-9j) == 3
+        # farther than 1e-6 from an integer, NaN or inf: refused, not rounded
+        for w in (0.3 * turn, 0.45 * turn, (2 + 2e-6) * turn, complex(0.0, math.nan), complex(0.0, math.inf)):
+            with pytest.raises(PathSingularityError, match="branch number"):
+                periods._branch(w)
 
     def test_tempered_legs_clear_the_margin(self, tempered_verts):
         legs = periods._membrane_legs(tempered_verts)
@@ -324,6 +358,77 @@ point = st.builds(complex, grid, grid)
 triangles = st.lists(st.tuples(point, point), min_size=3, max_size=3, unique=True)
 
 
+def seeded_triangles(seed, draw, count=3000):
+    """count triangles, each vertex x and y with real and imaginary parts
+    from draw(rng)."""
+    rng = random.Random(seed)
+    return [[(complex(draw(rng), draw(rng)), complex(draw(rng), draw(rng))) for _ in range(3)] for _ in range(count)]
+
+
+# the triangle with vertices on the cut of x, where Log x_u - Log x_l is
+# off from Log(x_u / x_l) by 2 pi i on both legs
+VERTICES_ON_X_CUT = [(-2.9 + 0j, -3 + 2.6j), (1.4 + 0.7j, 2.3 + 3j), (-3 + 0j, -2.2 - 1j)]
+# a lower edge through the chart origin: pl = 0 exactly on both legs
+EDGE_THROUGH_ORIGIN = [(1 + 1j, 1 + 1j), (2 + 0.5j, 1.5 + 0j), (2 + 2j, 2 + 2j)]
+# integer triangles with a leg end where -q y / p lies on the cut of Li_2
+# in exact arithmetic, a waypoint (the first two) or a vertex
+ENDS_ON_LI2_CUT = [
+    [(1 - 1j, -1 - 3j), (-2 - 3j, 1 - 2j), (-3 + 3j, -1 + 2j)],
+    [(2j, -1 - 2j), (-1 - 2j, 1 + 2j), (1 + 1j, 2 - 2j)],
+    [(2 + 0j, 0.5 - 3j), (-0.5 - 3j, -2.5 + 2.5j), (-1 + 0.5j, 0.5 - 1j)],
+]
+# an all-real triangle: -q y / p runs along the cut of Li_2 on a leg, where
+# dilog takes the upper side, so Log(1 + q y / p) is read on the lower one
+ALONG_LI2_CUT = [(-2 + 0j, 2 + 0j), (-1 + 0j, 3 + 0j), (-0.5 + 0j, 1 + 0j)]
+
+
+class TestMembraneClosedForm:
+    """The closed form against the per-leg Log quadrature of the oracle,
+    which integrates the same checked legs to within 1e-12."""
+
+    @pytest.mark.parametrize(
+        "seed, draw, accepted",
+        [(5, lambda rng: rng.uniform(-3, 3), 2162), (3, lambda rng: rng.randint(-30, 30) / 10, 2136)],
+        ids=["uniform", "grid"],
+    )
+    def test_seeded_sweeps(self, seed, draw, accepted):
+        # 3,000 triangles each; about 1,500 edge legs are split at the cut
+        # of Li_2 and about 1,000 have n != 0.  Every second accepted
+        # membrane is compared, which keeps the oracle's cost near 2 s.
+        values = []
+        for verts in seeded_triangles(seed, draw):
+            try:
+                values.append((verts, membrane_integral(verts)))
+            except PathSingularityError:
+                pass
+        assert len(values) == accepted
+        for verts, m in values[::2]:
+            assert abs(m - log_membrane(verts)) <= 1e-12 * max(1.0, abs(m)), verts
+
+    @pytest.mark.parametrize(
+        "verts",
+        [VERTICES_ON_X_CUT, *ENDS_ON_LI2_CUT, ALONG_LI2_CUT],
+        ids=["x-cut", "li2-cut-0", "li2-cut-1", "li2-cut-2", "along-li2-cut"],
+    )
+    def test_branch_cases(self, verts):
+        m = membrane_integral(verts)
+        assert abs(m - log_membrane(verts)) <= 1e-12 * max(1.0, abs(m))
+
+    def test_edge_through_chart_origin(self):
+        legs = periods._membrane_legs(EDGE_THROUGH_ORIGIN)
+        assert [leg[0] for leg in legs] == [0, 0]
+        m = membrane_integral(EDGE_THROUGH_ORIGIN)
+        assert abs(m - log_membrane(EDGE_THROUGH_ORIGIN)) <= 1e-12
+        assert abs(m - membrane_quadrature(EDGE_THROUGH_ORIGIN)) <= 1e-9
+
+    @pytest.mark.parametrize("planes", [(1, 2, 3), (1, 3, 4)], ids=["4;1,2,3", "4;1,3,4"])
+    def test_tempered_delta_triangles(self, planes):
+        # the two delta triangles on the fourth L-plane that the chart routes
+        arr = tempered_arrangement()
+        verts = [(cyclo_embed(x), cyclo_embed(y)) for x, y in sweep_vertices(arr, 4, *planes)]
+        assert abs(membrane_integral(verts) - membrane_quadrature(verts)) <= 1e-9
+
+
 class TestMembraneFuzz:
     @given(triangles)
     @settings(max_examples=30, deadline=None)
@@ -336,7 +441,7 @@ class TestMembraneFuzz:
     @example([(-0.7 - 0.4j, -1.4 - 1.9j), (-1.8 + 0j, 0.7 - 0.5j), (-2.3 + 0j, 1.4 - 1.3j)])
     # vertices on the cut of x, whose edges leave to opposite sides of it,
     # where Log x_u - Log x_l is off from Log(x_u / x_l) by 2 pi i
-    @example([(-2.9 + 0j, -3 + 2.6j), (1.4 + 0.7j, 2.3 + 3j), (-3 + 0j, -2.2 - 1j)])
+    @example(VERTICES_ON_X_CUT)
     # a leg inside the y margin, on which the leg quadrature once ran out
     # of panels
     @example(NEAR_Y_ORIGIN)
