@@ -2,8 +2,10 @@
 
 One subcommand per headline computation: ``basis`` (presentation and
 kernel of the component pairing), ``sing`` (residue classes and their
-span), ``aj`` (the period closed form against quadrature), ``pairing``
-(the limit matrix determinant), and ``verify-all``.  Reports render as
+span), ``aj`` (the period closed form, the membrane and the dilogarithm
+functional equations; the 2D quadrature oracle runs only under
+``--oracle``), ``pairing`` (the limit matrix determinant), and
+``verify-all``.  Reports render as
 markdown or deterministic, strict JSON; exit status 0 means every check
 passed, 1 a failed check, 2 a usage error.
 
@@ -277,11 +279,11 @@ def run_sing(report: Report, d: int, family: str) -> None:
             res.combination_verified,
         )
         table = []
-        for c, cls in res.residues[:6]:
+        for (kind, indices), cls in res.residues[:6]:
             coeffs = express_in_B(cls, d)
             table.append(
                 {
-                    "cycle": c.to_json_dict(),
+                    "cycle": {"kind": kind, "indices": list(indices)},
                     "class": cls.to_json_dict(),
                     "in_B": [str(x) for x in coeffs] if coeffs is not None else None,
                 }

@@ -23,53 +23,21 @@ from . import degeneration
 from .degeneration import Generator, H2Class, in_kernel, independence_certificate, reduce_raw
 from .exactlin import _Frozen, _exact, _ratio
 
-FormSel = tuple[str, int]
-
-
 class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
 
 
-class Precycle(_Frozen):
-    """(rational function, line) pair.
-
-    ``support`` is (a, b): the line cut by the a-th L-form and b-th M-form.
-    ``func_zero`` / ``func_pole`` select the numerator and denominator
-    forms; both are None for the pencil-parameter function of lambda.
-    """
-
-    __slots__ = ("support", "func_zero", "func_pole")
-    support: tuple[int, int]
-    func_zero: FormSel | None
-    func_pole: FormSel | None
-
-    def __init__(self, support: tuple[int, int], func_zero: FormSel | None, func_pole: FormSel | None):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "func_zero", func_zero)
-        object.__setattr__(self, "func_pole", func_pole)
-
-
-class HigherCycle(_Frozen):
-    __slots__ = ("kind", "indices", "terms")
-    kind: str  # "gamma", "lambda" or "delta"
-    indices: tuple[int, ...]
-    terms: tuple[Precycle, ...]
-
-    def __init__(self, kind: str, indices: tuple[int, ...], terms: tuple[Precycle, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "terms", terms)
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "indices": list(self.indices)}
+# a cycle is its key (kind, indices): ("gamma", (i, j, k, l)) with i < j < k,
+# ("delta", (i, l, m, n)) with l < m < n, or ("lambda", (i, l))
+CycleKey = tuple
 
 
 def _ordered_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def build_cycle(kind: str, indices: tuple[int, ...]) -> HigherCycle:
-    """Assemble a cycle of the given kind from strictly ordered indices.
+def build_cycle(kind: str, indices: tuple[int, ...]) -> CycleKey:
+    """The key of a cycle of the given kind, its indices checked.
 
     gamma: indices (i, j, k, l) with i < j < k; delta: (i, l, m, n) with
     l < m < n; lambda: (i, l).
@@ -78,35 +46,40 @@ def build_cycle(kind: str, indices: tuple[int, ...]) -> HigherCycle:
         i, j, k, l = indices
         if not i < j < k:
             raise ValueError(f"gamma needs i < j < k, got {indices}")
-        if min(i, l) < 1:
-            raise ValueError(f"indices must be >= 1: {indices}")
-        cyc = {i: j, j: k, k: i}
-        terms = [
-            Precycle((a, l), ("L", cyc[a]), ("L", cyc[cyc[a]]))
-            for a in (i, j, k)
-        ]
-        return HigherCycle("gamma", tuple(indices), tuple(terms))
-    if kind == "delta":
+    elif kind == "delta":
         i, l, m, n = indices
         if not l < m < n:
             raise ValueError(f"delta needs l < m < n, got {indices}")
-        if min(i, l) < 1:
-            raise ValueError(f"indices must be >= 1: {indices}")
-        cyc = {l: m, m: n, n: l}
-        terms = [
-            Precycle((i, b), ("M", cyc[b]), ("M", cyc[cyc[b]]))
-            for b in (l, m, n)
-        ]
-        return HigherCycle("delta", tuple(indices), tuple(terms))
-    if kind == "lambda":
+    elif kind == "lambda":
         i, l = indices
-        if min(i, l) < 1:
-            raise ValueError(f"indices must be >= 1: {indices}")
-        return HigherCycle("lambda", tuple(indices), (Precycle((i, l), None, None),))
-    raise ValueError(f"unknown cycle kind {kind!r}")
+    else:
+        raise ValueError(f"unknown cycle kind {kind!r}")
+    if min(i, l) < 1:
+        raise ValueError(f"indices must be >= 1: {indices}")
+    return kind, tuple(indices)
 
 
-def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
+def _terms(key: CycleKey) -> tuple:
+    """The terms ((a, l), zero, pole) of a cycle: the line cut by the a-th
+    L-form and the l-th M-form, with the forms ("L" or "M", index) of the
+    numerator and denominator of the rational function on it.  Both forms
+    are None for the pencil-parameter function of lambda.
+
+    gamma(i<j<k; l) puts on each line (L_a, M_l), a in {i,j,k}, the ratio
+    of the next two L-forms under the cyclic permutation (i j k); delta is
+    the L/M-swapped analogue.
+    """
+    kind, idx = key
+    if kind == "lambda":
+        return ((idx, None, None),)
+    if kind == "gamma":
+        i, j, k, l = idx
+        return tuple(((a, l), ("L", b), ("L", c)) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    i, l, m, n = idx
+    return tuple(((i, a), ("M", b), ("M", c)) for a, b, c in ((l, m, n), (m, n, l), (n, l, m)))
+
+
+def singularity_at_zero(c: CycleKey, d: int) -> H2Class:
     """Class of the cycle's residue on the degenerate fiber, canonical form.
 
     Ratio terms follow the blow-up rules (exceptional class + marker for
@@ -115,7 +88,7 @@ def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
     line: the strict transform l_i - sum_{a<i} e^{ai}_l plus the
     exceptional curves e^{ia}_l for a > i.  Markers must cancel exactly.
     """
-    for idx in c.indices:
+    for idx in c[1]:
         if not 1 <= idx <= d:
             raise ValueError(f"index {idx} out of range for d={d}")
     raw: dict[tuple, int] = {}
@@ -124,17 +97,17 @@ def singularity_at_zero(c: HigherCycle, d: int) -> H2Class:
     def add_raw(g, w):
         raw[g] = raw.get(g, 0) + w
 
-    for t in c.terms:
-        if t.func_zero is None:
-            i, l = t.support
+    for support, zero, pole in _terms(c):
+        if zero is None:
+            i, l = support
             add_raw(("l", i), 1)
             for a in range(1, i):
                 add_raw(("e", a, i, l), -1)
             for a in range(i + 1, d + 1):
                 add_raw(("e", i, a, l), 1)
             continue
-        a, l = t.support
-        for (kind, b), w in ((t.func_zero, 1), (t.func_pole, -1)):
+        a, l = support
+        for (kind, b), w in ((zero, 1), (pole, -1)):
             if kind == "L":
                 lo, hi = _ordered_pair(a, b)
                 if a < b:
@@ -192,32 +165,23 @@ def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
     return coeffs
 
 
-def family_cycles(d: int, family: str) -> list[HigherCycle]:
+def family_cycles(d: int, family: str) -> list[CycleKey]:
     """All cycles of the selected family: gamma, lambda, delta, or both
     (= gamma + lambda, the families with singularities at zero)."""
-    out: list[HigherCycle] = []
+    out: list[CycleKey] = []
     if family in ("gamma", "both"):
         if d < 3:
             raise ValueError("gamma cycles need d >= 3")
-        for i, j, k in combinations(range(1, d + 1), 3):
-            for l in range(1, d + 1):
-                out.append(build_cycle("gamma", (i, j, k, l)))
+        out += [("gamma", (*t, l)) for t in combinations(range(1, d + 1), 3) for l in range(1, d + 1)]
     if family in ("lambda", "both"):
-        for i in range(1, d + 1):
-            for l in range(1, d + 1):
-                out.append(build_cycle("lambda", (i, l)))
+        out += [("lambda", (i, l)) for i in range(1, d + 1) for l in range(1, d + 1)]
     if family == "delta":
         if d < 3:
             raise ValueError("delta cycles need d >= 3")
-        for i in range(1, d + 1):
-            for l, m, n in combinations(range(1, d + 1), 3):
-                out.append(build_cycle("delta", (i, l, m, n)))
+        out += [("delta", (i, *t)) for i in range(1, d + 1) for t in combinations(range(1, d + 1), 3)]
     if not out:
         raise ValueError(f"unknown family {family!r}")
     return out
-
-
-CycleKey = tuple  # (kind, indices), as in HigherCycle
 
 
 def pair_combination(d: int, i: int, j: int, l: int) -> list[tuple[int, CycleKey]]:
@@ -375,8 +339,8 @@ class SpanRankResult(_Frozen):
     witness: str
     witness_size: int
     failed: str | None  # the clause of the witness that fails
-    # (cycle, residue class) in family_cycles order, for reports to reuse
-    residues: tuple[tuple[HigherCycle, H2Class], ...]
+    # (cycle key, residue class) in family_cycles order, for reports to reuse
+    residues: tuple[tuple[CycleKey, H2Class], ...]
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
@@ -416,11 +380,11 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     a replay, "membership", "diagonal certificate", a nonzero delta class
     or a clause of the kernel basis.  ``witness_size`` counts the replays
     (the classes, for delta).  ``combination_verified`` records the pair
-    replays of "both" alone.  ``residues`` hands the (cycle, class) pairs
-    on, so a report need not build them again.
+    replays of "both" alone.  ``residues`` hands the (cycle key, class)
+    pairs on, so a report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
-    sing = {(c.kind, c.indices): cl for c, cl in residues}
+    sing = dict(residues)
     expected = {
         "both": degeneration.kernel_dim(d),
         "gamma": (d - 1) * ((d - 1) * (d - 2) // 2),

@@ -21,6 +21,7 @@ import math
 import random
 from collections.abc import Sequence
 
+from .degeneration import kernel_dim
 from .exactlin import _Frozen
 
 
@@ -28,7 +29,8 @@ class ExtrapolationError(RuntimeError):
     """Extrapolation residuals failed to settle."""
 
 
-DEFAULT_DK = 19
+# the d-classes of the default frame: one per kernel basis class at d = 4
+DEFAULT_DK = kernel_dim(4)
 
 FrameVector = tuple[complex, ...]
 

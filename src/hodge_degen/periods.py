@@ -45,9 +45,13 @@ _CUT_ROUNDOFF = 1e-12
 # accepted count of random triangle sweeps is the same for every margin
 # from 1e-12 to 1e-4
 _X_MARGIN = 1e-9
-# smallest distance of a y leg from y = 0; leg integrands of a quadrature
-# carry a factor 1/y, and a leg 1.7e-4 from y = 0 exhausted the panel
-# budget of a quadrature of Log(x_u / x_l) dy / y
+# smallest distance of a y leg from y = 0.  The closed form needs only a
+# leg that misses y = 0; the margin serves the oracles that integrate the
+# same checked legs, with a factor 1/y in the integrand: the 2D quadrature
+# of ``aj --oracle`` and ``tests/oracle.log_membrane``.  At a margin of
+# 1e-9 the seeded sweeps of the tests would accept 3 more of the 3,000
+# uniform triangles (seed 5; legs 1.8e-4 to 9.6e-4 from y = 0, each within
+# 8.4e-16 relative of mpmath) and none more of the grid ones (seed 3)
 _Y_MARGIN = 1e-3
 
 

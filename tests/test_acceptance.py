@@ -120,7 +120,7 @@ def test_criterion_4_spanning():
 def test_criterion_5_delta_triviality():
     for d in range(3, 7):
         for c in family_cycles(d, "delta"):
-            assert singularity_at_zero(c, d).is_zero(), f"delta {c.indices} d={d}"
+            assert singularity_at_zero(c, d).is_zero(), f"delta {c} d={d}"
     report(5, "swapped-family residues vanish exactly d=3..6")
 
 

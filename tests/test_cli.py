@@ -927,8 +927,6 @@ IMMUTABLE = {
     "LinearForm": (lambda: arrangement.LinearForm([1, 0, 0, 0]), "coeffs"),
     "Arrangement": (arrangement.tempered_arrangement, "d"),
     "H2Class": (lambda: H2Class(3, {("l", 1): 1}), "coords"),
-    "Precycle": (lambda: cycles.Precycle((1, 2), ("L", 2), ("L", 3)), "support"),
-    "HigherCycle": (lambda: cycles.build_cycle("lambda", (1, 1)), "kind"),
     "SpanRankResult": (lambda: cycles.span_rank(3), "rank"),
     "ThreefoldBoundary": (lambda: cycles.threefold_boundary(1, 2, 3, 1), "side"),
     "GeneralPositionReport": (

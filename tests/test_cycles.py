@@ -14,9 +14,7 @@ import pytest
 
 from hodge_degen import cycles, degeneration
 from hodge_degen.cycles import (
-    HigherCycle,
     MarkerCancellationError,
-    Precycle,
     build_cycle,
     express_in_B,
     family_cycles,
@@ -54,14 +52,16 @@ def lambda_closed_form(d, i, l):
 class TestBuildCycle:
     def test_gamma_terms(self):
         g = build_cycle("gamma", (1, 2, 3, 1))
-        assert [t.support for t in g.terms] == [(1, 1), (2, 1), (3, 1)]
-        assert [t.func_zero for t in g.terms] == [("L", 2), ("L", 3), ("L", 1)]
-        assert [t.func_pole for t in g.terms] == [("L", 3), ("L", 1), ("L", 2)]
+        assert g == ("gamma", (1, 2, 3, 1))
+        assert [support for support, _, _ in cycles._terms(g)] == [(1, 1), (2, 1), (3, 1)]
+        assert [zero for _, zero, _ in cycles._terms(g)] == [("L", 2), ("L", 3), ("L", 1)]
+        assert [pole for _, _, pole in cycles._terms(g)] == [("L", 3), ("L", 1), ("L", 2)]
 
     def test_delta_swaps_roles(self):
         dl = build_cycle("delta", (4, 1, 2, 3))
-        assert [t.support for t in dl.terms] == [(4, 1), (4, 2), (4, 3)]
-        assert [t.func_zero for t in dl.terms] == [("M", 2), ("M", 3), ("M", 1)]
+        assert dl == ("delta", (4, 1, 2, 3))
+        assert [support for support, _, _ in cycles._terms(dl)] == [(4, 1), (4, 2), (4, 3)]
+        assert [zero for _, zero, _ in cycles._terms(dl)] == [("M", 2), ("M", 3), ("M", 1)]
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -71,37 +71,49 @@ class TestBuildCycle:
 
     def test_lambda(self):
         lam = build_cycle("lambda", (2, 3))
-        assert lam.terms[0].support == (2, 3)
-        assert lam.terms[0].func_zero is None
+        assert lam == ("lambda", (2, 3))
+        assert cycles._terms(lam) == (((2, 3), None, None),)
+
+    def test_family_cycles_are_valid_keys(self):
+        for family in ("both", "delta"):
+            keys = family_cycles(4, family)
+            assert keys == [build_cycle(*key) for key in keys]
+            assert len(set(keys)) == len(keys)
 
 
 class TestBoundary:
-    def test_single_term(self):
+    def test_single_term(self, monkeypatch):
         # the zero and the pole of a lone ratio term stay as markers
-        term = Precycle((1, 2), ("L", 2), ("L", 3))
+        monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 2), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError) as exc:
-            singularity_at_zero(HigherCycle("gamma", (), (term,)), 4)
+            singularity_at_zero(("gamma", ()), 4)
         assert str(exc.value) == (
             "markers do not cancel: {('p', 1, 2, 2): 1, ('p', 1, 3, 2): -1}"
         )
 
     @pytest.mark.parametrize("d", range(3, 7))
-    def test_gamma_and_delta_close(self, d):
+    def test_gamma_and_delta_close(self, d, monkeypatch):
         # every cycle closes, and dropping any one of its terms breaks that
+        real = cycles._terms
         for c in family_cycles(d, "gamma") + family_cycles(d, "delta"):
             singularity_at_zero(c, d)
-            for k in range(len(c.terms)):
-                part = HigherCycle(c.kind, c.indices, c.terms[:k] + c.terms[k + 1 :])
+            terms = real(c)
+            assert len(terms) == 3
+            for k in range(len(terms)):
+                monkeypatch.setattr(cycles, "_terms", lambda key, k=k: real(key)[:k] + real(key)[k + 1 :])
                 with pytest.raises(MarkerCancellationError):
-                    singularity_at_zero(part, d)
+                    singularity_at_zero(c, d)
+            monkeypatch.setattr(cycles, "_terms", real)
 
-    def test_lambda_closes(self):
+    def test_lambda_closes(self, monkeypatch):
         # the pencil parameter carries no markers, so a lambda term joins
         # a closed gamma cycle without breaking it, and classes add
         g = build_cycle("gamma", (1, 2, 3, 1))
         lam = build_cycle("lambda", (1, 1))
-        both = HigherCycle("gamma", g.indices, g.terms + lam.terms)
-        assert singularity_at_zero(both, 4) == singularity_at_zero(g, 4) + singularity_at_zero(lam, 4)
+        separate = singularity_at_zero(g, 4) + singularity_at_zero(lam, 4)
+        real = cycles._terms
+        monkeypatch.setattr(cycles, "_terms", lambda key: real(g) + real(lam))
+        assert singularity_at_zero(g, 4) == separate
 
 
 class TestSingularity:
@@ -153,10 +165,10 @@ class TestSingularity:
                 acc = acc + singularity_at_zero(build_cycle("lambda", (i, l)), d)
             assert acc == total_lines
 
-    def test_marker_cancellation_enforced(self):
-        lone = HigherCycle("gamma", (), (Precycle((1, 1), ("L", 2), ("L", 3)),))
+    def test_marker_cancellation_enforced(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 1), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError):
-            singularity_at_zero(lone, 4)
+            singularity_at_zero(("gamma", ()), 4)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -261,7 +273,7 @@ class TestSpanRank:
 
 
 def residues(d):
-    return {(c.kind, c.indices): singularity_at_zero(c, d) for c in family_cycles(d, "both")}
+    return {c: singularity_at_zero(c, d) for c in family_cycles(d, "both")}
 
 
 class TestSpanWitness:
@@ -311,7 +323,8 @@ class TestSpanWitness:
         signs = {(1, 2, 3, 2): 1, (1, 2, 4, 2): -1, (1, 3, 4, 2): 1, (2, 3, 4, 2): -1}
 
         def shift(c, d):
-            return H2Class(d, {("l", 1): signs.get(c.indices, 0) if c.kind == "gamma" else 0})
+            kind, indices = c
+            return H2Class(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
@@ -323,7 +336,7 @@ class TestSpanWitness:
         # every lambda_il minus B_0 / d: pair replays and membership hold,
         # but the lambda column sums vanish and B_0 leaves the span
         def shift(c, d):
-            return hodge_kernel_basis(d)[0].scale(Fraction(-1, d)) if c.kind == "lambda" else H2Class(d, {})
+            return hodge_kernel_basis(d)[0].scale(Fraction(-1, d)) if c[0] == "lambda" else H2Class(d, {})
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
@@ -366,7 +379,7 @@ class TestSpanWitness:
         real = cycles.singularity_at_zero
 
         def shifted(c, d):
-            return real(c, d) + H2Class(d, {("l", 1): int(c.indices == (2, 1, 2, 3))})
+            return real(c, d) + H2Class(d, {("l", 1): int(c == ("delta", (2, 1, 2, 3)))})
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
         res = span_rank(d, "delta")
@@ -379,6 +392,13 @@ class TestSpanWitness:
         assert res.witness == "all classes zero"
         assert res.witness_size == len(res.residues) == d * math.comb(d, 3)
 
+    def test_residues_are_keyed_by_plain_tuples(self):
+        for d in range(3, 7):
+            for family in ("both", "gamma", "lambda", "delta"):
+                keys = [key for key, _ in span_rank(d, family).residues]
+                assert keys == family_cycles(d, family), (d, family)
+                assert all(type(key) is tuple and type(key[1]) is tuple for key in keys), (d, family)
+
 
 class TestSingleFamilyWitness:
     """The gamma and lambda witnesses: a spanning set S of the closed-form
@@ -390,7 +410,7 @@ class TestSingleFamilyWitness:
         owners, total = cycles.spanning_set(d, family)
         res = span_rank(d, family)
         assert len(owners) + (total is not None) == res.expected
-        sing = {(c.kind, c.indices): cl for c, cl in res.residues}
+        sing = dict(res.residues)
         for key, g in owners:
             assert dict(sing[key].coords).get(g)
             assert [k for k, _ in owners if dict(sing[k].coords).get(g)] == [key]

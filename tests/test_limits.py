@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hodge_degen import limits
+from hodge_degen.degeneration import kernel_dim
 from hodge_degen.limits import (
     T_SEQUENCE,
     EtaModel,
@@ -58,6 +59,10 @@ def small_frame():
 
 
 class TestFrameAlgebra:
+    def test_default_frame_has_one_d_class_per_kernel_basis_class(self):
+        # the d = 4 kernel dimension of the presentation, 19
+        assert Frame().dk == kernel_dim(4) == 19
+
     def test_gram_entries(self, frame):
         e0, e1, e2 = frame.basis("e0"), frame.basis("e1"), frame.basis("e2")
         assert pair(e0, e2, frame) == -1
