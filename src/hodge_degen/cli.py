@@ -247,7 +247,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
         report.add(
             f"delta residues vanish d={d}",
             "swapped-family cycles are regular at the degenerate fiber",
-            all(cl.is_zero() for _, cl in res.residues),
+            not any(cl for _, cl in res.residues),
             cycles=len(res.residues),
         )
         report.add(
@@ -284,7 +284,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
             table.append(
                 {
                     "cycle": {"kind": kind, "indices": list(indices)},
-                    "class": cls.to_json_dict(),
+                    "class": degeneration.class_json(d, cls),
                     "in_B": [str(x) for x in coeffs] if coeffs is not None else None,
                 }
             )
@@ -540,7 +540,7 @@ def run() -> int:
     ``hodge-degen`` script: :func:`main` after freezing the start-up heap.
 
     Interpreter shutdown runs full collections.  Frozen objects sit
-    outside every generation, so shutdown skips the ~12,700 objects that
+    outside every generation, so shutdown skips the ~11,850 objects that
     importing the package tracks, memory the OS reclaims at exit anyway.
     Shutdown is otherwise unchanged.  :func:`main` itself changes no
     process-wide state, so callers in-process never freeze."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import degeneration
-from .degeneration import Generator, H2Class, in_kernel, independence_certificate, reduce_raw
+from .degeneration import Generator, _combine, in_kernel, independence_certificate, reduce_raw
 from .exactlin import _Frozen, _exact, _ratio
 
 class MarkerCancellationError(RuntimeError):
@@ -79,7 +79,7 @@ def _terms(key: CycleKey) -> tuple:
     return tuple(((i, a), ("M", b), ("M", c)) for a, b, c in ((l, m, n), (m, n, l), (n, l, m)))
 
 
-def singularity_at_zero(c: CycleKey, d: int) -> H2Class:
+def singularity_at_zero(c: CycleKey, d: int) -> tuple:
     """Class of the cycle's residue on the degenerate fiber, canonical form.
 
     Ratio terms follow the blow-up rules (exceptional class + marker for
@@ -125,7 +125,7 @@ def singularity_at_zero(c: CycleKey, d: int) -> H2Class:
     return reduce_raw(d, raw)
 
 
-def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
+def pair_kernel_class(d: int, i: int, j: int, l: int) -> tuple:
     """sum_{l'} (e^{ij}_l - e^{ij}_{l'}) in canonical form, any 1 <= l <= d."""
     raw = {("e", i, j, l): d}
     for lp in range(1, d + 1):
@@ -133,7 +133,7 @@ def pair_kernel_class(d: int, i: int, j: int, l: int) -> H2Class:
     return reduce_raw(d, raw)
 
 
-def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
+def express_in_B(x: tuple, d: int) -> tuple[int | Fraction, ...] | None:
     """Exact coordinates of x over the distinguished kernel basis, or None
     when x lies off the kernel or the basis does not reassemble it.
 
@@ -150,9 +150,9 @@ def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
     Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
     """
     basis = degeneration.hodge_kernel_basis(d)
-    if not in_kernel(x):
+    if not in_kernel(d, x):
         return None
-    cx = dict(x.coords)
+    cx = dict(x)
     pair = {
         (i, j, l): _ratio(cx.get(("e", i, j, l), 0), d)
         for i, j in combinations(range(1, d + 1), 2)
@@ -160,7 +160,7 @@ def express_in_B(x: H2Class, d: int) -> tuple[int | Fraction, ...] | None:
     }
     total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
     coeffs = (_exact(total), *pair.values())
-    if H2Class._sum(d, ((c, b.coords) for c, b in zip(coeffs, basis) if c)) != x:
+    if _combine(d, ((c, b) for c, b in zip(coeffs, basis) if c)) != x:
         return None
     return coeffs
 
@@ -207,9 +207,9 @@ def total_combination(d: int, l: int) -> list[tuple[int, CycleKey]]:
     return [(1, ("lambda", (i, l))) for i in range(1, d + 1)]
 
 
-def replay(sing: dict[CycleKey, H2Class], combination, target: H2Class) -> bool:
+def replay(d: int, sing: dict[CycleKey, tuple], combination, target: tuple) -> bool:
     """The combination of residue classes equals target, exactly."""
-    return H2Class._sum(target.d, ((c, sing[key].coords) for c, key in combination)) == target
+    return _combine(d, ((c, sing[key]) for c, key in combination)) == target
 
 
 # the key of the total class T = sum_i l_i in the lambda spanning set
@@ -224,7 +224,7 @@ def cocycle_combination(i: int, j: int, k: int, l: int) -> list[tuple[int, Cycle
     return [(1, ("gamma", (1, j, k, l))), (-1, ("gamma", (1, i, k, l))), (1, ("gamma", (1, i, j, l)))]
 
 
-def spanning_set(d: int, family: str) -> tuple[list[tuple[CycleKey, Generator]], H2Class | None]:
+def spanning_set(d: int, family: str) -> tuple[list[tuple[CycleKey, Generator]], tuple | None]:
     """The spanning set S of a single family's witness: its cycles, each
     with the generator its class owns, and the total class T when S holds
     it.
@@ -237,7 +237,7 @@ def spanning_set(d: int, family: str) -> tuple[list[tuple[CycleKey, Generator]],
         pairs = combinations(range(2, d + 1), 2)
         return [(("gamma", (1, j, k, l)), ("e", j, k, l)) for j, k in pairs for l in range(1, d)], None
     owners = [(("lambda", (i, l)), ("e", i, d, l)) for i in range(1, d) for l in range(1, d)]
-    return owners, H2Class(d, {("l", i): 1 for i in range(1, d + 1)})
+    return owners, reduce_raw(d, {("l", i): 1 for i in range(1, d + 1)})
 
 
 def membership_replays(d: int, family: str) -> list[tuple[CycleKey, list[tuple[int, CycleKey]]]]:
@@ -273,7 +273,7 @@ def _label(key: CycleKey) -> str:
     return f"{kind}({','.join(map(str, idx[:cut]))};{','.join(map(str, idx[cut:]))})"
 
 
-def _kernel_span_failure(d: int, sing: dict[CycleKey, H2Class], basis) -> tuple[str | None, bool]:
+def _kernel_span_failure(d: int, sing: dict[CycleKey, tuple], basis) -> tuple[str | None, bool]:
     """The first clause of the both-families witness that fails, or None,
     and whether the pair replays hold.  The kernel basis witness comes
     first, since the replays read the basis; then :func:`pair_combination`
@@ -291,17 +291,17 @@ def _kernel_span_failure(d: int, sing: dict[CycleKey, H2Class], basis) -> tuple[
                 target = basis[k]
             else:
                 target = pair_kernel_class(d, i, j, l)
-            if not replay(sing, pair_combination(d, i, j, l), target):
+            if not replay(d, sing, pair_combination(d, i, j, l), target):
                 return f"replay pair({i},{j};{l})", False
     for l in range(1, d + 1):
-        if not replay(sing, total_combination(d, l), basis[0]):
+        if not replay(d, sing, total_combination(d, l), basis[0]):
             return f"replay total({l})", True
-    if not all(in_kernel(cl) for cl in sing.values()):
+    if not all(in_kernel(d, cl) for cl in sing.values()):
         return "membership", True
     return None, True
 
 
-def _single_family_failure(sing: dict[CycleKey, H2Class], owners, total: H2Class | None, replays) -> str | None:
+def _single_family_failure(d: int, sing: dict[CycleKey, tuple], owners, total: tuple | None, replays) -> str | None:
     """The first clause of a single family's witness that fails: a replay
     (one whose combination leaves the span found so far fails too), a
     cycle that no replay reaches, or the diagonal certificate of S."""
@@ -310,7 +310,7 @@ def _single_family_failure(sing: dict[CycleKey, H2Class], owners, total: H2Class
         sing = {**sing, TOTAL: total}
         known.add(TOTAL)
     for key, combination in replays:
-        if not all(k in known for _, k in combination) or not replay(sing, combination, sing[key]):
+        if not all(k in known for _, k in combination) or not replay(d, sing, combination, sing[key]):
             return f"replay {_label(key)}"
         known.add(key)
     missing = [key for key in sing if key not in known]
@@ -340,7 +340,7 @@ class SpanRankResult(_Frozen):
     witness_size: int
     failed: str | None  # the clause of the witness that fails
     # (cycle key, residue class) in family_cycles order, for reports to reuse
-    residues: tuple[tuple[CycleKey, H2Class], ...]
+    residues: tuple[tuple[CycleKey, tuple], ...]
 
 
 def span_rank(d: int, family: str = "both") -> SpanRankResult:
@@ -397,12 +397,12 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
         failed, verified = _kernel_span_failure(d, sing, basis)
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
     elif family == "delta":
-        failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if not cl.is_zero()), None)
+        failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if cl), None)
         rk, kind, size = 0, "all classes zero", len(residues)
     else:
         owners, total = spanning_set(d, family)
         replays = membership_replays(d, family)
-        failed = _single_family_failure(sing, owners, total, replays)
+        failed = _single_family_failure(d, sing, owners, total, replays)
         kind = {"gamma": "cocycle replay", "lambda": "row and column sums"}[family] + " + diagonal certificate"
         rk, size = len(owners) + (total is not None), len(replays)
     if failed is not None:

@@ -8,9 +8,13 @@ l_j - l_i = sum_l e^{ij}_l per pair i < j.
 Canonical coordinates eliminate e^{ij}_d through that relation, so the
 coordinate space has dimension d + (d-1)*C(d,2).  One table per d lists
 every generator with its column and its canonical rewrite; validation,
-column order and :func:`reduce_raw` all read it.  The intersection map
-``phi`` pairs a class against the d components; its kernel carries the
-distinguished basis returned by :func:`hodge_kernel_basis`.
+column order and :func:`reduce_raw` all read it.  A class is the tuple
+of its (canonical generator, coefficient) pairs, the coefficients
+nonzero, in column order: equal classes are equal tuples, and the
+zero class is ().  :func:`reduce_raw` builds and checks one from any
+coefficient map.  The intersection map ``phi`` pairs a class against
+the d components; its kernel carries the distinguished basis returned
+by :func:`hodge_kernel_basis`.
 
 Every rank stated about these objects has a short exact witness, checked
 in closed form: the relations by a signed identity block
@@ -29,7 +33,7 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .exactlin import QVector, _Frozen, _exact
+from .exactlin import _exact
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -62,74 +66,22 @@ def coordinate_dim(d: int) -> int:
     return d + (d - 1) * (d * (d - 1) // 2)
 
 
-class H2Class(_Frozen):
-    """A class in canonical coordinates: no e-generator with l = d appears.
+def _combine(d: int, terms) -> tuple:
+    """The class sum of c * x over the (c, x) terms, each x a class or a
+    checked rewrite: its nonzero exact coefficients, in column order.
+    The one accumulator behind every class built from others."""
+    acc: dict[Generator, int | Fraction] = {}
+    for c, x in terms:
+        for g, v in x:
+            acc[g] = acc.get(g, 0) + c * v
+    table = _table(d)
+    return tuple(sorted(((g, e) for g, c in acc.items() if (e := _exact(c))), key=lambda t: table[t[0]][0]))
 
-    Coefficients follow the exact-scalar rule of :mod:`exactlin`:
-    ``int`` when integral, else ``Fraction``.
-    """
 
-    __slots__ = ("d", "coords")
-    d: int
-    coords: tuple[tuple[Generator, int | Fraction], ...]
-
-    def __init__(self, d: int, coords: Mapping[Generator, int | Fraction] | None = None):
-        coords = coords or {}
-        table = _table(d)
-        for g in coords:
-            if table.get(g, (None,))[0] is None:
-                raise ValueError(f"not a canonical generator for d={d}: {g!r} (rewrite e^{{ij}}_d by reduce_raw)")
-        self._store(d, coords.items())
-
-    @classmethod
-    def _sum(cls, d: int, terms) -> "H2Class":
-        """sum of c * x over the (c, x) terms, each x a sequence of
-        (canonical generator, coefficient) pairs that is already checked:
-        the one accumulator behind every class built from others."""
-        acc: dict[Generator, int | Fraction] = {}
-        for c, x in terms:
-            for g, v in x:
-                acc[g] = acc.get(g, 0) + c * v
-        new = object.__new__(cls)
-        new._store(d, acc.items())
-        return new
-
-    def _store(self, d: int, items) -> None:
-        """Keep the nonzero exact coefficients, in column order."""
-        table = _table(d)
-        kept = sorted(((g, e) for g, c in items if (e := _exact(c))), key=lambda t: table[t[0]][0])
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coords", tuple(kept))
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other: "H2Class") -> "H2Class":
-        if self.d != other.d:
-            raise ValueError("mixed d")
-        return H2Class._sum(self.d, ((1, self.coords), (1, other.coords)))
-
-    def __sub__(self, other: "H2Class") -> "H2Class":
-        return self + other.scale(-1)
-
-    def scale(self, f: int | Fraction) -> "H2Class":
-        return H2Class._sum(self.d, ((_exact(f), self.coords),))
-
-    def vector(self) -> QVector:
-        table = _table(self.d)
-        v = [0] * coordinate_dim(self.d)
-        for g, c in self.coords:
-            v[table[g][0]] = c
-        return tuple(v)
-
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "coords": [{"gen": _gen_label(g), "val": str(c)} for g, c in self.coords]}
-
-    def __repr__(self):
-        if not self.coords:
-            return "H2Class(0)"
-        parts = [f"{c}*{_gen_label(g)}" for g, c in self.coords]
-        return "H2Class(" + " + ".join(parts) + ")"
+def class_json(d: int, x: tuple) -> dict:
+    """The report form of the class x: d and its coordinates, each as
+    generator label and exact value."""
+    return {"d": d, "coords": [{"gen": _gen_label(g), "val": str(c)} for g, c in x]}
 
 
 def _gen_label(g: Generator) -> str:
@@ -180,12 +132,13 @@ def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[
     )
 
 
-def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> H2Class:
+def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> tuple:
     """Rewrite a raw coefficient map into canonical form.
 
     Each generator is replaced by its rewrite in the generator table:
     e^{ij}_d by l_j - l_i - sum_{l<d} e^{ij}_l, the others by themselves.
-    Linear and idempotent.
+    Linear and idempotent.  The one builder that checks its input: an
+    unknown generator raises ValueError, an inexact coefficient TypeError.
     """
     _require_d(d)
     table = _table(d)
@@ -193,7 +146,7 @@ def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> H2Class:
         terms = [(_exact(c), table[g][1]) for g, c in raw.items()]
     except KeyError as e:
         raise ValueError(f"not a presentation generator for d={d}: {e.args[0]!r}") from None
-    return H2Class._sum(d, terms)
+    return _combine(d, terms)
 
 
 def phi_columns(d: int) -> dict[Generator, dict[int, int]]:
@@ -238,11 +191,11 @@ def phi_rank_failure(d: int, columns: Mapping[Generator, Mapping[int, int]]) -> 
     return None
 
 
-def in_kernel(x: H2Class) -> bool:
+def in_kernel(d: int, x: tuple) -> bool:
     """phi x = 0, by the sparse product of x's coordinates with phi's columns."""
-    cols = _phi_columns(x.d)
+    cols = _phi_columns(d)
     acc: dict[int, int | Fraction] = {}
-    for g, c in x.coords:
+    for g, c in x:
         for comp, v in cols[g].items():
             acc[comp] = acc.get(comp, 0) + c * v
     return not any(acc.values())
@@ -252,7 +205,7 @@ def kernel_dim(d: int) -> int:
     return 1 + (d - 1) * (d * (d - 1) // 2)
 
 
-def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
+def hodge_kernel_basis(d: int) -> tuple[tuple, ...]:
     """The distinguished kernel basis: sum_i l_i, then for each pair i < j
     and 1 <= l <= d-1 the class sum_{l'}(e^{ij}_l - e^{ij}_{l'}).
 
@@ -265,17 +218,17 @@ def hodge_kernel_basis(d: int) -> tuple[H2Class, ...]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_basis(d: int) -> tuple[H2Class, ...]:
-    total = H2Class(d, {("l", i): 1 for i in range(1, d + 1)})
+def _kernel_basis(d: int) -> tuple[tuple, ...]:
+    total = reduce_raw(d, {("l", i): 1 for i in range(1, d + 1)})
     pairs = [
-        H2Class(d, {("e", i, j, l): d, ("l", j): -1, ("l", i): 1})
+        reduce_raw(d, {("e", i, j, l): d, ("l", j): -1, ("l", i): 1})
         for i, j in combinations(range(1, d + 1), 2)
         for l in range(1, d)
     ]
     return (total, *pairs)
 
 
-def kernel_basis_failure(d: int, basis: Sequence[H2Class]) -> str | None:
+def kernel_basis_failure(d: int, basis: Sequence[tuple]) -> str | None:
     """The failed clause of the witness that ``basis`` is a basis of
     ker(phi), or None when the witness holds.
 
@@ -291,7 +244,7 @@ def kernel_basis_failure(d: int, basis: Sequence[H2Class]) -> str | None:
         return failed
     if len(basis) != len(cols) - (d - 1):
         return "count"
-    if not all(in_kernel(b) for b in basis):
+    if not all(in_kernel(d, b) for b in basis):
         return "membership"
     if not independence_certificate(basis[1:], canonical_generators(d)[d:], basis[0]):
         return "diagonal certificate"
@@ -299,7 +252,7 @@ def kernel_basis_failure(d: int, basis: Sequence[H2Class]) -> str | None:
 
 
 def independence_certificate(
-    classes: Sequence[H2Class], owned: Sequence[Generator], total: H2Class | None = None
+    classes: Sequence[tuple], owned: Sequence[Generator], total: tuple | None = None
 ) -> bool:
     """Exact proof that the classes, and ``total`` when given, are
     linearly independent.
@@ -310,11 +263,11 @@ def independence_certificate(
     vanishing combination every coefficient of a class is 0; the total
     is nonzero, so its coefficient is 0 too.
     """
-    if len(classes) != len(owned) or (total is not None and total.is_zero()):
+    if len(classes) != len(owned) or (total is not None and not total):
         return False
     owners: dict[Generator, list[int]] = {g: [] for g in owned}
     for k, x in enumerate([*classes, *([] if total is None else [total])]):
-        for g, _ in x.coords:
+        for g, _ in x:
             if g in owners:
                 owners[g].append(k)
     return all(owners[g] == [k] for k, g in enumerate(owned))

@@ -4,8 +4,8 @@ One rule decides what an exact rational is, for the whole package
 (:func:`_exact`): an ``int`` when the value is integral, else a reduced
 stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
 float, a string or any other inexact value raises TypeError.  Every
-store follows it (``QMatrix`` entries, ``degeneration.H2Class``
-coefficients, the parts of ``arrangement.chart_xy``), so ``Fraction``
+store follows it (``QMatrix`` entries, the coefficients of a class in
+``degeneration``, the parts of ``arrangement.chart_xy``), so ``Fraction``
 appears only for a genuinely rational value; a quotient n/d is
 :func:`_ratio`.  The ``fractions`` module, too, is imported only once
 such a value occurs: a job whose scalars all stay integral never loads
@@ -62,8 +62,7 @@ class _Frozen:
     once, in ``__init__``, through ``object.__setattr__``; assigning or
     deleting one afterwards raises AttributeError.  The ``__init__`` here
     takes every field positionally, in ``__slots__`` order; a class that
-    converts its input or has defaults writes its own, and so does one
-    built in a hot loop, since writing the fields out costs about half.
+    converts its input or has defaults writes its own.
     """
 
     __slots__ = ()

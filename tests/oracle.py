@@ -9,6 +9,9 @@ intermediate Fractions are produced.  Its outputs follow the package's
 scalar rule (``int`` unless genuinely rational), and the tests check it
 against sympy's ``Matrix.rank`` and ``nullspace``.
 
+A class of ``degeneration`` as a dense vector over the canonical columns
+(:func:`dense`), for the dense products and eliminations above.
+
 Adaptive quadrature of Log(x_u / x_l) dy / y per leg, for the membrane
 integral that the package takes in closed form (:func:`log_membrane`).
 """
@@ -19,7 +22,7 @@ import cmath
 from collections.abc import Sequence
 from math import gcd, lcm
 
-from hodge_degen.degeneration import phi_columns
+from hodge_degen.degeneration import canonical_generators, phi_columns
 from hodge_degen.exactlin import QMatrix, QVector, _exact, _ratio
 from hodge_degen.periods import _membrane_legs
 from hodge_degen.quadrature import adaptive_quad
@@ -30,6 +33,16 @@ def phi_matrix(d: int) -> QMatrix:
     built from the sparse columns of ``degeneration.phi_columns``."""
     cols = list(phi_columns(d).values())
     return QMatrix([[col.get(comp, 0) for col in cols] for comp in range(1, d + 1)])
+
+
+def dense(d: int, x) -> QVector:
+    """The class x, a tuple of (canonical generator, coefficient) pairs, as
+    a dense vector in the column order of ``canonical_generators``."""
+    column = {g: k for k, g in enumerate(canonical_generators(d))}
+    v = [0] * len(column)
+    for g, c in x:
+        v[column[g]] = c
+    return tuple(v)
 
 
 def _int_rows(m: QMatrix) -> list[dict[int, int]]:

@@ -26,9 +26,9 @@ from hodge_degen.cycles import (
     threefold_boundary,
     total_combination,
 )
-from hodge_degen.degeneration import H2Class, hodge_kernel_basis, reduce_raw
+from hodge_degen.degeneration import _combine, hodge_kernel_basis, reduce_raw
 from hodge_degen.exactlin import QMatrix
-from oracle import in_span, phi_matrix, rank
+from oracle import dense, in_span, phi_matrix, rank
 
 
 def gamma_closed_form(d, i, j, k, l):
@@ -110,7 +110,7 @@ class TestBoundary:
         # a closed gamma cycle without breaking it, and classes add
         g = build_cycle("gamma", (1, 2, 3, 1))
         lam = build_cycle("lambda", (1, 1))
-        separate = singularity_at_zero(g, 4) + singularity_at_zero(lam, 4)
+        separate = _combine(4, ((1, singularity_at_zero(g, 4)), (1, singularity_at_zero(lam, 4))))
         real = cycles._terms
         monkeypatch.setattr(cycles, "_terms", lambda key: real(g) + real(lam))
         assert singularity_at_zero(g, 4) == separate
@@ -120,22 +120,11 @@ class TestSingularity:
     def test_gamma_example(self):
         got = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
         assert got == gamma_closed_form(4, 1, 2, 3, 1)
-        assert got == H2Class(
-            4,
-            {("e", 1, 2, 1): Fraction(1), ("e", 2, 3, 1): Fraction(1), ("e", 1, 3, 1): Fraction(-1)},
-        )
+        assert got == ((("e", 1, 2, 1), 1), (("e", 1, 3, 1), -1), (("e", 2, 3, 1), 1))
 
     def test_lambda_example(self):
         got = singularity_at_zero(build_cycle("lambda", (1, 1)), 4)
-        assert got == H2Class(
-            4,
-            {
-                ("l", 1): Fraction(1),
-                ("e", 1, 2, 1): Fraction(1),
-                ("e", 1, 3, 1): Fraction(1),
-                ("e", 1, 4, 1): Fraction(1),
-            },
-        )
+        assert got == ((("l", 1), 1), (("e", 1, 2, 1), 1), (("e", 1, 3, 1), 1), (("e", 1, 4, 1), 1))
 
     @pytest.mark.parametrize("d", range(3, 7))
     def test_gamma_closed_form_all(self, d):
@@ -154,15 +143,13 @@ class TestSingularity:
     @pytest.mark.parametrize("d", range(3, 7))
     def test_delta_trivial_all(self, d):
         for c in family_cycles(d, "delta"):
-            assert singularity_at_zero(c, d).is_zero()
+            assert not singularity_at_zero(c, d)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_lambda_column_sums(self, d):
-        total_lines = H2Class(d, {("l", i): Fraction(1) for i in range(1, d + 1)})
+        total_lines = reduce_raw(d, {("l", i): Fraction(1) for i in range(1, d + 1)})
         for l in range(1, d + 1):
-            acc = H2Class(d, {})
-            for i in range(1, d + 1):
-                acc = acc + singularity_at_zero(build_cycle("lambda", (i, l)), d)
+            acc = _combine(d, ((1, singularity_at_zero(build_cycle("lambda", (i, l)), d)) for i in range(1, d + 1)))
             assert acc == total_lines
 
     def test_marker_cancellation_enforced(self, monkeypatch):
@@ -195,7 +182,7 @@ class TestExpressInB:
         assert list(express_in_B(cls, 4)) == expected
 
     def test_zero_class(self):
-        coeffs = express_in_B(H2Class(4, {}), 4)
+        coeffs = express_in_B((), 4)
         assert coeffs is not None and all(c == 0 for c in coeffs)
 
     @pytest.mark.parametrize("d", range(2, 8))
@@ -203,14 +190,12 @@ class TestExpressInB:
         # closed-form coordinates against the generic elimination oracle
         rng = random.Random(5 + d)
         basis = hodge_kernel_basis(d)
-        vectors = [b.vector() for b in basis]
+        vectors = [dense(d, b) for b in basis]
         for _ in range(2):
             coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4)) for _ in basis]
-            combo = H2Class(d, {})
-            for c, b in zip(coeffs, basis):
-                combo = combo + b.scale(c)
-            assert any(g[0] == "e" and g[2] == d for g, _ in combo.coords)
-            ok, oracle = in_span(vectors, combo.vector())
+            combo = _combine(d, zip(coeffs, basis))
+            assert any(g[0] == "e" and g[2] == d for g, _ in combo)
+            ok, oracle = in_span(vectors, dense(d, combo))
             assert ok
             assert list(express_in_B(combo, d)) == list(oracle) == coeffs
 
@@ -220,14 +205,14 @@ class TestExpressInB:
         cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
         assert express_in_B(cls, 4) is not None
         basis = list(hodge_kernel_basis(4))
-        basis[1] = basis[1].scale(Fraction(2))
+        basis[1] = _combine(4, ((2, basis[1]),))
         monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: tuple(basis))
         assert express_in_B(cls, 4) is None
 
     def test_off_kernel_residual(self):
         # l_1 pairs nontrivially with the components: no coordinates
-        x = H2Class(4, {("l", 1): Fraction(1)})
-        assert any(phi_matrix(4).mul_vector(x.vector()))
+        x = reduce_raw(4, {("l", 1): Fraction(1)})
+        assert any(phi_matrix(4).mul_vector(dense(4, x)))
         assert express_in_B(x, 4) is None
 
 
@@ -261,14 +246,11 @@ class TestSpanRank:
         # the corrected-sign combination reproduces each pair class
         for i, j in combinations(range(1, d + 1), 2):
             for l in range(1, d + 1):
-                acc = singularity_at_zero(build_cycle("lambda", (i, l)), d)
-                acc = acc - singularity_at_zero(build_cycle("lambda", (j, l)), d)
-                for k in range(1, i):
-                    acc = acc + singularity_at_zero(build_cycle("gamma", (k, i, j, l)), d)
-                for k in range(i + 1, j):
-                    acc = acc - singularity_at_zero(build_cycle("gamma", (i, k, j, l)), d)
-                for k in range(j + 1, d + 1):
-                    acc = acc + singularity_at_zero(build_cycle("gamma", (i, j, k, l)), d)
+                terms = [(1, ("lambda", (i, l))), (-1, ("lambda", (j, l)))]
+                terms += [(1, ("gamma", (k, i, j, l))) for k in range(1, i)]
+                terms += [(-1, ("gamma", (i, k, j, l))) for k in range(i + 1, j)]
+                terms += [(1, ("gamma", (i, j, k, l))) for k in range(j + 1, d + 1)]
+                acc = _combine(d, ((c, singularity_at_zero(build_cycle(*key), d)) for c, key in terms))
                 assert acc == pair_kernel_class(d, i, j, l)
 
 
@@ -282,27 +264,27 @@ class TestSpanWitness:
         res = span_rank(d, "both")
         assert res.witness == "replay + membership + diagonal certificate"
         assert res.witness_size == d * (d * (d - 1) // 2) + d
-        nonzero = [cl.vector() for cl in residues(d).values() if not cl.is_zero()]
+        nonzero = [dense(d, cl) for cl in residues(d).values() if cl]
         assert res.rank == rank(QMatrix(nonzero)) == res.expected
 
     def test_residue_coordinates_are_int(self):
-        assert all(type(c) is int for cl in residues(5).values() for _, c in cl.coords)
+        assert all(type(c) is int for cl in residues(5).values() for _, c in cl)
 
     def test_dropped_gamma_term_fails_replay(self):
         d, sing = 5, residues(5)
         combo = pair_combination(d, 2, 4, 1)
-        assert replay(sing, combo, pair_kernel_class(d, 2, 4, 1))
+        assert replay(d, sing, combo, pair_kernel_class(d, 2, 4, 1))
         for k, (_, key) in enumerate(combo):
             if key[0] == "gamma":
-                assert not replay(sing, combo[:k] + combo[k + 1 :], pair_kernel_class(d, 2, 4, 1))
+                assert not replay(d, sing, combo[:k] + combo[k + 1 :], pair_kernel_class(d, 2, 4, 1))
 
     def test_total_replay_missing_lambda_fails(self):
         d, sing = 5, residues(5)
         total = hodge_kernel_basis(d)[0]
         for l in range(1, d + 1):
             combo = total_combination(d, l)
-            assert replay(sing, combo, total)
-            assert not replay(sing, combo[1:], total)
+            assert replay(d, sing, combo, total)
+            assert not replay(d, sing, combo[1:], total)
 
     def tampered_rank(self, monkeypatch, d, shift):
         """span_rank over residues shifted by shift(cycle, d), and the
@@ -310,12 +292,12 @@ class TestSpanWitness:
         real = cycles.singularity_at_zero
 
         def shifted(c, d):
-            return real(c, d) + shift(c, d)
+            return _combine(d, ((1, real(c, d)), (1, shift(c, d))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
         res = span_rank(d, "both")
         classes = [shifted(c, d) for c in family_cycles(d, "both")]
-        return res, rank(QMatrix([cl.vector() for cl in classes if not cl.is_zero()]))
+        return res, rank(QMatrix([dense(d, cl) for cl in classes if cl]))
 
     def test_class_off_kernel_fails_membership(self, monkeypatch):
         # l_1 times the boundary of the tetrahedron 1234 on the gammas with
@@ -324,7 +306,7 @@ class TestSpanWitness:
 
         def shift(c, d):
             kind, indices = c
-            return H2Class(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
+            return reduce_raw(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
@@ -336,7 +318,7 @@ class TestSpanWitness:
         # every lambda_il minus B_0 / d: pair replays and membership hold,
         # but the lambda column sums vanish and B_0 leaves the span
         def shift(c, d):
-            return hodge_kernel_basis(d)[0].scale(Fraction(-1, d)) if c[0] == "lambda" else H2Class(d, {})
+            return _combine(d, ((Fraction(-1, d), hodge_kernel_basis(d)[0]),)) if c[0] == "lambda" else ()
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert res.combination_verified
@@ -379,7 +361,7 @@ class TestSpanWitness:
         real = cycles.singularity_at_zero
 
         def shifted(c, d):
-            return real(c, d) + H2Class(d, {("l", 1): int(c == ("delta", (2, 1, 2, 3)))})
+            return _combine(d, ((1, real(c, d)), (int(c == ("delta", (2, 1, 2, 3))), reduce_raw(d, {("l", 1): 1}))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
         res = span_rank(d, "delta")
@@ -412,8 +394,8 @@ class TestSingleFamilyWitness:
         assert len(owners) + (total is not None) == res.expected
         sing = dict(res.residues)
         for key, g in owners:
-            assert dict(sing[key].coords).get(g)
-            assert [k for k, _ in owners if dict(sing[k].coords).get(g)] == [key]
+            assert dict(sing[key]).get(g)
+            assert [k for k, _ in owners if dict(sing[k]).get(g)] == [key]
         if family == "lambda":
             assert total == hodge_kernel_basis(d)[0]
 

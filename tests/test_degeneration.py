@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hodge_degen.cycles import span_rank
 from hodge_degen.degeneration import (
-    H2Class,
+    _combine,
     canonical_generators,
+    class_json,
     coordinate_dim,
     hodge_kernel_basis,
     in_kernel,
@@ -30,7 +32,7 @@ from hodge_degen.degeneration import (
     relation_block_holds,
 )
 from hodge_degen.exactlin import QMatrix
-from oracle import kernel_basis, phi_matrix, rank
+from oracle import dense, kernel_basis, phi_matrix, rank
 
 
 def relation_rank(d):
@@ -103,34 +105,31 @@ class TestPresentation:
 class TestReduce:
     def test_eliminates_last_column(self):
         got = reduce_raw(4, {("e", 1, 2, 4): Fraction(1)})
-        want = H2Class(
-            4,
-            {
-                ("l", 2): Fraction(1),
-                ("l", 1): Fraction(-1),
-                ("e", 1, 2, 1): Fraction(-1),
-                ("e", 1, 2, 2): Fraction(-1),
-                ("e", 1, 2, 3): Fraction(-1),
-            },
+        want = (
+            (("l", 1), -1),
+            (("l", 2), 1),
+            (("e", 1, 2, 1), -1),
+            (("e", 1, 2, 2), -1),
+            (("e", 1, 2, 3), -1),
         )
         assert got == want
 
     def test_fixes_canonical(self):
         got = reduce_raw(4, {("l", 1): Fraction(1)})
-        assert got == H2Class(4, {("l", 1): Fraction(1)})
+        assert got == ((("l", 1), 1),)
 
     def test_relation_collapses(self):
         raw = {("e", 1, 2, l): Fraction(1) for l in range(1, 5)}
         got = reduce_raw(4, raw)
-        assert got == H2Class(4, {("l", 2): Fraction(1), ("l", 1): Fraction(-1)})
+        assert got == ((("l", 1), -1), (("l", 2), 1))
 
     def test_idempotent_and_linear(self):
         raw = {("e", 2, 3, 4): Fraction(5, 3), ("l", 2): Fraction(-1, 2), ("e", 1, 2, 1): Fraction(7)}
         once = reduce_raw(4, raw)
-        again = reduce_raw(4, {g: c for g, c in once.coords})
+        again = reduce_raw(4, dict(once))
         assert once == again
         doubled = reduce_raw(4, {g: 2 * c for g, c in raw.items()})
-        assert doubled == once + once
+        assert doubled == _combine(4, ((1, once), (1, once)))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -158,7 +157,7 @@ class TestPhi:
     def test_relations_annihilated(self, d):
         _, relations, _ = presentation(d)
         for rel in relations:
-            assert all(x == 0 for x in phi_matrix(d).mul_vector(reduce_raw(d, rel).vector()))
+            assert all(x == 0 for x in phi_matrix(d).mul_vector(dense(d, reduce_raw(d, rel))))
 
     def test_well_defined_on_raw_coordinates(self):
         # phi after reduction equals the direct intersection table, so the
@@ -179,7 +178,7 @@ class TestPhi:
                     _, i, j, _ = g
                     direct[i - 1] += c
                     direct[j - 1] -= c
-            assert list(phi_matrix(d).mul_vector(reduce_raw(d, raw).vector())) == direct
+            assert list(phi_matrix(d).mul_vector(dense(d, reduce_raw(d, raw)))) == direct
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_rank(self, d):
@@ -205,10 +204,10 @@ class TestPhi:
             gens = canonical_generators(d)
             basis = hodge_kernel_basis(d)
             for _ in range(30):
-                x = H2Class(d, {g: rng.randint(-3, 3) for g in rng.sample(gens, 4)})
+                x = reduce_raw(d, {g: rng.randint(-3, 3) for g in rng.sample(gens, 4)})
                 if rng.random() < 0.5:  # half of them on the kernel
-                    x = sum((b.scale(rng.randint(-2, 2)) for b in rng.sample(basis, 3)), H2Class(d, {}))
-                assert in_kernel(x) == (not any(phi_matrix(d).mul_vector(x.vector())))
+                    x = _combine(d, ((rng.randint(-2, 2), b) for b in rng.sample(basis, 3)))
+                assert in_kernel(d, x) == (not any(phi_matrix(d).mul_vector(dense(d, x))))
 
     def test_shape(self):
         m = phi_matrix(4)
@@ -228,7 +227,7 @@ class TestKernelBasis:
 
     def test_d2_explicit(self):
         basis = hodge_kernel_basis(2)
-        assert basis[0] == H2Class(2, {("l", 1): Fraction(1), ("l", 2): Fraction(1)})
+        assert basis[0] == ((("l", 1), 1), (("l", 2), 1))
         # second element is e^{12}_1 - e^{12}_2 in canonical coordinates
         assert basis[1] == reduce_raw(2, {("e", 1, 2, 1): Fraction(1), ("e", 1, 2, 2): Fraction(-1)})
 
@@ -237,18 +236,18 @@ class TestKernelBasis:
         basis = hodge_kernel_basis(d)
         elim = kernel_basis(phi_matrix(d))
         assert len(elim) == len(basis)
-        stacked = QMatrix([b.vector() for b in basis] + list(elim))
+        stacked = QMatrix([dense(d, b) for b in basis] + list(elim))
         assert rank(stacked) == len(basis)
         assert kernel_basis_failure(d, basis) is None
 
     def test_element_off_kernel_breaks_witness(self):
         basis = list(hodge_kernel_basis(4))
-        basis[5] = basis[5] + H2Class(4, {("l", 1): 1})
+        basis[5] = _combine(4, ((1, basis[5]), (1, reduce_raw(4, {("l", 1): 1}))))
         assert certified(4, basis)  # still independent
-        assert not in_kernel(basis[5])
+        assert not in_kernel(4, basis[5])
         assert kernel_basis_failure(4, basis) == "membership"
         # elimination sees the direction outside the kernel
-        stacked = QMatrix([b.vector() for b in basis] + list(kernel_basis(phi_matrix(4))))
+        stacked = QMatrix([dense(4, b) for b in basis] + list(kernel_basis(phi_matrix(4))))
         assert rank(stacked) == len(basis) + 1
 
     def test_short_basis_breaks_witness(self):
@@ -258,15 +257,15 @@ class TestKernelBasis:
         # B_1 + B_2 in place of B_2: still in the kernel and still of the
         # right count, but B_1 no longer owns its generator alone
         basis = list(hodge_kernel_basis(4))
-        basis[2] = basis[1] + basis[2]
+        basis[2] = _combine(4, ((1, basis[1]), (1, basis[2])))
         assert kernel_basis_failure(4, basis) == "diagonal certificate"
-        assert rank(QMatrix([b.vector() for b in basis])) == len(basis)  # the certificate is only sufficient
+        assert rank(QMatrix([dense(4, b) for b in basis])) == len(basis)  # the certificate is only sufficient
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_in_kernel(self, d):
         phi = phi_matrix(d)
         for b in hodge_kernel_basis(d):
-            assert all(x == 0 for x in phi.mul_vector(b.vector()))
+            assert all(x == 0 for x in phi.mul_vector(dense(d, b)))
 
     def test_built_once_per_d(self):
         basis = hodge_kernel_basis(5)
@@ -286,18 +285,18 @@ class TestIndependenceCertificate:
     def test_rejects_duplicated_pair_class(self):
         basis = list(hodge_kernel_basis(4))
         basis[2] = basis[1]
-        assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
+        assert rank(QMatrix([dense(4, b) for b in basis])) < len(basis)
         assert not certified(4, basis)
 
     def test_rejects_zero_total_class(self):
         basis = list(hodge_kernel_basis(4))
-        basis[0] = H2Class(4, {})
-        assert rank(QMatrix([b.vector() for b in basis])) < len(basis)
+        basis[0] = ()
+        assert rank(QMatrix([dense(4, b) for b in basis])) < len(basis)
         assert not certified(4, basis)
 
     def test_rejects_total_with_exceptional_part(self):
         basis = list(hodge_kernel_basis(4))
-        basis[0] = basis[0] + basis[1]
+        basis[0] = _combine(4, ((1, basis[0]), (1, basis[1])))
         assert not certified(4, basis)
 
     def test_rejects_wrong_length(self):
@@ -316,41 +315,46 @@ class TestIndependenceCertificate:
         assert not independence_certificate(pairs, [*owned[1:], owned[0]])
 
 
-class TestH2Class:
+class TestClassTuples:
     def test_to_json_document(self):
-        x = H2Class(4, {("e", 1, 3, 2): Fraction(1, 4), ("l", 2): Fraction(-7, 3)})
-        doc = x.to_json_dict()
+        x = reduce_raw(4, {("e", 1, 3, 2): Fraction(1, 4), ("l", 2): Fraction(-7, 3)})
+        doc = class_json(4, x)
         assert doc == {"d": 4, "coords": [{"gen": "l_2", "val": "-7/3"}, {"gen": "e_1_3_2", "val": "1/4"}]}
         assert json.dumps(doc) == (
             '{"d": 4, "coords": [{"gen": "l_2", "val": "-7/3"}, {"gen": "e_1_3_2", "val": "1/4"}]}'
         )
 
-    def test_canonical_rejects_last_column(self):
-        with pytest.raises(ValueError):
-            H2Class(4, {("e", 1, 2, 4): Fraction(1)})
-
     def test_float_coefficient_rejected(self):
         # the same error as QMatrix([[0.1]]), not a silent binary fraction;
         # a string is not an exact scalar either
         with pytest.raises(TypeError, match="not an exact rational"):
-            H2Class(4, {("l", 1): 0.1})
+            reduce_raw(4, {("l", 1): 0.1})
         with pytest.raises(TypeError, match="not an exact rational"):
-            H2Class(4, {("l", 1): 1}).scale(0.5)
+            _combine(4, ((0.5, reduce_raw(4, {("l", 1): 1})),))
         with pytest.raises(TypeError, match="not an exact rational"):
-            H2Class(3, {("l", 1): "1/2"})
+            reduce_raw(3, {("l", 1): "1/2"})
 
     def test_integral_coefficients_are_int(self):
-        x = H2Class(4, {("l", 1): Fraction(6, 3), ("l", 2): Fraction(1, 2), ("l", 3): 3})
-        assert [type(c) for _, c in x.coords] == [int, Fraction, int]
-        assert x == H2Class(4, {("l", 1): 2, ("l", 2): Fraction(1, 2), ("l", 3): Fraction(3)})
-        assert all(type(c) is int for b in hodge_kernel_basis(5) for _, c in b.coords)
+        x = reduce_raw(4, {("l", 1): Fraction(6, 3), ("l", 2): Fraction(1, 2), ("l", 3): 3})
+        assert [type(c) for _, c in x] == [int, Fraction, int]
+        assert x == reduce_raw(4, {("l", 1): 2, ("l", 2): Fraction(1, 2), ("l", 3): Fraction(3)})
+        assert all(type(c) is int for b in hodge_kernel_basis(5) for _, c in b)
 
-    def test_arithmetic(self):
-        x = H2Class(3, {("l", 1): Fraction(1)})
-        y = H2Class(3, {("l", 1): Fraction(-1), ("e", 1, 2, 1): Fraction(2)})
-        assert (x + y) == H2Class(3, {("e", 1, 2, 1): Fraction(2)})
-        assert (x - x).is_zero()
-        assert x.scale(Fraction(3, 2)) == H2Class(3, {("l", 1): Fraction(3, 2)})
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_classes_are_plain_tuples(self, d):
+        # every class the package builds is a tuple of (canonical
+        # generator, nonzero exact coefficient) pairs in column order
+        column = {g: k for k, g in enumerate(canonical_generators(d))}
+        gens, relations, _ = presentation(d)
+        classes = [reduce_raw(d, {g: 1}) for g in gens] + [reduce_raw(d, rel) for rel in relations]
+        classes += hodge_kernel_basis(d)
+        for family in ("both", "gamma", "lambda", "delta"):
+            classes += [cl for _, cl in span_rank(d, family).residues]
+        for x in classes:
+            assert type(x) is tuple
+            assert all(type(t) is tuple and len(t) == 2 for t in x)
+            assert all(g in column and c and (type(c) is int or c.denominator > 1) for g, c in x)
+            assert [column[g] for g, _ in x] == sorted({column[g] for g, _ in x})
 
 
 def is_canonical(g, d):
@@ -406,12 +410,9 @@ class TestGeneratorTable:
     def test_table_is_the_only_validator(self, dg, c):
         d, g = dg
         if is_canonical(g, d):
-            assert H2Class(d, {g: c}).coords == (((g, c),) if c else ())
-        else:
-            with pytest.raises(ValueError):
-                H2Class(d, {g: c})
+            assert reduce_raw(d, {g: c}) == (((g, c),) if c else ())
         if is_presented(g, d):
-            assert reduce_raw(d, {g: c}) == reduce_raw(d, {g: 1}).scale(c)
+            assert reduce_raw(d, {g: c}) == _combine(d, ((c, reduce_raw(d, {g: 1})),))
         else:
             with pytest.raises(ValueError):
                 reduce_raw(d, {g: c})
@@ -421,7 +422,7 @@ class TestGeneratorTable:
     def test_coords_follow_vector_columns(self, d_raw):
         d, raw = d_raw
         x = reduce_raw(d, raw)
-        v = x.vector()
+        v = dense(d, x)
         nonzero = [k for k, c in enumerate(v) if c]
-        assert [g for g, _ in x.coords] == [canonical_generators(d)[k] for k in nonzero]
-        assert [c for _, c in x.coords] == [v[k] for k in nonzero]
+        assert [g for g, _ in x] == [canonical_generators(d)[k] for k in nonzero]
+        assert [c for _, c in x] == [v[k] for k in nonzero]
