@@ -1,16 +1,18 @@
 """Plane arrangements in P^3 over Z[mu].
 
 An element a + b*mu, mu = (1 + sqrt(3) i)/2 so that mu^2 = mu - 1, is the
-pair (a, b) throughout; :func:`_signed_sum` is its one product.  Holds
-the 2d linear forms cutting out the degenerating pencil, each with Z[mu]
-integer coefficients, certifies general position exactly by minor
-expansions over Z[mu], and computes the triple intersection points and,
-with :func:`sweep_vertices`, the chart coordinates of the period triangle
-in the order the membrane integral sweeps them.  A point stays a
-homogeneous quadruple of Z[mu] integers, unnormalised; :func:`chart_xy`
-is the one division, X conj(Z) / N(Z) and Y conj(Z) / N(Z) by the
-positive integer N(Z).  The distinguished d = 4 arrangement with
-sixth-root-of-unity coefficients is built by :func:`tempered_arrangement`.
+pair (a, b) throughout; :func:`_signed_sum` is its one product.  A form
+is the 4-tuple of its X, Y, Z, W coefficients, each such a pair.  An
+arrangement is the plain tuple of the 2d forms cutting out the
+degenerating pencil, the L forms first, then the M forms; ("L", i) and
+("M", l), 1-based, select them (:func:`form`).  The module certifies
+general position exactly by minor expansions over Z[mu], and computes the
+triple intersection points and, with :func:`sweep_vertices`, the chart
+coordinates of the period triangle in the order the membrane integral
+sweeps them.  A point stays a homogeneous quadruple of Z[mu] integers,
+unnormalised; :func:`chart_xy` is the one division, X conj(Z) / N(Z) and
+Y conj(Z) / N(Z) by the positive integer N(Z).  The distinguished d = 4
+arrangement is built by :func:`tempered_arrangement`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 
-from .exactlin import _Frozen, _ratio
+from .exactlin import _ratio
 
 FormSelector = tuple[str, int]  # ("L", i) or ("M", l), 1-based
 ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
+Form = tuple[ZMu, ZMu, ZMu, ZMu]  # the coefficients of X, Y, Z, W
 ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
 QMu = tuple  # a + b*mu in Q(mu) as (a, b), each an exact scalar int | Fraction
 
@@ -38,46 +41,21 @@ class ChartError(ValueError):
     """A requested point has Z = 0 and misses the (X/Z, Y/Z) chart."""
 
 
-class LinearForm(_Frozen):
-    """Coefficients of X, Y, Z, W, as Z[mu] integer pairs (a, b); an int n
-    reads as (n, 0)."""
-
-    __slots__ = ("coeffs",)
-    coeffs: ZMuPoint
-
-    def __init__(self, coeffs: Sequence):
-        cs = tuple((c, 0) if isinstance(c, int) else c for c in coeffs)
-        if not all(type(c) is tuple and len(c) == 2 and all(isinstance(x, int) for x in c) for c in cs):
-            raise TypeError(f"not Z[mu] integers (a, b): {coeffs!r}")
-        if len(cs) != 4:
-            raise ValueError("a linear form on P^3 has 4 coefficients")
-        if all(c == (0, 0) for c in cs):
-            raise ValueError("zero form")
-        object.__setattr__(self, "coeffs", tuple((int(a), int(b)) for a, b in cs))
+def selectors(a: Sequence[Form]) -> list[FormSelector]:
+    """("L", 1) .. ("L", d), then ("M", 1) .. ("M", d): the forms of the
+    arrangement a in order, d = len(a) // 2."""
+    if len(a) % 2 or len(a) < 4:
+        raise ValueError("need equally many L and M forms, at least 2 each")
+    d = len(a) // 2
+    return [("L", i) for i in range(1, d + 1)] + [("M", l) for l in range(1, d + 1)]
 
 
-class Arrangement(_Frozen):
-    __slots__ = ("d", "L", "M")
-    d: int
-    L: tuple[LinearForm, ...]
-    M: tuple[LinearForm, ...]
-
-    def __init__(self, L: Sequence[LinearForm], M: Sequence[LinearForm]):
-        if len(L) != len(M) or len(L) < 2:
-            raise ValueError("need equally many L and M forms, at least 2 each")
-        object.__setattr__(self, "d", len(L))
-        object.__setattr__(self, "L", tuple(L))
-        object.__setattr__(self, "M", tuple(M))
-
-    def form(self, sel: FormSelector) -> LinearForm:
-        kind, idx = sel
-        family = {"L": self.L, "M": self.M}.get(kind)
-        if family is None or not 1 <= idx <= self.d:
-            raise ValueError(f"bad form selector {sel}")
-        return family[idx - 1]
-
-    def all_selectors(self) -> list[FormSelector]:
-        return [("L", i) for i in range(1, self.d + 1)] + [("M", l) for l in range(1, self.d + 1)]
+def form(a: Sequence[Form], sel: FormSelector) -> Form:
+    """The form of the arrangement a that the selector names."""
+    sels = selectors(a)
+    if sel not in sels:
+        raise ValueError(f"bad form selector {sel}")
+    return a[sels.index(sel)]
 
 
 def _signed_sum(terms) -> ZMu:
@@ -128,45 +106,34 @@ def _det4(m: Sequence[ZMu], n: Sequence[ZMu]) -> ZMu:
     return _signed_sum((sign, m[k], n[j]) for sign, k, j in _EXPAND_4)
 
 
-class GeneralPositionReport(_Frozen):
-    __slots__ = ("ok", "violation", "reason")
-    ok: bool
-    violation: tuple[FormSelector, ...] | None
-    reason: str | None
+def general_position_failure(a: Sequence[Form]) -> str | None:
+    """The failed clause of the exact general-position certificate of the
+    arrangement a and the forms that fail it, or None when it holds.
 
-    def __init__(self, ok: bool, violation: tuple[FormSelector, ...] | None = None, reason: str | None = None):
-        super().__init__(ok, violation, reason)
-
-
-def validate_general_position(a: Arrangement) -> GeneralPositionReport:
-    """Exact general-position certificate.
-
-    Every 3-subset of the 2d forms must have a rank-3 coefficient matrix
-    (the planes meet in exactly one point) and every 4-subset must have a
-    nonzero 4x4 determinant (no common point).  Both come from the 2x2
-    minors of each pair of forms, computed once.  The first violating
-    selector subset is reported.
+    "three forms share a line": 3 forms whose coefficient matrix has rank
+    below 3.  "four forms share a point": 4 forms with a zero determinant.
+    Both come from the 2x2 minors of each pair of forms, computed once; the
+    first failing subset is named: "three forms share a line: L2, L3, M2".
     """
-    sels = a.all_selectors()
-    rows = [a.form(s).coeffs for s in sels]
-    minors = {(i, j): _minors2(rows[i], rows[j]) for i, j in combinations(range(len(rows)), 2)}
-    for i, j, k in combinations(range(len(rows)), 3):
-        if all(m == (0, 0) for m in _minors3(rows[i], minors[j, k])):
-            return GeneralPositionReport(False, (sels[i], sels[j], sels[k]), "three forms share a line")
-    for i, j, k, l in combinations(range(len(rows)), 4):
+    names = [f"{kind}{idx}" for kind, idx in selectors(a)]
+    minors = {(i, j): _minors2(a[i], a[j]) for i, j in combinations(range(len(a)), 2)}
+    for i, j, k in combinations(range(len(a)), 3):
+        if all(m == (0, 0) for m in _minors3(a[i], minors[j, k])):
+            return f"three forms share a line: {names[i]}, {names[j]}, {names[k]}"
+    for i, j, k, l in combinations(range(len(a)), 4):
         if _det4(minors[i, j], minors[k, l]) == (0, 0):
-            return GeneralPositionReport(False, (sels[i], sels[j], sels[k], sels[l]), "four forms share a point")
-    return GeneralPositionReport(True)
+            return f"four forms share a point: {names[i]}, {names[j]}, {names[k]}, {names[l]}"
+    return None
 
 
-def intersection_point(a: Arrangement, f1: FormSelector, f2: FormSelector, f3: FormSelector) -> ZMuPoint:
+def intersection_point(a: Sequence[Form], f1: FormSelector, f2: FormSelector, f3: FormSelector) -> ZMuPoint:
     """Exact common point of three independent forms, as homogeneous Z[mu]
     integers: coordinate k is (-1)^k times the 3x3 minor of the forms'
     coefficients without column k.  Unnormalised."""
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(sels)
-    rows = [a.form(sel).coeffs for sel in sels]
+    rows = [form(a, sel) for sel in sels]
     r, s, u = rows
     # the minors come for the column triples in lex order, which omit
     # columns 3, 2, 1, 0 in turn
@@ -195,31 +162,28 @@ def chart_xy(point: ZMuPoint) -> tuple[QMu, QMu]:
     return tuple(tuple(_ratio(v, n) for v in _signed_sum(((1, c, conj),))) for c in (x, y))
 
 
-def tempered_arrangement() -> Arrangement:
+def tempered_arrangement() -> tuple[Form, ...]:
     """The distinguished d = 4 arrangement over Z[mu].
 
     L forms are the coordinate planes; each M has unit and mu coefficients
     so that all triple points have root-of-unity chart coordinates.  Its
-    general position is certified by :func:`validate_general_position`,
+    general position is certified by :func:`general_position_failure`,
     which the ``aj`` report runs as a check of its own.
     """
-    mu = (0, 1)
-    L = [
-        LinearForm([1, 0, 0, 0]),
-        LinearForm([0, 1, 0, 0]),
-        LinearForm([0, 0, 1, 0]),
-        LinearForm([0, 0, 0, 1]),
-    ]
-    M = [
-        LinearForm([1, mu, -1, 1]),
-        LinearForm([mu, -1, 1, 1]),
-        LinearForm([-1, 1, mu, 1]),
-        LinearForm([1, 1, 1, (0, -1)]),
-    ]
-    return Arrangement(L, M)
+    o, i, m, n = (0, 0), (1, 0), (0, 1), (-1, 0)
+    return (
+        (i, o, o, o),
+        (o, i, o, o),
+        (o, o, i, o),
+        (o, o, o, i),
+        (i, m, n, i),
+        (m, n, i, i),
+        (n, i, m, i),
+        (i, i, i, (0, -1)),
+    )
 
 
-def sweep_vertices(a: Arrangement, i: int, l: int, m: int, n: int):
+def sweep_vertices(a: Sequence[Form], i: int, l: int, m: int, n: int):
     """Chart coordinates of the triangle cut on the i-th L-plane by M_l,
     M_m, M_n, in the order of the iterated period integral.
 

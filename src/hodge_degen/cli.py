@@ -15,7 +15,8 @@ witness (see :mod:`hodge_degen.degeneration` and
 witness and the witness size.  No rank is computed any other way: when
 a witness fails, its check reports the rank as null, names the failed
 clause under ``failed`` and fails, and so does every check derived from
-that rank.
+that rank.  The general-position certificate of ``aj`` names its failed
+clause under ``failed`` too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import __version__
 from . import degeneration
 from . import limits as limits_mod
 from . import periods
-from .arrangement import sweep_vertices, tempered_arrangement, validate_general_position
+from .arrangement import general_position_failure, sweep_vertices, tempered_arrangement
 from .cycles import express_in_B, span_rank
 from .exactlin import cyclo_embed
 
@@ -280,7 +281,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
         )
         table = []
         for (kind, indices), cls in res.residues[:6]:
-            coeffs = express_in_B(cls, d)
+            coeffs = express_in_B(d, cls)
             table.append(
                 {
                     "cycle": {"kind": kind, "indices": list(indices)},
@@ -298,10 +299,12 @@ def run_sing(report: Report, d: int, family: str) -> None:
 
 def run_aj(report: Report, with_oracle: bool) -> None:
     arr = tempered_arrangement()
+    failed = general_position_failure(arr)
     report.add(
         "tempered arrangement certified",
         "distinguished d=4 arrangement in general position",
-        validate_general_position(arr).ok,
+        failed is None,
+        **({} if failed is None else {"failed": failed}),
     )
     verts = [
         (cyclo_embed(x), cyclo_embed(y)) for x, y in sweep_vertices(arr, 4, 1, 2, 3)
@@ -540,7 +543,7 @@ def run() -> int:
     ``hodge-degen`` script: :func:`main` after freezing the start-up heap.
 
     Interpreter shutdown runs full collections.  Frozen objects sit
-    outside every generation, so shutdown skips the ~11,850 objects that
+    outside every generation, so shutdown skips the ~11,820 objects that
     importing the package tracks, memory the OS reclaims at exit anyway.
     Shutdown is otherwise unchanged.  :func:`main` itself changes no
     process-wide state, so callers in-process never freeze."""

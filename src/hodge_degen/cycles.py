@@ -79,7 +79,7 @@ def _terms(key: CycleKey) -> tuple:
     return tuple(((i, a), ("M", b), ("M", c)) for a, b, c in ((l, m, n), (m, n, l), (n, l, m)))
 
 
-def singularity_at_zero(c: CycleKey, d: int) -> tuple:
+def singularity_at_zero(d: int, c: CycleKey) -> tuple:
     """Class of the cycle's residue on the degenerate fiber, canonical form.
 
     Ratio terms follow the blow-up rules (exceptional class + marker for
@@ -133,9 +133,12 @@ def pair_kernel_class(d: int, i: int, j: int, l: int) -> tuple:
     return reduce_raw(d, raw)
 
 
-def express_in_B(x: tuple, d: int) -> tuple[int | Fraction, ...] | None:
-    """Exact coordinates of x over the distinguished kernel basis, or None
-    when x lies off the kernel or the basis does not reassemble it.
+def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
+    """Exact coordinates of the class x over the distinguished kernel basis,
+    or None when x lies off the kernel or the basis does not reassemble it.
+    x may list its (generator, coefficient) pairs in any order, a generator
+    more than once: each pair is read through :func:`degeneration.reduce_raw`,
+    whose ValueError names an unknown generator, and the pairs are summed.
 
     Basis order matches hodge_kernel_basis: the total-line class first,
     then the pair classes by (i, j) lex and 1 <= l <= d-1.  On the kernel
@@ -150,6 +153,7 @@ def express_in_B(x: tuple, d: int) -> tuple[int | Fraction, ...] | None:
     Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
     """
     basis = degeneration.hodge_kernel_basis(d)
+    x = _combine(d, ((c, reduce_raw(d, {g: 1})) for g, c in x))
     if not in_kernel(d, x):
         return None
     cx = dict(x)
@@ -383,7 +387,7 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     replays of "both" alone.  ``residues`` hands the (cycle key, class)
     pairs on, so a report need not build them again.
     """
-    residues = tuple((c, singularity_at_zero(c, d)) for c in family_cycles(d, family))
+    residues = tuple((c, singularity_at_zero(d, c)) for c in family_cycles(d, family))
     sing = dict(residues)
     expected = {
         "both": degeneration.kernel_dim(d),

@@ -265,20 +265,34 @@ def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[Pairin
     return out
 
 
+def _pairing_samples(model: NormalFunctionModel, frame: Frame, etas=None) -> list[tuple[complex, ...]]:
+    """The model's pairings along :data:`T_SEQUENCE`, one row per t: with
+    eta first when ``etas`` holds eta at each t, then with d_1..d_dk.
+    All come from one pairing vector per t, since pairing with the unit
+    class d_j reads off coordinate 2 + j."""
+    samples = []
+    for k, t in enumerate(T_SEQUENCE):
+        v = model.pairing_vector(t, frame)
+        samples.append(v[3:] if etas is None else (pair(v, etas[k], frame), *v[3:]))
+    return samples
+
+
 def limit_of_pairing(nf: NormalFunctionModel, target, frame: Frame) -> PairingLimit:
     """Extrapolated limit of the pairing along :data:`T_SEQUENCE`.
 
-    ``target`` is an :class:`EtaModel` or a 1-based d-class index; see
-    :func:`_extrapolate` for the extrapolation and its convergence test.
+    ``target`` is an :class:`EtaModel` or a 1-based d-class index; the
+    limit is the matching entry of the model's row in
+    :func:`independence_matrix`, bit for bit.  See :func:`_extrapolate`
+    for the extrapolation and its convergence test.
     """
-
-    def target_at(t: complex) -> FrameVector:
-        if isinstance(target, EtaModel):
-            return target.at(t, frame)
-        return frame.basis("d", int(target))
-
-    samples = [(pair(nf.pairing_vector(t, frame), target_at(t), frame),) for t in T_SEQUENCE]
-    return _extrapolate(nf.kind, samples)[0]
+    if isinstance(target, EtaModel):
+        etas, col = [target.at(t, frame) for t in T_SEQUENCE], 0
+    elif 1 <= int(target) <= frame.dk:
+        etas, col = None, int(target) - 1
+    else:
+        raise ValueError(f"d-index out of range: {target}")
+    samples = _pairing_samples(nf, frame, etas)
+    return _extrapolate(nf.kind, [(row[col],) for row in samples])[0]
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -336,17 +350,7 @@ def independence_matrix(frame: Frame, L: float, seed: int | None = None) -> Inde
     r_model = NormalFunctionModel.limit_type(L, frame, rng)
     singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
     etas = [eta.at(t, frame) for t in T_SEQUENCE]
-
-    def row(model: NormalFunctionModel) -> list[PairingLimit]:
-        # the same limits as limit_of_pairing, from one pairing vector per t:
-        # pairing with the unit class d_j reads off coordinate 2 + j
-        samples = []
-        for t, e in zip(T_SEQUENCE, etas):
-            v = model.pairing_vector(t, frame)
-            samples.append((pair(v, e, frame), *v[3:]))
-        return _extrapolate(model.kind, samples)
-
-    entries = [row(model) for model in (r_model, *singular)]
+    entries = [_extrapolate(m.kind, _pairing_samples(m, frame, etas)) for m in (r_model, *singular)]
     mat = tuple(tuple(lim.value for lim in r) for r in entries)
     det = _det(mat)
     verdict = "independent" if abs(det) > 0.1 * abs(L) else "fail"

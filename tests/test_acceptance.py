@@ -84,7 +84,7 @@ def test_criterion_3_singularity_formulas():
     for d in range(3, 7):
         for i, j, k in combinations(range(1, d + 1), 3):
             for l in range(1, d + 1):
-                got = singularity_at_zero(build_cycle("gamma", (i, j, k, l)), d)
+                got = singularity_at_zero(d, build_cycle("gamma", (i, j, k, l)))
                 want = reduce_raw(
                     d,
                     {
@@ -96,7 +96,7 @@ def test_criterion_3_singularity_formulas():
                 assert got == want, f"gamma {(i, j, k, l)} d={d}"
         for i in range(1, d + 1):
             for l in range(1, d + 1):
-                got = singularity_at_zero(build_cycle("lambda", (i, l)), d)
+                got = singularity_at_zero(d, build_cycle("lambda", (i, l)))
                 raw = {("l", i): Fraction(1)}
                 for a in range(1, i):
                     raw[("e", a, i, l)] = Fraction(-1)
@@ -120,7 +120,7 @@ def test_criterion_4_spanning():
 def test_criterion_5_delta_triviality():
     for d in range(3, 7):
         for c in family_cycles(d, "delta"):
-            assert not singularity_at_zero(c, d), f"delta {c} d={d}"
+            assert not singularity_at_zero(d, c), f"delta {c} d={d}"
     report(5, "swapped-family residues vanish exactly d=3..6")
 
 

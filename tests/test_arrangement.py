@@ -15,16 +15,15 @@ from sympy.polys.matrices import DomainMatrix
 
 from hodge_degen import arrangement
 from hodge_degen.arrangement import (
-    Arrangement,
     ChartError,
     DegenerateIntersectionError,
-    GeneralPositionReport,
-    LinearForm,
     chart_xy,
+    form,
+    general_position_failure,
     intersection_point,
+    selectors,
     sweep_vertices,
     tempered_arrangement,
-    validate_general_position,
 )
 from hodge_degen.exactlin import cyclo_embed
 
@@ -36,6 +35,11 @@ MU = QMU.from_sympy((1 + sympy.sqrt(-3)) / 2)
 @pytest.fixture(scope="module")
 def tempered():
     return tempered_arrangement()
+
+
+def lf(*coeffs):
+    """A form from its X, Y, Z, W coefficients, an int n read as (n, 0)."""
+    return tuple((c, 0) if isinstance(c, int) else c for c in coeffs)
 
 
 def to_field(x):
@@ -58,9 +62,9 @@ def field_matrix(rows):
     return DomainMatrix([[to_field(x) for x in row] for row in rows], (len(rows), len(rows[0])), QMU)
 
 
-def field_eval(form, point):
-    """Oracle: the form at a Z[mu] point, in Q(sqrt(-3))."""
-    return sum((to_field(c) * to_field(x) for c, x in zip(form.coeffs, point)), QMU.zero)
+def field_eval(coeffs, point):
+    """Oracle: the form with these coefficients at a Z[mu] point, in Q(sqrt(-3))."""
+    return sum((to_field(c) * to_field(x) for c, x in zip(coeffs, point)), QMU.zero)
 
 
 def same_point(p, q):
@@ -140,15 +144,17 @@ class TestMinorExpansion:
 def laplace_general_position(arr):
     """Oracle: the certificate over Q(sqrt(-3)), each subset of forms on
     its own: three forms share a line when their matrix has rank below 3,
-    four share a point when their determinant vanishes."""
-    sels = arr.all_selectors()
-    for tri in combinations(sels, 3):
-        if field_matrix([arr.form(s).coeffs for s in tri]).rank() < 3:
-            return GeneralPositionReport(False, tri, "three forms share a line")
-    for quad in combinations(sels, 4):
-        if not field_matrix([arr.form(s).coeffs for s in quad]).det():
-            return GeneralPositionReport(False, quad, "four forms share a point")
-    return GeneralPositionReport(True)
+    four share a point when their determinant vanishes.  Names the first
+    failing subset as the package does, or returns None."""
+    d = len(arr) // 2
+    names = [f"L{i}" for i in range(1, d + 1)] + [f"M{l}" for l in range(1, d + 1)]
+    for tri in combinations(range(2 * d), 3):
+        if field_matrix([arr[n] for n in tri]).rank() < 3:
+            return "three forms share a line: " + ", ".join(names[n] for n in tri)
+    for quad in combinations(range(2 * d), 4):
+        if not field_matrix([arr[n] for n in quad]).det():
+            return "four forms share a point: " + ", ".join(names[n] for n in quad)
+    return None
 
 
 unit_zmu = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
@@ -164,30 +170,38 @@ def small_arrangements(draw):
         coeffs = draw(st.lists(unit_zmu, min_size=4, max_size=4))
         if all(c == (0, 0) for c in coeffs):
             coeffs[0] = (1, 0)  # no zero form
-        forms.append(LinearForm(coeffs))
-    return Arrangement(forms[:d], forms[d:])
+        forms.append(tuple(coeffs))
+    return tuple(forms)
 
 
-class TestLinearForm:
-    def test_coefficients_are_zmu_pairs(self):
-        assert LinearForm([1, (2, -3), 0, True]).coeffs == ((1, 0), (2, -3), (0, 0), (1, 0))
-        for bad in (Fraction(1, 2), 0.5, "1", [1, 2], (1, 2, 3), (Fraction(1, 2), 0), (1, 0.0)):
-            with pytest.raises(TypeError, match="not Z\\[mu\\] integers"):
-                LinearForm([1, 0, 0, bad])
-        with pytest.raises(ValueError, match="zero form"):
-            LinearForm([0, (0, 0), 0, 0])
-        with pytest.raises(ValueError, match="4 coefficients"):
-            LinearForm([1, 0, 0])
+class TestForms:
+    def test_selectors_name_the_forms_in_order(self, tempered):
+        sels = selectors(tempered)
+        assert sels == [("L", 1), ("L", 2), ("L", 3), ("L", 4), ("M", 1), ("M", 2), ("M", 3), ("M", 4)]
+        assert [form(tempered, s) for s in sels] == list(tempered)
+
+    def test_bad_selectors(self, tempered):
+        for bad in (("L", 0), ("M", 5), ("N", 1)):
+            with pytest.raises(ValueError, match="bad form selector"):
+                form(tempered, bad)
+
+    def test_unequal_families(self, tempered):
+        for arr in (tempered[:7], tempered[:2]):
+            with pytest.raises(ValueError, match="equally many L and M forms"):
+                general_position_failure(arr)
+            with pytest.raises(ValueError, match="equally many L and M forms"):
+                form(arr, ("L", 1))
 
 
 class TestTempered:
     def test_form_table(self, tempered):
-        assert tempered.L[0].coeffs == ((1, 0), (0, 0), (0, 0), (0, 0))
-        assert tempered.M[0].coeffs == ((1, 0), (0, 1), (-1, 0), (1, 0))
-        assert tempered.M[3].coeffs == ((1, 0), (1, 0), (1, 0), (0, -1))
+        assert len(tempered) == 8
+        assert form(tempered, ("L", 1)) == ((1, 0), (0, 0), (0, 0), (0, 0))
+        assert form(tempered, ("M", 1)) == ((1, 0), (0, 1), (-1, 0), (1, 0))
+        assert form(tempered, ("M", 4)) == ((1, 0), (1, 0), (1, 0), (0, -1))
 
     def test_certified(self, tempered):
-        assert validate_general_position(tempered).ok
+        assert general_position_failure(tempered) is None
 
     def test_triple_points_distinct(self, tempered):
         pts = [
@@ -201,58 +215,42 @@ class TestTempered:
 
 class TestGeneralPositionViolations:
     def test_repeated_form(self):
-        f = LinearForm([1, 0, 0, 0])
-        arr = Arrangement([f, LinearForm([0, 1, 0, 0])], [f, LinearForm([0, 0, 1, 0])])
-        report = validate_general_position(arr)
-        assert not report.ok
-        assert ("L", 1) in report.violation and ("M", 1) in report.violation
+        f = lf(1, 0, 0, 0)
+        arr = (f, lf(0, 1, 0, 0), f, lf(0, 0, 1, 0))
+        assert general_position_failure(arr) == "three forms share a line: L1, L2, M1"
 
     def test_concurrent_planes(self):
         # all four forms vanish at [0:0:0:1]
-        arr = Arrangement(
-            [LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0])],
-            [LinearForm([0, 0, 1, 0]), LinearForm([1, 1, 1, 0])],
-        )
-        report = validate_general_position(arr)
-        assert not report.ok
-        assert len(report.violation) == 4
+        arr = (lf(1, 0, 0, 0), lf(0, 1, 0, 0), lf(0, 0, 1, 0), lf(1, 1, 1, 0))
+        assert general_position_failure(arr) == "four forms share a point: L1, L2, M1, M2"
 
     # the remaining forms are generic, so the first violation is the planted one
-    GENERIC_L = (LinearForm([1, 2, 3, 5]), LinearForm([2, 1, 1, (0, 1)]))
-    GENERIC_M = (LinearForm([1, (0, 1), -1, 1]), LinearForm([1, 3, 1, (0, -1)]))
+    GENERIC_L = (lf(1, 2, 3, 5), lf(2, 1, 1, (0, 1)))
+    GENERIC_M = (lf(1, (0, 1), -1, 1), lf(1, 3, 1, (0, -1)))
 
     def test_three_planes_through_a_line(self):
         # L2, L3 and M2 all contain the line X = Y = 0
         (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
-        arr = Arrangement(
-            [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
-            [m1, LinearForm([1, (0, 1), 0, 0]), LinearForm([-1, 1, (0, 1), 1]), m4],
-        )
-        report = validate_general_position(arr)
-        assert report == GeneralPositionReport(False, (("L", 2), ("L", 3), ("M", 2)), "three forms share a line")
-        assert report == laplace_general_position(arr)
+        arr = (l1, lf(1, 0, 0, 0), lf(0, 1, 0, 0), l4, m1, lf(1, (0, 1), 0, 0), lf(-1, 1, (0, 1), 1), m4)
+        failed = general_position_failure(arr)
+        assert failed == "three forms share a line: L2, L3, M2"
+        assert failed == laplace_general_position(arr)
 
     def test_four_planes_through_a_point(self):
         # L2, L3, M2 and M3 all vanish at [0:0:0:1], no three on a line
         (l1, l4), (m1, m4) = self.GENERIC_L, self.GENERIC_M
-        arr = Arrangement(
-            [l1, LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0]), l4],
-            [m1, LinearForm([0, 0, 1, 0]), LinearForm([(0, 1), -1, 2, 0]), m4],
-        )
-        report = validate_general_position(arr)
-        assert report == GeneralPositionReport(
-            False, (("L", 2), ("L", 3), ("M", 2), ("M", 3)), "four forms share a point"
-        )
-        assert report == laplace_general_position(arr)
+        arr = (l1, lf(1, 0, 0, 0), lf(0, 1, 0, 0), l4, m1, lf(0, 0, 1, 0), lf((0, 1), -1, 2, 0), m4)
+        failed = general_position_failure(arr)
+        assert failed == "four forms share a point: L2, L3, M2, M3"
+        assert failed == laplace_general_position(arr)
 
     @given(small_arrangements())
     @settings(max_examples=100, deadline=None)
     def test_matches_laplace_certificate(self, arr):
-        assert validate_general_position(arr) == laplace_general_position(arr)
+        assert general_position_failure(arr) == laplace_general_position(arr)
 
     def test_tempered_matches_laplace_certificate(self, tempered):
-        want = laplace_general_position(tempered)
-        assert validate_general_position(tempered) == want == GeneralPositionReport(True, None, None)
+        assert general_position_failure(tempered) is laplace_general_position(tempered) is None
 
 
 class TestIntersectionPoint:
@@ -268,19 +266,15 @@ class TestIntersectionPoint:
         assert x == (THIRD, THIRD) and y == (THIRD, Fraction(-2, 3))
 
     def test_axis_planes(self):
-        arr = Arrangement(
-            [LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0])],
-            [LinearForm([0, 0, 1, -1]), LinearForm([0, 0, 1, 1])],
-        )
+        arr = (lf(1, 0, 0, 0), lf(0, 1, 0, 0), lf(0, 0, 1, -1), lf(0, 0, 1, 1))
         p = intersection_point(arr, ("L", 1), ("L", 2), ("M", 1))
         assert same_point(p, ((0, 0), (0, 0), (1, 0), (1, 0)))
 
     def test_exact_substitution(self, tempered):
-        sels = tempered.all_selectors()
-        for tri in combinations(sels, 3):
+        for tri in combinations(selectors(tempered), 3):
             p = intersection_point(tempered, *tri)
             for s in tri:
-                assert field_eval(tempered.form(s), p) == QMU.zero
+                assert field_eval(form(tempered, s), p) == QMU.zero
 
     def test_substitution_guard_fails(self, tempered, monkeypatch):
         # one perturbed minor moves W off the common point, and L4 = W sees it
@@ -305,14 +299,14 @@ class TestIntersectionPoint:
     def test_random_arrangements(self, arr):
         # degenerate exactly when every 3x3 minor vanishes; otherwise a
         # nonzero common point, and a chart that inverts x = X/Z, y = Y/Z
-        for tri in combinations(arr.all_selectors(), 3):
-            if field_matrix([arr.form(s).coeffs for s in tri]).rank() < 3:
+        for tri in combinations(selectors(arr), 3):
+            if field_matrix([form(arr, s) for s in tri]).rank() < 3:
                 with pytest.raises(DegenerateIntersectionError):
                     intersection_point(arr, *tri)
                 continue
             p = intersection_point(arr, *tri)
             assert any(x != (0, 0) for x in p)
-            assert all(field_eval(arr.form(s), p) == QMU.zero for s in tri)
+            assert all(field_eval(form(arr, s), p) == QMU.zero for s in tri)
             X, Y, Z, _ = map(to_field, p)
             if Z == QMU.zero:
                 with pytest.raises(ChartError):

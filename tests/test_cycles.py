@@ -86,7 +86,7 @@ class TestBoundary:
         # the zero and the pole of a lone ratio term stay as markers
         monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 2), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError) as exc:
-            singularity_at_zero(("gamma", ()), 4)
+            singularity_at_zero(4, ("gamma", ()))
         assert str(exc.value) == (
             "markers do not cancel: {('p', 1, 2, 2): 1, ('p', 1, 3, 2): -1}"
         )
@@ -96,13 +96,13 @@ class TestBoundary:
         # every cycle closes, and dropping any one of its terms breaks that
         real = cycles._terms
         for c in family_cycles(d, "gamma") + family_cycles(d, "delta"):
-            singularity_at_zero(c, d)
+            singularity_at_zero(d, c)
             terms = real(c)
             assert len(terms) == 3
             for k in range(len(terms)):
                 monkeypatch.setattr(cycles, "_terms", lambda key, k=k: real(key)[:k] + real(key)[k + 1 :])
                 with pytest.raises(MarkerCancellationError):
-                    singularity_at_zero(c, d)
+                    singularity_at_zero(d, c)
             monkeypatch.setattr(cycles, "_terms", real)
 
     def test_lambda_closes(self, monkeypatch):
@@ -110,79 +110,79 @@ class TestBoundary:
         # a closed gamma cycle without breaking it, and classes add
         g = build_cycle("gamma", (1, 2, 3, 1))
         lam = build_cycle("lambda", (1, 1))
-        separate = _combine(4, ((1, singularity_at_zero(g, 4)), (1, singularity_at_zero(lam, 4))))
+        separate = _combine(4, ((1, singularity_at_zero(4, g)), (1, singularity_at_zero(4, lam))))
         real = cycles._terms
         monkeypatch.setattr(cycles, "_terms", lambda key: real(g) + real(lam))
-        assert singularity_at_zero(g, 4) == separate
+        assert singularity_at_zero(4, g) == separate
 
 
 class TestSingularity:
     def test_gamma_example(self):
-        got = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
+        got = singularity_at_zero(4, build_cycle("gamma", (1, 2, 3, 1)))
         assert got == gamma_closed_form(4, 1, 2, 3, 1)
         assert got == ((("e", 1, 2, 1), 1), (("e", 1, 3, 1), -1), (("e", 2, 3, 1), 1))
 
     def test_lambda_example(self):
-        got = singularity_at_zero(build_cycle("lambda", (1, 1)), 4)
+        got = singularity_at_zero(4, build_cycle("lambda", (1, 1)))
         assert got == ((("l", 1), 1), (("e", 1, 2, 1), 1), (("e", 1, 3, 1), 1), (("e", 1, 4, 1), 1))
 
     @pytest.mark.parametrize("d", range(3, 7))
     def test_gamma_closed_form_all(self, d):
         for i, j, k in combinations(range(1, d + 1), 3):
             for l in range(1, d + 1):
-                got = singularity_at_zero(build_cycle("gamma", (i, j, k, l)), d)
+                got = singularity_at_zero(d, build_cycle("gamma", (i, j, k, l)))
                 assert got == gamma_closed_form(d, i, j, k, l)
 
     @pytest.mark.parametrize("d", range(3, 7))
     def test_lambda_closed_form_all(self, d):
         for i in range(1, d + 1):
             for l in range(1, d + 1):
-                got = singularity_at_zero(build_cycle("lambda", (i, l)), d)
+                got = singularity_at_zero(d, build_cycle("lambda", (i, l)))
                 assert got == lambda_closed_form(d, i, l)
 
     @pytest.mark.parametrize("d", range(3, 7))
     def test_delta_trivial_all(self, d):
         for c in family_cycles(d, "delta"):
-            assert not singularity_at_zero(c, d)
+            assert not singularity_at_zero(d, c)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_lambda_column_sums(self, d):
         total_lines = reduce_raw(d, {("l", i): Fraction(1) for i in range(1, d + 1)})
         for l in range(1, d + 1):
-            acc = _combine(d, ((1, singularity_at_zero(build_cycle("lambda", (i, l)), d)) for i in range(1, d + 1)))
+            acc = _combine(d, ((1, singularity_at_zero(d, build_cycle("lambda", (i, l)))) for i in range(1, d + 1)))
             assert acc == total_lines
 
     def test_marker_cancellation_enforced(self, monkeypatch):
         monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 1), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError):
-            singularity_at_zero(("gamma", ()), 4)
+            singularity_at_zero(4, ("gamma", ()))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            singularity_at_zero(build_cycle("gamma", (1, 2, 5, 1)), 4)
+            singularity_at_zero(4, build_cycle("gamma", (1, 2, 5, 1)))
 
 
 class TestExpressInB:
     def test_gamma_quarter_pattern(self):
-        cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
+        cls = singularity_at_zero(4, build_cycle("gamma", (1, 2, 3, 1)))
         # basis order: total, then (i,j) lex with l = 1..3
         expected = [Fraction(0)] * 19
         expected[1] = Fraction(1, 4)   # pair (1,2), l=1
         expected[4] = Fraction(-1, 4)  # pair (1,3), l=1
         expected[10] = Fraction(1, 4)  # pair (2,3), l=1
-        assert list(express_in_B(cls, 4)) == expected
+        assert list(express_in_B(4, cls)) == expected
 
     def test_lambda_quarter_pattern(self):
-        cls = singularity_at_zero(build_cycle("lambda", (1, 1)), 4)
+        cls = singularity_at_zero(4, build_cycle("lambda", (1, 1)))
         expected = [Fraction(0)] * 19
         expected[0] = Fraction(1, 4)
         expected[1] = Fraction(1, 4)   # (1,2), l=1
         expected[4] = Fraction(1, 4)   # (1,3), l=1
         expected[7] = Fraction(1, 4)   # (1,4), l=1
-        assert list(express_in_B(cls, 4)) == expected
+        assert list(express_in_B(4, cls)) == expected
 
     def test_zero_class(self):
-        coeffs = express_in_B((), 4)
+        coeffs = express_in_B(4, ())
         assert coeffs is not None and all(c == 0 for c in coeffs)
 
     @pytest.mark.parametrize("d", range(2, 8))
@@ -197,23 +197,43 @@ class TestExpressInB:
             assert any(g[0] == "e" and g[2] == d for g, _ in combo)
             ok, oracle = in_span(vectors, dense(d, combo))
             assert ok
-            assert list(express_in_B(combo, d)) == list(oracle) == coeffs
+            assert list(express_in_B(d, combo)) == list(oracle) == coeffs
 
     def test_combination_checked_against_class(self, monkeypatch):
         # a basis that disagrees with the closed form is caught by the
         # exact reconstruction: no coordinates come back, and no exception
-        cls = singularity_at_zero(build_cycle("gamma", (1, 2, 3, 1)), 4)
-        assert express_in_B(cls, 4) is not None
+        cls = singularity_at_zero(4, build_cycle("gamma", (1, 2, 3, 1)))
+        assert express_in_B(4, cls) is not None
         basis = list(hodge_kernel_basis(4))
         basis[1] = _combine(4, ((2, basis[1]),))
         monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: tuple(basis))
-        assert express_in_B(cls, 4) is None
+        assert express_in_B(4, cls) is None
+
+    def test_unknown_generator_is_named(self):
+        # a hand-written class goes through reduce_raw: e^{12}_5 is no
+        # generator at d = 4, and the error says which
+        x = ((("l", 1), 1), (("e", 1, 2, 5), 1))
+        with pytest.raises(ValueError, match=r"not a presentation generator for d=4: \('e', 1, 2, 5\)"):
+            express_in_B(4, x)
+
+    def test_class_out_of_column_order(self):
+        # the pairs of a kernel class reversed, and e^{12}_4 left to its
+        # rewrite: the same coordinates as the canonical class
+        cls = singularity_at_zero(4, build_cycle("gamma", (1, 2, 3, 1)))
+        assert list(express_in_B(4, tuple(reversed(cls)))) == list(express_in_B(4, cls))
+        pair = hodge_kernel_basis(4)[3]  # the pair class (1, 2; 3)
+        raw = ((("e", 1, 2, 4), -1), (("e", 1, 2, 2), -1), (("e", 1, 2, 1), -1), (("e", 1, 2, 3), 3))
+        assert reduce_raw(4, dict(raw)) == pair
+        assert express_in_B(4, raw) == (0, 0, 0, 1) + (0,) * 15
+        # a generator listed twice counts with the sum of its coefficients
+        split = ((("l", 1), 1), (("e", 1, 2, 3), 1), (("l", 2), -1), (("e", 1, 2, 3), 3))
+        assert express_in_B(4, split) == express_in_B(4, hodge_kernel_basis(4)[3]) == (0, 0, 0, 1) + (0,) * 15
 
     def test_off_kernel_residual(self):
         # l_1 pairs nontrivially with the components: no coordinates
         x = reduce_raw(4, {("l", 1): Fraction(1)})
         assert any(phi_matrix(4).mul_vector(dense(4, x)))
-        assert express_in_B(x, 4) is None
+        assert express_in_B(4, x) is None
 
 
 class TestSpanRank:
@@ -250,12 +270,12 @@ class TestSpanRank:
                 terms += [(1, ("gamma", (k, i, j, l))) for k in range(1, i)]
                 terms += [(-1, ("gamma", (i, k, j, l))) for k in range(i + 1, j)]
                 terms += [(1, ("gamma", (i, j, k, l))) for k in range(j + 1, d + 1)]
-                acc = _combine(d, ((c, singularity_at_zero(build_cycle(*key), d)) for c, key in terms))
+                acc = _combine(d, ((c, singularity_at_zero(d, build_cycle(*key))) for c, key in terms))
                 assert acc == pair_kernel_class(d, i, j, l)
 
 
 def residues(d):
-    return {c: singularity_at_zero(c, d) for c in family_cycles(d, "both")}
+    return {c: singularity_at_zero(d, c) for c in family_cycles(d, "both")}
 
 
 class TestSpanWitness:
@@ -287,16 +307,16 @@ class TestSpanWitness:
             assert not replay(d, sing, combo[1:], total)
 
     def tampered_rank(self, monkeypatch, d, shift):
-        """span_rank over residues shifted by shift(cycle, d), and the
+        """span_rank over residues shifted by shift(d, cycle), and the
         oracle's elimination rank of the shifted classes."""
         real = cycles.singularity_at_zero
 
-        def shifted(c, d):
-            return _combine(d, ((1, real(c, d)), (1, shift(c, d))))
+        def shifted(d, c):
+            return _combine(d, ((1, real(d, c)), (1, shift(d, c))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
         res = span_rank(d, "both")
-        classes = [shifted(c, d) for c in family_cycles(d, "both")]
+        classes = [shifted(d, c) for c in family_cycles(d, "both")]
         return res, rank(QMatrix([dense(d, cl) for cl in classes if cl]))
 
     def test_class_off_kernel_fails_membership(self, monkeypatch):
@@ -304,7 +324,7 @@ class TestSpanWitness:
         # l = 2: every pair replay cancels it, only membership sees it
         signs = {(1, 2, 3, 2): 1, (1, 2, 4, 2): -1, (1, 3, 4, 2): 1, (2, 3, 4, 2): -1}
 
-        def shift(c, d):
+        def shift(d, c):
             kind, indices = c
             return reduce_raw(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
 
@@ -317,7 +337,7 @@ class TestSpanWitness:
     def test_total_class_missing_fails_total_replay(self, monkeypatch):
         # every lambda_il minus B_0 / d: pair replays and membership hold,
         # but the lambda column sums vanish and B_0 leaves the span
-        def shift(c, d):
+        def shift(d, c):
             return _combine(d, ((Fraction(-1, d), hodge_kernel_basis(d)[0]),)) if c[0] == "lambda" else ()
 
         res, oracle = self.tampered_rank(monkeypatch, 5, shift)
@@ -360,8 +380,8 @@ class TestSpanWitness:
     def test_delta_witness_names_a_nonzero_class(self, d, monkeypatch):
         real = cycles.singularity_at_zero
 
-        def shifted(c, d):
-            return _combine(d, ((1, real(c, d)), (int(c == ("delta", (2, 1, 2, 3))), reduce_raw(d, {("l", 1): 1}))))
+        def shifted(d, c):
+            return _combine(d, ((1, real(d, c)), (int(c == ("delta", (2, 1, 2, 3))), reduce_raw(d, {("l", 1): 1}))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
         res = span_rank(d, "delta")

@@ -259,7 +259,7 @@ class TestOneScalarFormat:
             assert all(one_format(v) for v in dense(3, z))
         basis = hodge_kernel_basis(3)
         k = _combine(3, ((a, basis[0]), (b, basis[1]), (c, basis[5])))
-        coords = express_in_B(k, 3)
+        coords = express_in_B(3, k)
         assert coords is not None and all(one_format(v) for v in coords)
         assert coords[:2] == (a, b) and coords[5] == c
 
