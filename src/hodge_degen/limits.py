@@ -4,14 +4,18 @@ The frame is (e0, e1, e2, d_1..d_dk): a rank-3 nilpotent block polarized
 by Q(e0,e2) = Q(e2,e0) = -1, Q(e1,e1) = 1, orthogonal to the d-classes,
 on which Q is the identity.  The monodromy logarithm sends
 e2 -> e1 -> e0 -> 0 and kills every d-class.  Frame vectors are plain
-tuples of complex coordinates in that order.
+tuples of complex coordinates in that order, so dk is the length of a
+vector less 3.
 
-Normal-function models are evaluated at small complex t, their imaginary
-parts paired against the real frame vector eta and the d-classes, and the
-limits extrapolated along a shrinking |t| sequence.  The (1 + dk) square
-matrix of limits is lower triangular up to extrapolation error with -L in
-the corner, so its determinant witnesses linear independence whenever the
-limit invariant L is nonzero.
+A holomorphic tail is the coefficient tuple of a low-degree polynomial
+in t.  A normal-function model is the pair (kind, at): kind "R" for the
+limit-type model R and "Ri" for a singular-type model R_i, and at(t) its
+frame vector at t.  Models are evaluated at small complex t, their
+imaginary parts paired against the real frame vector eta and the
+d-classes, and the limits extrapolated along a shrinking |t| sequence.
+The (1 + dk) square matrix of limits is lower triangular up to
+extrapolation error with -L in the corner, so its determinant witnesses
+linear independence whenever the limit invariant L is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import random
 from collections.abc import Sequence
 
 from .degeneration import kernel_dim
-from .exactlin import _Frozen
 
 
 class ExtrapolationError(RuntimeError):
@@ -40,28 +43,6 @@ FrameVector = tuple[complex, ...]
 T_SEQUENCE: tuple[complex, ...] = tuple(10.0 ** (-2 * k) * cmath.exp(0.3j) for k in range(1, 7))
 
 
-class Frame(_Frozen):
-    __slots__ = ("dk",)
-    dk: int
-
-    def __init__(self, dk: int = DEFAULT_DK):
-        object.__setattr__(self, "dk", dk)
-
-    @property
-    def dim(self) -> int:
-        return 3 + self.dk
-
-    def basis(self, name: str, j: int = 0) -> FrameVector:
-        """Unit frame vector: name in e0|e1|e2, or 'd' with 1-based j."""
-        if name == "d":
-            if not 1 <= j <= self.dk:
-                raise ValueError(f"d-index out of range: {j}")
-            k = 2 + j
-        else:
-            k = {"e0": 0, "e1": 1, "e2": 2}[name]
-        return tuple(1 + 0j if i == k else 0j for i in range(self.dim))
-
-
 def imag_log_coeff(t: complex) -> float:
     """Im of log(t)/(2 pi i): -log|t| / (2 pi)."""
     if t == 0:
@@ -69,20 +50,15 @@ def imag_log_coeff(t: complex) -> float:
     return -math.log(abs(t)) / (2.0 * math.pi)
 
 
-def monodromy(v: FrameVector) -> FrameVector:
-    """N: e2 -> e1 -> e0 -> 0, d_i -> 0."""
-    return (v[1], v[2]) + (0j,) * (len(v) - 2)
-
-
-def conjugate_at(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
+def conjugate_at(v: FrameVector, t: complex) -> FrameVector:
     """Conjugate of a frame vector at parameter t.
 
     Coefficients are conjugated and the basis conjugation rules applied:
     e0 and d_i are real, e1 gains 2i Im(l) e0, e2 gains 2i Im(l) e1 and
     loses 2 Im(l)^2 e0, with Im(l) = -log|t| / (2 pi).
     """
-    if len(v) != frame.dim:
-        raise ValueError("frame vector dimension mismatch")
+    if len(v) < 3:
+        raise ValueError("a frame vector has at least 3 coordinates")
     iml = imag_log_coeff(t)
     w = [x.conjugate() for x in v]
     return (
@@ -92,39 +68,31 @@ def conjugate_at(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
     )
 
 
-def imaginary_part(v: FrameVector, t: complex, frame: Frame) -> FrameVector:
+def imaginary_part(v: FrameVector, t: complex) -> FrameVector:
     """-(i/2) (v - conj(v)) with the frame conjugation at t (:func:`conjugate_at`)."""
-    return tuple(-0.5j * (x - y) for x, y in zip(v, conjugate_at(v, t, frame)))
+    return tuple(-0.5j * (x - y) for x, y in zip(v, conjugate_at(v, t)))
 
 
-def pair(u: FrameVector, v: FrameVector, frame: Frame) -> complex:
+def pair(u: FrameVector, v: FrameVector) -> complex:
     """Bilinear extension of the polarization: u1 v1 - u0 v2 - u2 v0 + sum_k u_k v_k."""
-    if len(u) != frame.dim or len(v) != frame.dim:
+    if len(u) != len(v) or len(u) < 3:
         raise ValueError("frame vector dimension mismatch")
     d_part = sum(x * y for x, y in zip(u[3:], v[3:]))
     return complex(u[1] * v[1] - u[0] * v[2] - u[2] * v[0] + d_part)
 
 
-class PolyTail(_Frozen):
-    """Holomorphic tail modeled as a low-degree polynomial in t."""
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[complex, ...]
-
-    def __init__(self, coeffs: tuple[complex, ...] = (0j,)):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, t: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+def _poly(coeffs: tuple[complex, ...], t: complex) -> complex:
+    """The tail with coefficients ``coeffs`` (constant first) at t, by Horner."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
-_ZERO_TAIL = PolyTail()
+_ZERO_TAIL = (0j,)
 
 
-def _seeded_tails(rng, count: int):
+def _seeded_tails(rng, count: int) -> list[tuple[complex, ...]]:
     """Cubic tails with coefficients drawn by rng.uniform(lo, hi), real
     parts first; without rng, the zero tail."""
     if rng is None:
@@ -133,76 +101,55 @@ def _seeded_tails(rng, count: int):
     for _ in range(count):
         re = [rng.uniform(-0.7, 0.7) for _ in range(4)]
         im = [rng.uniform(-0.7, 0.7) for _ in range(4)]
-        out.append(PolyTail(tuple(map(complex, re, im))))
+        out.append(tuple(map(complex, re, im)))
     return out
 
 
-class EtaModel(_Frozen):
-    """eta = e2 + i Im(l) e1 + g(t) e0 + sum h_i(t) d_i."""
+def eta(dk: int, rng=None):
+    """eta = e2 + i Im(l) e1 + g(t) e0 + sum h_i(t) d_i, as its at(t)."""
+    g, *h = _seeded_tails(rng, 1 + dk)
 
-    __slots__ = ("g", "h")
-    g: PolyTail
-    h: tuple[PolyTail, ...]
+    def at(t: complex) -> FrameVector:
+        return (_poly(g, t), 1j * imag_log_coeff(t), 1 + 0j, *(_poly(c, t) for c in h))
 
-    @classmethod
-    def build(cls, frame: Frame, rng=None) -> "EtaModel":
-        tails = _seeded_tails(rng, 1 + frame.dk)
-        return cls(tails[0], tuple(tails[1:]))
-
-    def at(self, t: complex, frame: Frame) -> FrameVector:
-        if len(self.h) != frame.dk:
-            raise ValueError("eta tails do not match frame")
-        return (self.g(t), 1j * imag_log_coeff(t), 1 + 0j, *(h(t) for h in self.h))
+    return at
 
 
-class NormalFunctionModel(_Frozen):
-    """Either the limit-type model R or a singular-type model R_i.
+def limit_type(L: float, dk: int, rng=None):
+    """The model ("R", at) with R(t) = i L e0 + t (a0 e0 + a1 e1 + a2 e2 + sum b_j d_j)."""
+    tails = _seeded_tails(rng, 3 + dk)
 
-    kind "R":  R(t) = i L e0 + t (a0 e0 + a1 e1 + a2 e2 + sum b_j d_j).
-    kind "Ri": R_i(t) = a0 e0 + a1 e1 + a2 e2 + i log(t) d_i
-               + sum_{j != i} b_j d_j; pairings use Im(R_i / log t).
-    """
-
-    __slots__ = ("kind", "L", "i", "a", "b")
-    kind: str  # "R" or "Ri"
-    L: float
-    i: int
-    a: tuple[PolyTail, PolyTail, PolyTail]
-    b: tuple[PolyTail, ...]
-
-    def __init__(self, kind: str, L: float = 0.0, i: int = 0, a=(_ZERO_TAIL,) * 3, b=()):
-        super().__init__(kind, L, i, a, b)
-
-    @classmethod
-    def limit_type(cls, L: float, frame: Frame, rng=None):
-        tails = _seeded_tails(rng, 3 + frame.dk)
-        return cls("R", L=L, a=tuple(tails[:3]), b=tuple(tails[3:]))
-
-    @classmethod
-    def singular_type(cls, i: int, frame: Frame, rng=None):
-        if not 1 <= i <= frame.dk:
-            raise ValueError(f"singularity index out of range: {i}")
-        tails = _seeded_tails(rng, 3 + frame.dk)
-        return cls("Ri", i=i, a=tuple(tails[:3]), b=tuple(tails[3:]))
-
-    def at(self, t: complex, frame: Frame) -> FrameVector:
-        if len(self.b) != frame.dk:
-            raise ValueError("tails do not match frame")
-        v = [p(t) for p in (*self.a, *self.b)]
-        if self.kind == "R":
-            v = [x * t for x in v]
-            v[0] += 1j * self.L
-        else:
-            v[2 + self.i] = 1j * cmath.log(t)
+    def at(t: complex) -> FrameVector:
+        v = [_poly(c, t) * t for c in tails]
+        v[0] += 1j * L
         return tuple(v)
 
-    def pairing_vector(self, t: complex, frame: Frame) -> FrameVector:
-        """Im R(t) for the limit type, Im(R_i(t)/log t) for the singular."""
-        v = self.at(t, frame)
-        if self.kind == "Ri":
-            log_t = cmath.log(t)
-            v = [x / log_t for x in v]
-        return imaginary_part(v, t, frame)
+    return ("R", at)
+
+
+def singular_type(i: int, dk: int, rng=None):
+    """The model ("Ri", at) with R_i(t) = a0 e0 + a1 e1 + a2 e2 + i log(t) d_i
+    + sum_{j != i} b_j d_j; its pairings use Im(R_i / log t)."""
+    if not 1 <= i <= dk:
+        raise ValueError(f"singularity index out of range: {i}")
+    tails = _seeded_tails(rng, 3 + dk)
+
+    def at(t: complex) -> FrameVector:
+        v = [_poly(c, t) for c in tails]
+        v[2 + i] = 1j * cmath.log(t)
+        return tuple(v)
+
+    return ("Ri", at)
+
+
+def _pairing_vector(model, t: complex) -> FrameVector:
+    """Im R(t) for the limit type, Im(R_i(t)/log t) for the singular."""
+    kind, at = model
+    v = at(t)
+    if kind == "Ri":
+        log_t = cmath.log(t)
+        v = [x / log_t for x in v]
+    return imaginary_part(v, t)
 
 
 # the extrapolation variable at each sample: 1/log|t| for the singular
@@ -234,15 +181,10 @@ def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex]])
     return diag
 
 
-class PairingLimit(_Frozen):
-    __slots__ = ("value", "residuals")
-    value: complex
-    residuals: tuple[float, ...]
-
-
-def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[PairingLimit]:
+def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[tuple[complex, tuple[float, ...]]]:
     """Neville extrapolation to t = 0 of pairing values sampled along
-    :data:`T_SEQUENCE`, one limit per column of ``samples``.
+    :data:`T_SEQUENCE`, one (limit, residuals) pair per column of
+    ``samples``.
 
     The extrapolation variable is 1/log|t| for the singular models
     (kind "Ri"), whose error terms decay that slowly, and |t| itself for
@@ -261,38 +203,42 @@ def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[Pairin
     for value, residuals in zip(diag[-1], zip(*steps)):
         if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
             raise ExtrapolationError(f"pairing limit not converging: residuals {list(residuals)}")
-        out.append(PairingLimit(value, residuals))
+        out.append((value, residuals))
     return out
 
 
-def _pairing_samples(model: NormalFunctionModel, frame: Frame, etas=None) -> list[tuple[complex, ...]]:
+def _pairing_samples(model, etas=None) -> list[tuple[complex, ...]]:
     """The model's pairings along :data:`T_SEQUENCE`, one row per t: with
     eta first when ``etas`` holds eta at each t, then with d_1..d_dk.
     All come from one pairing vector per t, since pairing with the unit
     class d_j reads off coordinate 2 + j."""
     samples = []
     for k, t in enumerate(T_SEQUENCE):
-        v = model.pairing_vector(t, frame)
-        samples.append(v[3:] if etas is None else (pair(v, etas[k], frame), *v[3:]))
+        v = _pairing_vector(model, t)
+        samples.append(v[3:] if etas is None else (pair(v, etas[k]), *v[3:]))
     return samples
 
 
-def limit_of_pairing(nf: NormalFunctionModel, target, frame: Frame) -> PairingLimit:
-    """Extrapolated limit of the pairing along :data:`T_SEQUENCE`.
+def limit_of_pairing(model, target) -> tuple[complex, tuple[float, ...]]:
+    """Extrapolated limit of the pairing along :data:`T_SEQUENCE`, and
+    its Neville residuals.
 
-    ``target`` is an :class:`EtaModel` or a 1-based d-class index; the
-    limit is the matching entry of the model's row in
-    :func:`independence_matrix`, bit for bit.  See :func:`_extrapolate`
+    ``target`` is eta's ``at`` (:func:`eta`) or a 1-based d-class index,
+    an int in 1..dk; the limit is the matching entry of the model's row
+    in :func:`independence_matrix`, bit for bit.  See :func:`_extrapolate`
     for the extrapolation and its convergence test.
     """
-    if isinstance(target, EtaModel):
-        etas, col = [target.at(t, frame) for t in T_SEQUENCE], 0
-    elif 1 <= int(target) <= frame.dk:
-        etas, col = None, int(target) - 1
+    if callable(target):
+        etas, col = [target(t) for t in T_SEQUENCE], 0
+    elif isinstance(target, int):
+        etas, col = None, target - 1
     else:
+        raise ValueError(f"neither eta nor a d-index: {target!r}")
+    samples = _pairing_samples(model, etas)
+    # a row holds the dk d-class pairings, after the eta pairing if any
+    if not 0 <= col < len(samples[0]):
         raise ValueError(f"d-index out of range: {target}")
-    samples = _pairing_samples(nf, frame, etas)
-    return _extrapolate(nf.kind, [(row[col],) for row in samples])[0]
+    return _extrapolate(model[0], [(row[col],) for row in samples])[0]
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -316,26 +262,9 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     return det
 
 
-class IndependenceResult(_Frozen):
-    __slots__ = ("matrix", "det", "L", "verdict", "max_residual")
-    matrix: tuple[tuple[complex, ...], ...]
-    det: complex
-    L: float
-    verdict: str  # "independent" or "fail"
-    max_residual: float  # worst final Neville residual over the entries
-
-    def to_json_dict(self):
-        return {
-            "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix],
-            "det": [float(self.det.real), float(self.det.imag)],
-            "L": float(self.L),
-            "verdict": self.verdict,
-            "t_sequence": [[float(t.real), float(t.imag)] for t in T_SEQUENCE],
-        }
-
-
-def independence_matrix(frame: Frame, L: float, seed: int | None = None) -> IndependenceResult:
-    """The (1 + dk) x (1 + dk) matrix of pairing limits and its determinant.
+def independence_matrix(L: float, seed: int | None = None, dk: int = DEFAULT_DK):
+    """The (1 + dk) x (1 + dk) matrix of pairing limits, its determinant
+    and the worst final Neville residual over its entries.
 
     Row 0 pairs the limit-type model against (eta, d_1..d_dk); row i pairs
     the i-th singular model.  With zero tails (seed None) the matrix is
@@ -346,13 +275,10 @@ def independence_matrix(frame: Frame, L: float, seed: int | None = None) -> Inde
     if L == 0:
         raise ValueError("the independence argument needs L != 0")
     rng = None if seed is None else random.Random(seed)
-    eta = EtaModel.build(frame, rng)
-    r_model = NormalFunctionModel.limit_type(L, frame, rng)
-    singular = [NormalFunctionModel.singular_type(i, frame, rng) for i in range(1, frame.dk + 1)]
-    etas = [eta.at(t, frame) for t in T_SEQUENCE]
-    entries = [_extrapolate(m.kind, _pairing_samples(m, frame, etas)) for m in (r_model, *singular)]
-    mat = tuple(tuple(lim.value for lim in r) for r in entries)
-    det = _det(mat)
-    verdict = "independent" if abs(det) > 0.1 * abs(L) else "fail"
-    max_residual = max(lim.residuals[-1] for r in entries for lim in r)
-    return IndependenceResult(mat, det, L, verdict, max_residual)
+    eta_at = eta(dk, rng)
+    models = [limit_type(L, dk, rng)] + [singular_type(i, dk, rng) for i in range(1, dk + 1)]
+    etas = [eta_at(t) for t in T_SEQUENCE]
+    entries = [_extrapolate(m[0], _pairing_samples(m, etas)) for m in models]
+    matrix = tuple(tuple(value for value, _ in row) for row in entries)
+    max_residual = max(residuals[-1] for row in entries for _, residuals in row)
+    return matrix, _det(matrix), max_residual

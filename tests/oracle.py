@@ -14,6 +14,9 @@ A class of ``degeneration`` as a dense vector over the canonical columns
 
 Adaptive quadrature of Log(x_u / x_l) dy / y per leg, for the membrane
 integral that the package takes in closed form (:func:`log_membrane`).
+
+The monodromy logarithm N of the limiting frame (:func:`monodromy`), for
+the nilpotent-orbit form of the frame conjugation.
 """
 
 from __future__ import annotations
@@ -169,3 +172,8 @@ def log_membrane(vertices, tol: float = 1e-12) -> complex:
 
         total += adaptive_quad(f, 0.0, 1.0, tol)
     return total
+
+
+def monodromy(v: tuple[complex, ...]) -> tuple[complex, ...]:
+    """N on a frame vector of ``hodge_degen.limits``: e2 -> e1 -> e0 -> 0, d_i -> 0."""
+    return (v[1], v[2]) + (0j,) * (len(v) - 2)

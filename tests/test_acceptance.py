@@ -27,11 +27,12 @@ from hodge_degen.degeneration import (
 )
 from hodge_degen.exactlin import QMatrix, cyclo_embed
 from hodge_degen.limits import (
-    EtaModel,
-    Frame,
-    NormalFunctionModel,
+    DEFAULT_DK,
+    eta,
     independence_matrix,
     limit_of_pairing,
+    limit_type,
+    singular_type,
 )
 from hodge_degen.periods import (
     PI,
@@ -151,26 +152,25 @@ def test_criterion_7_functional_equations():
 
 def test_criterion_8_pairing_limits():
     start = time.monotonic()
-    frame = Frame()
     rng = np.random.default_rng(0)
-    r_model = NormalFunctionModel.limit_type(L_VALUE, frame, rng)
-    eta = EtaModel.build(frame, rng)
-    assert abs(limit_of_pairing(r_model, eta, frame).value - (-L_VALUE)) < 1e-4
-    for j in range(1, frame.dk + 1):
-        assert abs(limit_of_pairing(r_model, j, frame).value) < 1e-4, f"R vs d_{j}"
-    for i in range(1, frame.dk + 1):
-        model = NormalFunctionModel.singular_type(i, frame, rng)
-        for j in range(1, frame.dk + 1):
+    r_model = limit_type(L_VALUE, DEFAULT_DK, rng)
+    eta_at = eta(DEFAULT_DK, rng)
+    assert abs(limit_of_pairing(r_model, eta_at)[0] - (-L_VALUE)) < 1e-4
+    for j in range(1, DEFAULT_DK + 1):
+        assert abs(limit_of_pairing(r_model, j)[0]) < 1e-4, f"R vs d_{j}"
+    for i in range(1, DEFAULT_DK + 1):
+        model = singular_type(i, DEFAULT_DK, rng)
+        for j in range(1, DEFAULT_DK + 1):
             want = 1.0 if i == j else 0.0
-            got = limit_of_pairing(model, j, frame).value
+            got = limit_of_pairing(model, j)[0]
             assert abs(got - want) < 1e-4, f"R_{i} vs d_{j}"
-    res0 = independence_matrix(frame, L_VALUE, seed=None)
-    assert abs(res0.det + L_VALUE) < 1e-3
-    res = independence_matrix(frame, L_VALUE, seed=1)
-    assert abs(res.det) > 0.1 * L_VALUE
+    _, det0, _ = independence_matrix(L_VALUE, seed=None)
+    assert abs(det0 + L_VALUE) < 1e-3
+    _, det, _ = independence_matrix(L_VALUE, seed=1)
+    assert abs(det) > 0.1 * L_VALUE
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    report(8, f"all pairing limits within 1e-4, dets {res0.det.real:.6f}/{res.det.real:.6f}, {elapsed:.2f}s")
+    report(8, f"all pairing limits within 1e-4, dets {det0.real:.6f}/{det.real:.6f}, {elapsed:.2f}s")
 
 
 def test_criterion_9_threefold_boundary():

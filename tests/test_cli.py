@@ -257,6 +257,20 @@ class TestReports:
         kept = [line for k, line in enumerate(lines[:-1]) if k not in per_check]
         assert "\n".join(kept) + "\n" == run(capsys, "basis", "--d", "4")[1]
 
+    def test_verify_all_is_every_suite(self, capsys):
+        # the checks of basis d = 2..8, of sing with each family at
+        # d = 3..6, of aj --oracle and of pairing, in that order
+        jobs = [["basis", "--d", str(d)] for d in range(2, 9)]
+        families = ("all", "delta", "gamma", "lambda")
+        jobs += [["sing", "--d", str(d), "--family", f] for d in range(3, 7) for f in families]
+        jobs += [["aj", "--oracle"], ["pairing", "--seed", "0"]]
+        want = []
+        for argv in jobs:
+            want += json.loads(run(capsys, "--format", "json", *argv)[1])["checks"]
+        code, out = run(capsys, "--format", "json", "verify-all", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["checks"] == want
+
     def test_markdown_includes_anchor(self, capsys):
         _, out = run(capsys, "basis", "--d", "2")
         assert "(H2 presentation of the degenerate fiber)" in out
@@ -631,6 +645,27 @@ class TestPairingCommand:
             by_name = {c["name"]: c["data"] for c in doc["checks"]}
             assert by_name["seeded limit matrix"]["verdict"] == "independent"
 
+    def test_seeded_fields(self, capsys):
+        _, out = run(capsys, "--format", "json", "pairing")
+        seeded = json.loads(out)["checks"][1]["data"]
+        assert list(seeded) == ["matrix", "det", "L", "verdict", "t_sequence", "max_residual"]
+        assert seeded["t_sequence"] == [[t.real, t.imag] for t in limits.T_SEQUENCE]
+        assert all(isinstance(x, float) for row in seeded["matrix"] for v in row for x in v)
+
+    def test_small_det_is_not_independent(self, capsys, monkeypatch):
+        # |det| = 0.1 L is not above the verdict bound 0.1 |L|
+        real = limits.independence_matrix
+
+        def tenth_of_L(L, seed=None):
+            matrix, _, max_residual = real(L, seed=seed)
+            return matrix, complex(-0.1 * L), max_residual
+
+        monkeypatch.setattr(limits, "independence_matrix", tenth_of_L)
+        code, out = run(capsys, "--format", "json", "pairing")
+        assert code == 1
+        seeded = json.loads(out)["checks"][1]
+        assert seeded["status"] == "fail" and seeded["data"]["verdict"] == "fail"
+
     def test_reports_max_residual(self, capsys):
         code, out = run(capsys, "--format", "json", "pairing", "--seed", "3")
         assert code == 0
@@ -643,9 +678,9 @@ class TestPairingCommand:
         # |det + L| = 2e-3 exceeds the structural bound 1e-3
         real = limits.independence_matrix
 
-        def off_by_2e_3(frame, L, seed=None):
-            res = real(frame, L, seed=seed)
-            return limits.IndependenceResult(res.matrix, complex(-L - 2e-3), res.L, res.verdict, res.max_residual)
+        def off_by_2e_3(L, seed=None):
+            matrix, _, max_residual = real(L, seed=seed)
+            return matrix, complex(-L - 2e-3), max_residual
 
         monkeypatch.setattr(limits, "independence_matrix", off_by_2e_3)
         code, out = run(capsys, "--format", "json", "pairing")
@@ -694,8 +729,6 @@ UNREACHED = {
     "cycles.threefold_boundary": "acceptance criterion 9",
     "limits.limit_of_pairing": "acceptance criterion 8",
     "periods.mu_instance_residuals": "acceptance criterion 7",
-    "limits.monodromy": "tests only",
-    "limits.Frame.basis": "tests only",
     **{
         f"exactlin._Frozen.{name}": "tests only: the value methods of the records"
         for name in ("_key", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
@@ -1006,20 +1039,12 @@ def test_report_data_holds_no_named_tuple():
     assert not found, found
 
 
-_FRAME = limits.Frame(dk=2)
-
 # a maker of an instance of each immutable record or value class, and a field
 IMMUTABLE = {
     "QMatrix": (lambda: QMatrix([[1, 2]]), "entries"),
     "SpanRankResult": (lambda: cycles.span_rank(3), "rank"),
     "ThreefoldBoundary": (lambda: cycles.threefold_boundary(1, 2, 3, 1), "side"),
     "FunctionalEquationReport": (lambda: periods.check_functional_equations(10, 0), "samples"),
-    "Frame": (lambda: _FRAME, "dk"),
-    "PolyTail": (limits.PolyTail, "coeffs"),
-    "EtaModel": (lambda: limits.EtaModel.build(_FRAME), "g"),
-    "NormalFunctionModel": (lambda: limits.NormalFunctionModel.limit_type(1.0, _FRAME), "L"),
-    "PairingLimit": (lambda: limits.PairingLimit(1j, (0.0,)), "value"),
-    "IndependenceResult": (lambda: limits.independence_matrix(_FRAME, 1.0), "det"),
 }
 
 
@@ -1036,10 +1061,10 @@ def test_value_classes_stay_immutable(name):
 
 
 def test_value_class_equality_and_repr():
-    tail = limits.PolyTail((1j,))
-    assert tail != tail.coeffs and tail.coeffs != tail
-    assert tail == limits.PolyTail((1j,))
-    assert tail != QMatrix([[1]])
+    feq = periods.FunctionalEquationReport(10, 0.5)
+    assert feq != (10, 0.5) and (10, 0.5) != feq
+    assert feq == periods.FunctionalEquationReport(10, 0.5)
+    assert feq != QMatrix([[1]])
     x = reduce_raw(3, {("l", 1): 2, ("e", 1, 2, 1): 1})
     y = _combine(3, ((1, reduce_raw(3, {("e", 1, 2, 1): 1})), (1, reduce_raw(3, {("l", 1): 2}))))
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
