@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import degeneration
 from .degeneration import Generator, _combine, in_kernel, independence_certificate, reduce_raw
-from .exactlin import _Frozen, _exact, _ratio
+from .exactlin import _exact, _ratio
 
 class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
@@ -87,9 +87,11 @@ def singularity_at_zero(d: int, c: CycleKey) -> tuple:
     parameter terms of lambda contribute the full degeneration of their
     line: the strict transform l_i - sum_{a<i} e^{ai}_l plus the
     exceptional curves e^{ia}_l for a > i.  Markers must cancel exactly.
+    The key is read through :func:`build_cycle`, and an index above d fails.
     """
+    c = build_cycle(*c)
     for idx in c[1]:
-        if not 1 <= idx <= d:
+        if idx > d:
             raise ValueError(f"index {idx} out of range for d={d}")
     raw: dict[tuple, int] = {}
     markers: dict[tuple, int] = {}
@@ -325,32 +327,10 @@ def _single_family_failure(d: int, sing: dict[CycleKey, tuple], owners, total: t
     return None
 
 
-class SpanRankResult(_Frozen):
-    __slots__ = (
-        "rank",
-        "expected",
-        "spanning",
-        "combination_verified",
-        "witness",
-        "witness_size",
-        "failed",
-        "residues",
-    )
-    rank: int | None  # None when the witness fails
-    expected: int
-    spanning: bool
-    combination_verified: bool
-    witness: str
-    witness_size: int
-    failed: str | None  # the clause of the witness that fails
-    # (cycle key, residue class) in family_cycles order, for reports to reuse
-    residues: tuple[tuple[CycleKey, tuple], ...]
-
-
-def span_rank(d: int, family: str = "both") -> SpanRankResult:
+def span_rank(d: int, family: str = "both") -> tuple:
     """Rank of the singularity classes of a family, proved by a witness,
-    against the family's own rank in closed form (``expected``);
-    ``spanning`` says whether the rank is the kernel dim.
+    against the family's own rank in closed form, as ``(rank, expected,
+    failed, witness, witness_size, pairs_replayed, residues)``.
 
     The closed forms: "both" spans the kernel.  gamma: for fixed l < d the
     class of gamma(i<j<k; l) is the coboundary e^{ij}_l + e^{jk}_l - e^{ik}_l
@@ -383,9 +363,9 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
     When a clause fails, ``rank`` is None and ``failed`` names the clause:
     a replay, "membership", "diagonal certificate", a nonzero delta class
     or a clause of the kernel basis.  ``witness_size`` counts the replays
-    (the classes, for delta).  ``combination_verified`` records the pair
-    replays of "both" alone.  ``residues`` hands the (cycle key, class)
-    pairs on, so a report need not build them again.
+    (the classes, for delta).  ``pairs_replayed`` records the pair replays
+    of "both" alone.  ``residues`` hands the (cycle key, class) pairs on,
+    so a report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(d, c)) for c in family_cycles(d, family))
     sing = dict(residues)
@@ -395,10 +375,10 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
         "lambda": (d - 1) ** 2 + 1,
         "delta": 0,
     }[family]
-    verified = True  # the pair replays, which only "both" has
+    pairs_replayed = True  # only "both" has pair replays
     if family == "both":
         basis = degeneration.hodge_kernel_basis(d)
-        failed, verified = _kernel_span_failure(d, sing, basis)
+        failed, pairs_replayed = _kernel_span_failure(d, sing, basis)
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
     elif family == "delta":
         failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if cl), None)
@@ -411,34 +391,23 @@ def span_rank(d: int, family: str = "both") -> SpanRankResult:
         rk, size = len(owners) + (total is not None), len(replays)
     if failed is not None:
         rk = None
-    return SpanRankResult(rk, expected, rk == degeneration.kernel_dim(d), verified, kind, size, failed, residues)
+    return rk, expected, failed, kind, size, pairs_replayed, residues
 
 
-class ThreefoldBoundary(_Frozen):
-    """Formal combination of exceptional lines in the threefold fiber.
-
-    Each symbol records the blow-up center: the pair of plane indices the
-    line sits over and the index of the third form through the node.
-    ``side`` is "L" when the pair indexes L-planes (gamma descent) and "M"
-    for the mirrored delta descent.
-    """
-
-    __slots__ = ("side", "lines")
-    side: str  # "L" or "M"
-    lines: tuple[tuple[tuple[int, int, int], int], ...]
-
-
-def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> ThreefoldBoundary:
+def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> tuple:
     """Boundary 1-cycle of the threefold precycle over the triple (i,j,k)
     and cross index l: the exceptional line over (i,j) plus the one over
-    (j,k) minus the one over (i,k)."""
+    (j,k) minus the one over (i,k), as the pair ``(side, lines)``.
+
+    ``side`` is "L" when the pairs index L-planes (gamma descent) and "M"
+    for the mirrored delta descent.  ``lines`` holds ((a, b, l),
+    coefficient) terms: the pair of plane indices the line sits over and
+    the index of the third form through the node.
+    """
     if not i < j < k:
         raise ValueError(f"need i < j < k, got {(i, j, k)}")
+    if min(i, l) < 1:
+        raise ValueError(f"indices must be >= 1: {(i, j, k, l)}")
     if side not in ("L", "M"):
         raise ValueError(f"side must be 'L' or 'M', got {side!r}")
-    lines = (
-        ((i, j, l), 1),
-        ((j, k, l), 1),
-        ((i, k, l), -1),
-    )
-    return ThreefoldBoundary(side, lines)
+    return side, (((i, j, l), 1), ((j, k, l), 1), ((i, k, l), -1))

@@ -54,47 +54,6 @@ def _ratio(n, d: int) -> int | Fraction:
     return _exact(Fraction(n, d))
 
 
-class _Frozen:
-    """Base of the immutable value classes.
-
-    Equality, hash and repr run over the fields named in ``__slots__``;
-    equality with any other class is NotImplemented.  Fields are written
-    once, in ``__init__``, through ``object.__setattr__``; assigning or
-    deleting one afterwards raises AttributeError.  The ``__init__`` here
-    takes every field positionally, in ``__slots__`` order; a class that
-    converts its input or has defaults writes its own.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
-        for field, value in zip(self.__slots__, values):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
-
-
 def cyclo_embed(x: tuple[int | Fraction, int | Fraction]) -> complex:
     """Numerical embedding of a + b*mu, given as the pair (a, b) of exact
     scalars, sending mu to 0.5 + (sqrt(3)/2) i."""
@@ -102,7 +61,7 @@ def cyclo_embed(x: tuple[int | Fraction, int | Fraction]) -> complex:
     return complex(a + 0.5 * b, _SQRT3_2 * b)
 
 
-class QMatrix(_Frozen):
+class QMatrix:
     """Dense matrix of exact scalars."""
 
     __slots__ = ("entries",)
@@ -112,7 +71,7 @@ class QMatrix(_Frozen):
         ent = tuple(tuple(map(_exact, row)) for row in rows)
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", ent)
+        self.entries = ent
 
     @property
     def rows(self) -> int:

@@ -22,7 +22,7 @@ import cmath
 import math
 import random
 
-from .exactlin import _Frozen, cyclo_embed
+from .exactlin import cyclo_embed
 from .quadrature import double_integral
 
 PI = math.pi
@@ -407,12 +407,6 @@ def membrane_quadrature(vertices) -> complex:
 # dilogarithm functional equations
 
 
-class FunctionalEquationReport(_Frozen):
-    __slots__ = ("samples", "max_residual")
-    samples: int
-    max_residual: float  # worst residual over both identities
-
-
 def _residuals(z: complex) -> tuple[float, float]:
     """|lhs - rhs| of the shift and of the reflection identity at z, which
     share Li2(z) and log(1-z):
@@ -440,9 +434,11 @@ def _off_cuts(z: complex) -> bool:
     return abs(z.imag) > 0.01
 
 
-def check_functional_equations(samples: int = 1000, seed: int = 0) -> FunctionalEquationReport:
+def check_functional_equations(samples: int = 1000, seed: int = 0) -> tuple[int, float]:
     """Residuals of the two transformation identities on rejection-sampled
-    points away from every branch cut."""
+    points away from every branch cut, as the pair ``(samples,
+    max_residual)``: the number of points accepted and the worst residual
+    over both identities, NaN when any residual is NaN."""
     rng = random.Random(seed)
     accepted = 0
     worst = 0.0
@@ -455,7 +451,7 @@ def check_functional_equations(samples: int = 1000, seed: int = 0) -> Functional
         # max keeps a NaN only as its first argument, so a NaN residual
         # is made the worst by hand and then stays it
         worst = math.nan if math.isnan(shift + reflect) else max(worst, shift, reflect)
-    return FunctionalEquationReport(accepted, worst)
+    return accepted, worst
 
 
 def mu_instance_residuals() -> dict[str, float]:

@@ -86,7 +86,7 @@ class TestBoundary:
         # the zero and the pole of a lone ratio term stay as markers
         monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 2), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError) as exc:
-            singularity_at_zero(4, ("gamma", ()))
+            singularity_at_zero(4, ("gamma", (1, 2, 3, 1)))
         assert str(exc.value) == (
             "markers do not cancel: {('p', 1, 2, 2): 1, ('p', 1, 3, 2): -1}"
         )
@@ -155,11 +155,28 @@ class TestSingularity:
     def test_marker_cancellation_enforced(self, monkeypatch):
         monkeypatch.setattr(cycles, "_terms", lambda key: (((1, 1), ("L", 2), ("L", 3)),))
         with pytest.raises(MarkerCancellationError):
-            singularity_at_zero(4, ("gamma", ()))
+            singularity_at_zero(4, ("gamma", (1, 2, 3, 1)))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             singularity_at_zero(4, build_cycle("gamma", (1, 2, 5, 1)))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ("foo", (1, 2, 3, 4)),  # unknown kind, once read as delta
+            ("delta", (1, 3, 2, 4)),  # unordered l < m < n, once the zero class
+            ("gamma", (3, 2, 1, 1)),  # unordered i < j < k, once minus gamma(1,2,3;1)
+            ("gamma", (0, 1, 2, 1)),
+            ("lambda", (1, 2, 3)),
+        ],
+    )
+    def test_malformed_key_refused(self, key):
+        # the key is read through build_cycle, which refuses each of these
+        with pytest.raises(ValueError):
+            build_cycle(*key)
+        with pytest.raises(ValueError):
+            singularity_at_zero(4, key)
 
 
 class TestExpressInB:
@@ -239,17 +256,17 @@ class TestExpressInB:
 class TestSpanRank:
     @pytest.mark.parametrize("d,expected", [(3, 7), (4, 19), (5, 41)])
     def test_full_family_spans(self, d, expected):
-        res = span_rank(d, "both")
-        assert res.rank == res.expected == expected
-        assert res.spanning and res.combination_verified
+        rk, expected_rank, _, _, _, pairs_replayed, _ = span_rank(d, "both")
+        assert rk == expected_rank == expected
+        assert rk == degeneration.kernel_dim(d) and pairs_replayed
 
     def test_lambda_only_falls_short(self):
-        res = span_rank(4, "lambda")
-        assert res.rank == 10 and not res.spanning
+        rk = span_rank(4, "lambda")[0]
+        assert rk == 10 and rk != degeneration.kernel_dim(4)
 
     def test_gamma_only_falls_short(self):
-        res = span_rank(4, "gamma")
-        assert res.rank == 9 and not res.spanning
+        rk = span_rank(4, "gamma")[0]
+        assert rk == 9 and rk != degeneration.kernel_dim(4)
 
     def test_gamma_needs_three_planes(self):
         with pytest.raises(ValueError):
@@ -281,11 +298,11 @@ def residues(d):
 class TestSpanWitness:
     @pytest.mark.parametrize("d", range(3, 11))
     def test_witness_rank_matches_elimination(self, d):
-        res = span_rank(d, "both")
-        assert res.witness == "replay + membership + diagonal certificate"
-        assert res.witness_size == d * (d * (d - 1) // 2) + d
+        rk, expected, _, witness, witness_size, _, _ = span_rank(d, "both")
+        assert witness == "replay + membership + diagonal certificate"
+        assert witness_size == d * (d * (d - 1) // 2) + d
         nonzero = [dense(d, cl) for cl in residues(d).values() if cl]
-        assert res.rank == rank(QMatrix(nonzero)) == res.expected
+        assert rk == rank(QMatrix(nonzero)) == expected
 
     def test_residue_coordinates_are_int(self):
         assert all(type(c) is int for cl in residues(5).values() for _, c in cl)
@@ -328,11 +345,11 @@ class TestSpanWitness:
             kind, indices = c
             return reduce_raw(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
 
-        res, oracle = self.tampered_rank(monkeypatch, 5, shift)
-        assert res.combination_verified
-        assert res.failed == "membership"
-        assert res.rank is None and not res.spanning
-        assert oracle == res.expected + 1
+        (rk, expected, failed, _, _, pairs_replayed, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
+        assert pairs_replayed
+        assert failed == "membership"
+        assert rk is None
+        assert oracle == expected + 1
 
     def test_total_class_missing_fails_total_replay(self, monkeypatch):
         # every lambda_il minus B_0 / d: pair replays and membership hold,
@@ -340,11 +357,11 @@ class TestSpanWitness:
         def shift(d, c):
             return _combine(d, ((Fraction(-1, d), hodge_kernel_basis(d)[0]),)) if c[0] == "lambda" else ()
 
-        res, oracle = self.tampered_rank(monkeypatch, 5, shift)
-        assert res.combination_verified
-        assert res.failed == "replay total(1)"
-        assert res.rank is None and not res.spanning
-        assert oracle == res.expected - 1
+        (rk, expected, failed, _, _, pairs_replayed, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
+        assert pairs_replayed
+        assert failed == "replay total(1)"
+        assert rk is None
+        assert oracle == expected - 1
 
     def test_broken_witness_fails(self, monkeypatch):
         # a slipped sign fails the witness, and no other route states a rank
@@ -355,26 +372,26 @@ class TestSpanWitness:
             return [(-c, key)] + real(d, i, j, l)[1:]
 
         monkeypatch.setattr(cycles, "pair_combination", slipped)
-        res = span_rank(4, "both")
-        assert not res.combination_verified
-        assert res.failed == "replay pair(1,2;1)"
-        assert res.rank is None and not res.spanning
-        assert res.witness == "replay + membership + diagonal certificate"
+        rk, _, failed, witness, _, pairs_replayed, _ = span_rank(4, "both")
+        assert not pairs_replayed
+        assert failed == "replay pair(1,2;1)"
+        assert rk is None
+        assert witness == "replay + membership + diagonal certificate"
 
     def test_broken_kernel_basis_names_its_clause(self, monkeypatch):
         real = degeneration._kernel_basis
         monkeypatch.setattr(degeneration, "_kernel_basis", lambda d: real(d)[:-1])
-        res = span_rank(4, "both")
-        assert res.failed == "kernel basis count" and res.rank is None
-        assert not res.combination_verified  # the replays read the basis, so they do not run
+        rk, _, failed, _, _, pairs_replayed, _ = span_rank(4, "both")
+        assert failed == "kernel basis count" and rk is None
+        assert not pairs_replayed  # the replays read the basis, so they do not run
 
     def test_single_family_witness(self):
         for family, witness, rk in (
             ("gamma", "cocycle replay + diagonal certificate", 9),
             ("lambda", "row and column sums + diagonal certificate", 10),
         ):
-            res = span_rank(4, family)
-            assert (res.witness, res.rank, res.failed) == (witness, rk, None)
+            got, _, failed, got_witness, _, _, _ = span_rank(4, family)
+            assert (got_witness, got, failed) == (witness, rk, None)
 
     @pytest.mark.parametrize("d", range(3, 8))
     def test_delta_witness_names_a_nonzero_class(self, d, monkeypatch):
@@ -384,20 +401,20 @@ class TestSpanWitness:
             return _combine(d, ((1, real(d, c)), (int(c == ("delta", (2, 1, 2, 3))), reduce_raw(d, {("l", 1): 1}))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
-        res = span_rank(d, "delta")
-        assert res.failed == "nonzero class delta(2;1,2,3)" and res.rank is None
+        rk, _, failed, _, _, _, _ = span_rank(d, "delta")
+        assert failed == "nonzero class delta(2;1,2,3)" and rk is None
 
     @pytest.mark.parametrize("d", range(3, 8))
     def test_delta_rank_zero_without_elimination(self, d):
-        res = span_rank(d, "delta")
-        assert res.rank == 0 and not res.spanning
-        assert res.witness == "all classes zero"
-        assert res.witness_size == len(res.residues) == d * math.comb(d, 3)
+        rk, _, _, witness, witness_size, _, residues = span_rank(d, "delta")
+        assert rk == 0 and rk != degeneration.kernel_dim(d)
+        assert witness == "all classes zero"
+        assert witness_size == len(residues) == d * math.comb(d, 3)
 
     def test_residues_are_keyed_by_plain_tuples(self):
         for d in range(3, 7):
             for family in ("both", "gamma", "lambda", "delta"):
-                keys = [key for key, _ in span_rank(d, family).residues]
+                keys = [key for key, _ in span_rank(d, family)[-1]]
                 assert keys == family_cycles(d, family), (d, family)
                 assert all(type(key) is tuple and type(key[1]) is tuple for key in keys), (d, family)
 
@@ -410,9 +427,9 @@ class TestSingleFamilyWitness:
     @pytest.mark.parametrize("family,d", [("gamma", d) for d in range(3, 9)] + [("lambda", d) for d in range(2, 9)])
     def test_spanning_set_owns_its_generators(self, family, d):
         owners, total = cycles.spanning_set(d, family)
-        res = span_rank(d, family)
-        assert len(owners) + (total is not None) == res.expected
-        sing = dict(res.residues)
+        _, expected, _, _, _, _, residues = span_rank(d, family)
+        assert len(owners) + (total is not None) == expected
+        sing = dict(residues)
         for key, g in owners:
             assert dict(sing[key]).get(g)
             assert [k for k, _ in owners if dict(sing[k]).get(g)] == [key]
@@ -422,8 +439,8 @@ class TestSingleFamilyWitness:
     @pytest.mark.parametrize("d", range(3, 11))
     def test_replay_counts(self, d):
         gamma = len(cycles.membership_replays(d, "gamma"))
-        assert gamma == math.comb(d - 1, 3) * (d - 1) + math.comb(d, 3) == span_rank(d, "gamma").witness_size
-        assert len(cycles.membership_replays(d, "lambda")) == 2 * d - 1 == span_rank(d, "lambda").witness_size
+        assert gamma == math.comb(d - 1, 3) * (d - 1) + math.comb(d, 3) == span_rank(d, "gamma")[4]
+        assert len(cycles.membership_replays(d, "lambda")) == 2 * d - 1 == span_rank(d, "lambda")[4]
 
     def test_flipped_cocycle_sign_fails_the_replay(self, monkeypatch):
         real = cycles.cocycle_combination
@@ -433,16 +450,16 @@ class TestSingleFamilyWitness:
             return [(-c, key), *rest]
 
         monkeypatch.setattr(cycles, "cocycle_combination", flipped)
-        res = span_rank(5, "gamma")
-        assert res.failed == "replay gamma(2,3,4;1)"
-        assert res.rank is None and res.rank != res.expected
+        rk, expected, failed, _, _, _, _ = span_rank(5, "gamma")
+        assert failed == "replay gamma(2,3,4;1)"
+        assert rk is None and rk != expected
 
     def test_dropped_total_fails_the_replay(self, monkeypatch):
         # without T the column sums leave span(S)
         real = cycles.spanning_set
         monkeypatch.setattr(cycles, "spanning_set", lambda d, family: (real(d, family)[0], None))
-        res = span_rank(4, "lambda")
-        assert res.failed == "replay lambda(4;1)" and res.rank is None
+        rk, _, failed, _, _, _, _ = span_rank(4, "lambda")
+        assert failed == "replay lambda(4;1)" and rk is None
 
     @pytest.mark.parametrize("family", ["gamma", "lambda"])
     def test_duplicated_element_fails_the_certificate(self, family, monkeypatch):
@@ -453,8 +470,8 @@ class TestSingleFamilyWitness:
             return [*owners, owners[0]], total
 
         monkeypatch.setattr(cycles, "spanning_set", duplicated)
-        res = span_rank(5, family)
-        assert res.failed == "diagonal certificate" and res.rank is None
+        rk, _, failed, _, _, _, _ = span_rank(5, family)
+        assert failed == "diagonal certificate" and rk is None
 
     def test_replaced_element_leaves_a_class_outside_the_span(self, monkeypatch):
         real = cycles.spanning_set
@@ -465,14 +482,14 @@ class TestSingleFamilyWitness:
             return [owners[0], *owners[:-1]], total
 
         monkeypatch.setattr(cycles, "spanning_set", replaced)
-        res = span_rank(4, "gamma")
-        assert res.failed == "replay gamma(2,3,4;3)" and res.rank is None
+        rk, _, failed, _, _, _, _ = span_rank(4, "gamma")
+        assert failed == "replay gamma(2,3,4;3)" and rk is None
 
     def test_unreplayed_class_fails(self, monkeypatch):
         real = cycles.membership_replays
         monkeypatch.setattr(cycles, "membership_replays", lambda d, family: real(d, family)[:-1])
-        res = span_rank(4, "lambda")
-        assert res.failed == "no replay of lambda(4;4)" and res.rank is None
+        rk, _, failed, _, _, _, _ = span_rank(4, "lambda")
+        assert failed == "no replay of lambda(4;4)" and rk is None
 
     def test_lambda_at_d2_builds_no_gamma(self, monkeypatch):
         families = []
@@ -483,22 +500,29 @@ class TestSingleFamilyWitness:
             return real(d, family)
 
         monkeypatch.setattr(cycles, "family_cycles", recorded)
-        res = span_rank(2, "lambda")
+        rk, expected, failed, _, _, _, _ = span_rank(2, "lambda")
         assert families == ["lambda"]
-        assert (res.rank, res.expected, res.spanning, res.failed) == (2, 2, True, None)
+        assert (rk, expected, rk == degeneration.kernel_dim(2), failed) == (2, 2, True, None)
 
 
 class TestThreefoldBoundary:
     def test_three_term_shape(self):
-        tb = threefold_boundary(1, 2, 3, 1)
-        assert tb.lines == (((1, 2, 1), Fraction(1)), ((2, 3, 1), Fraction(1)), ((1, 3, 1), Fraction(-1)))
-        assert tb.side == "L"
+        side, lines = threefold_boundary(1, 2, 3, 1)
+        assert lines == (((1, 2, 1), Fraction(1)), ((2, 3, 1), Fraction(1)), ((1, 3, 1), Fraction(-1)))
+        assert side == "L"
 
     def test_ordering(self):
         with pytest.raises(ValueError):
             threefold_boundary(2, 1, 3, 1)
 
     def test_mirrored_side(self):
-        tb = threefold_boundary(1, 2, 4, 3, side="M")
-        assert tb.side == "M"
-        assert [c for _, c in tb.lines] == [1, 1, -1]
+        side, lines = threefold_boundary(1, 2, 4, 3, side="M")
+        assert side == "M"
+        assert [c for _, c in lines] == [1, 1, -1]
+
+    @pytest.mark.parametrize("indices", [(0, 1, 2, -5), (0, 1, 2, 1), (1, 2, 3, 0), (-2, -1, 0, 1)])
+    def test_index_below_one_refused(self, indices):
+        # the same rule as build_cycle: planes and forms count from 1
+        for side in ("L", "M"):
+            with pytest.raises(ValueError, match="indices must be >= 1"):
+                threefold_boundary(*indices, side=side)

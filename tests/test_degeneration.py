@@ -340,6 +340,12 @@ class TestClassTuples:
         assert x == reduce_raw(4, {("l", 1): 2, ("l", 2): Fraction(1, 2), ("l", 3): Fraction(3)})
         assert all(type(c) is int for b in hodge_kernel_basis(5) for _, c in b)
 
+    def test_equal_classes_are_equal_tuples(self):
+        # a class built in one step and the sum of its parts are one value
+        x = reduce_raw(3, {("l", 1): 2, ("e", 1, 2, 1): 1})
+        y = _combine(3, ((1, reduce_raw(3, {("e", 1, 2, 1): 1})), (1, reduce_raw(3, {("l", 1): 2}))))
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
     @pytest.mark.parametrize("d", range(3, 7))
     def test_classes_are_plain_tuples(self, d):
         # every class the package builds is a tuple of (canonical
@@ -349,7 +355,7 @@ class TestClassTuples:
         classes = [reduce_raw(d, {g: 1}) for g in gens] + [reduce_raw(d, rel) for rel in relations]
         classes += hodge_kernel_basis(d)
         for family in ("both", "gamma", "lambda", "delta"):
-            classes += [cl for _, cl in span_rank(d, family).residues]
+            classes += [cl for _, cl in span_rank(d, family)[-1]]
         for x in classes:
             assert type(x) is tuple
             assert all(type(t) is tuple and len(t) == 2 for t in x)

@@ -278,7 +278,7 @@ class TestOneScalarFormat:
         assert one_format(got)
 
     def test_threefold_boundary_lines(self):
-        assert all(type(c) is int for _, c in threefold_boundary(1, 2, 3, 1).lines)
+        assert all(type(c) is int for _, c in threefold_boundary(1, 2, 3, 1)[1])
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, "1", "1/2"])
     def test_inexact_raises_everywhere(self, bad):
