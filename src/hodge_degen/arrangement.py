@@ -32,10 +32,6 @@ QMu = tuple  # a + b*mu in Q(mu) as (a, b), each an exact scalar int | Fraction
 class DegenerateIntersectionError(ValueError):
     """The selected forms do not meet in a single point."""
 
-    def __init__(self, selectors):
-        self.selectors = tuple(selectors)
-        super().__init__(f"degenerate form triple: {self.selectors}")
-
 
 class ChartError(ValueError):
     """A requested point has Z = 0 and misses the (X/Z, Y/Z) chart."""
@@ -132,7 +128,7 @@ def intersection_point(a: Sequence[Form], f1: FormSelector, f2: FormSelector, f3
     coefficients without column k.  Unnormalised."""
     sels = (f1, f2, f3)
     if len(set(sels)) != 3:
-        raise DegenerateIntersectionError(sels)
+        raise DegenerateIntersectionError(f"degenerate form triple: {sels}")
     rows = [form(a, sel) for sel in sels]
     r, s, u = rows
     # the minors come for the column triples in lex order, which omit
@@ -141,7 +137,7 @@ def intersection_point(a: Sequence[Form], f1: FormSelector, f2: FormSelector, f3
         (sign * m_a, sign * m_b) for sign, (m_a, m_b) in zip((1, -1, 1, -1), reversed(_minors3(r, _minors2(s, u))))
     )
     if all(c == (0, 0) for c in point):
-        raise DegenerateIntersectionError(sels)
+        raise DegenerateIntersectionError(f"degenerate form triple: {sels}")
     for row in rows:
         if _signed_sum((1, c, x) for c, x in zip(row, point)) != (0, 0):
             raise AssertionError("intersection point fails exact substitution")
@@ -192,5 +188,5 @@ def sweep_vertices(a: Sequence[Form], i: int, l: int, m: int, n: int):
     last vertices.  Each vertex must lie in the Z != 0 chart.
     """
     if len({l, m, n}) != 3:
-        raise DegenerateIntersectionError((("M", l), ("M", m), ("M", n)))
+        raise DegenerateIntersectionError(f"degenerate form triple: {(('M', l), ('M', m), ('M', n))}")
     return [chart_xy(intersection_point(a, ("L", i), ("M", p), ("M", q))) for p, q in ((l, n), (l, m), (m, n))]

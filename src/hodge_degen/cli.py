@@ -51,15 +51,6 @@ DET_TOL = 1e-3
 MEMBRANE_TOL = 1e-8
 
 
-class Check:
-    def __init__(self, name: str, anchor: str, status: str, data: dict, elapsed_ms: int):
-        self.name = name
-        self.anchor = anchor
-        self.status = status
-        self.data = data
-        self.elapsed_ms = elapsed_ms
-
-
 # the escapes of json.dumps other than \uXXXX
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
@@ -120,54 +111,43 @@ def _json(value, indent: str = "") -> str:
 
 
 class Report:
-    """Checks in order.  Under ``timing`` each check carries the wall time
-    since the previous check (or the start), which is the time spent
-    computing it; otherwise no time appears and the JSON is deterministic."""
+    """The checks of one command, in order, kept as ``doc``: the document
+    ``{"tool", "version", "command", "checks", "elapsed_ms"}`` that the
+    JSON report prints and the markdown report renders.  A check is the
+    dict ``{"name", "anchor", "status", "data"}``; under ``timing`` it also
+    holds ``elapsed_ms``, the wall time since the previous check (or the
+    start), which is the time spent computing it.  Otherwise no time
+    appears and the JSON is deterministic."""
 
     def __init__(self, command: str, timing: bool = False):
-        self.command = command
         self.timing = timing
-        self.checks: list[Check] = []
-        self.elapsed_ms = 0
+        self.doc = {"tool": TOOL, "version": __version__, "command": command, "checks": [], "elapsed_ms": 0}
         self.started = self._mark = time.monotonic()
 
-    def _append(self, name: str, anchor: str, status: str, data: dict) -> None:
+    def add(self, name: str, anchor: str, ok: bool | None, **data) -> None:
+        """Record a check that passed (ok), failed (not ok) or was skipped
+        (ok is None)."""
+        status = "skipped" if ok is None else "pass" if ok else "fail"
+        check = {"name": name, "anchor": anchor, "status": status, "data": data}
         now = time.monotonic()
-        self.checks.append(Check(name, anchor, status, data, int((now - self._mark) * 1000)))
+        if self.timing:
+            check["elapsed_ms"] = int((now - self._mark) * 1000)
         self._mark = now
-
-    def add(self, name: str, anchor: str, ok: bool, **data) -> bool:
-        self._append(name, anchor, "pass" if ok else "fail", data)
-        return ok
-
-    def skip(self, name: str, anchor: str, **data):
-        self._append(name, anchor, "skipped", data)
+        self.doc["checks"].append(check)
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_json(self) -> str:
-        doc = {
-            "tool": TOOL,
-            "version": __version__,
-            "command": self.command,
-            "checks": [
-                {"name": c.name, "anchor": c.anchor, "status": c.status, "data": c.data}
-                | ({"elapsed_ms": c.elapsed_ms} if self.timing else {})
-                for c in self.checks
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
-        return _json(doc)
+        return all(c["status"] != "fail" for c in self.doc["checks"])
 
     def to_markdown(self) -> str:
-        lines = [f"# {TOOL} {self.command}", ""]
-        width = max((len(c.name) for c in self.checks), default=4)
-        for c in self.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[c.status]
-            lines.append(f"- [{mark}] {c.name:<{width}}  ({c.anchor})")
-            for k, v in (c.data | ({"elapsed_ms": c.elapsed_ms} if self.timing else {})).items():
+        checks = self.doc["checks"]
+        lines = [f"# {TOOL} {self.doc['command']}", ""]
+        width = max((len(c["name"]) for c in checks), default=4)
+        for c in checks:
+            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[c["status"]]
+            lines.append(f"- [{mark}] {c['name']:<{width}}  ({c['anchor']})")
+            timed = {"elapsed_ms": c["elapsed_ms"]} if "elapsed_ms" in c else {}
+            for k, v in (c["data"] | timed).items():
                 text = str(v)
                 if len(text) > 160:
                     text = text[:157] + "..."
@@ -175,14 +155,15 @@ class Report:
         lines.append("")
         lines.append(f"result: {'pass' if self.ok else 'FAIL'}")
         if self.timing:
-            lines.append(f"elapsed_ms: {self.elapsed_ms}")
+            lines.append(f"elapsed_ms: {self.doc['elapsed_ms']}")
         return "\n".join(lines)
 
 
 def _emit(report: Report, fmt: str) -> int:
-    report.elapsed_ms = int((time.monotonic() - report.started) * 1000) if report.timing else 0
+    if report.timing:
+        report.doc["elapsed_ms"] = int((time.monotonic() - report.started) * 1000)
     try:
-        print(report.to_json() if fmt == "json" else report.to_markdown())
+        print(_json(report.doc) if fmt == "json" else report.to_markdown())
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (say, `| head`): send the rest of the
@@ -332,12 +313,14 @@ def run_aj(report: Report, with_oracle: bool) -> None:
         im=closed.imag,
     )
     samples, max_residual = periods.check_functional_equations(1000, 0)
+    mu_instances = periods.mu_instance_residuals()
     report.add(
         "dilogarithm functional equations",
         "transformation identities at sampled points",
-        max_residual < 1e-12,
+        all(r < 1e-12 for r in (max_residual, *mu_instances.values())),
         samples=samples,
         max_residual=max_residual,
+        mu_instances=mu_instances,
     )
     if with_oracle:
         oracle = periods.membrane_quadrature(verts)
@@ -350,7 +333,7 @@ def run_aj(report: Report, with_oracle: bool) -> None:
             abs_diff=float(f"{odiff:.{ABS_DIFF_DIGITS}g}"),
         )
     else:
-        report.skip("quadrature oracle", "raw 2D quadrature over the same membrane")
+        report.add("quadrature oracle", "raw 2D quadrature over the same membrane", None)
 
 
 def run_pairing(report: Report, seed: int) -> None:

@@ -40,8 +40,11 @@ def build_cycle(kind: str, indices: tuple[int, ...]) -> CycleKey:
     """The key of a cycle of the given kind, its indices checked.
 
     gamma: indices (i, j, k, l) with i < j < k; delta: (i, l, m, n) with
-    l < m < n; lambda: (i, l).
+    l < m < n; lambda: (i, l).  Every index is an int: a bool or a float
+    raises TypeError, since it would pass for the int it equals.
     """
+    if not all(type(x) is int for x in indices):
+        raise TypeError(f"indices must be ints, got {indices}")
     if kind == "gamma":
         i, j, k, l = indices
         if not i < j < k:
@@ -402,8 +405,11 @@ def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> tuple
     ``side`` is "L" when the pairs index L-planes (gamma descent) and "M"
     for the mirrored delta descent.  ``lines`` holds ((a, b, l),
     coefficient) terms: the pair of plane indices the line sits over and
-    the index of the third form through the node.
+    the index of the third form through the node.  Every index is an int,
+    as in :func:`build_cycle`.
     """
+    if not all(type(x) is int for x in (i, j, k, l)):
+        raise TypeError(f"indices must be ints, got {(i, j, k, l)}")
     if not i < j < k:
         raise ValueError(f"need i < j < k, got {(i, j, k)}")
     if min(i, l) < 1:

@@ -135,7 +135,7 @@ def test_criterion_6_period_closed_form():
     assert abs((-closed).real - PI * PI / 6) < 1e-10
     assert abs(closed.imag) > 4.0
     oracle = membrane_quadrature(verts)
-    assert abs(oracle - membrane) < 1e-6
+    assert abs(oracle - membrane) < 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report(6, f"membrane vs closed form {abs(membrane + closed):.2e}, oracle {abs(oracle - membrane):.2e}, {elapsed:.2f}s")

@@ -159,6 +159,60 @@ def test_exact_reports_unchanged(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
 
 
+# sha256 of the default (markdown) report of each job, pinned as
+# JSON_DIGESTS pins the JSON: both formats render the same checks, and a
+# change of the renderer must not move a byte of either
+MARKDOWN_DIGESTS = {
+    ("basis", "--d", "2"): "2256d7ee4826b7600d49cbd67578df6d5abe091a493dc18b3a71d0273eefbe46",
+    ("basis", "--d", "3"): "8440f6cf456ccda0e36bb498db3f94f90121e2cbf88273862ff2c90a917bde07",
+    ("basis", "--d", "4"): "ea1a356a3b900a25f820b9281f4c8c9aacaaf33f98127fffbda895f0a56c5ce6",
+    ("basis", "--d", "5"): "91b7bb00b5bfa9945196394433718724a5e8cc45909265de8c36f4f7b3128713",
+    ("sing", "--d", "3", "--family", "all"): "6f8b6cf975500010781d99a66faf0bb9cefa3c13bfcaa16ae379ed6f26acb0b0",
+    ("sing", "--d", "3", "--family", "delta"): "7bb96c78bbaa7efb5881c40e4f6caba9f1d4a9260283c9efa00c7f9853b7b719",
+    ("sing", "--d", "3", "--family", "gamma"): "5aa65c62bb0f43ab282319065ec397e7182ae963c5acd383f476b06923890512",
+    ("sing", "--d", "3", "--family", "lambda"): "cfc7c34b6172c651d9fb7d3ae3a0934234cd7efdf670b04a87ced3e5943ae998",
+    ("sing", "--d", "4", "--family", "all"): "f9a55c070a3132f9a646bc368d933f229018489952183df1e734aa2810797bc5",
+    ("sing", "--d", "4", "--family", "delta"): "f72b0806f9f00c07530f27f04bec0da4e479063a14acf1a1f4503b9dadb4f52a",
+    ("sing", "--d", "4", "--family", "gamma"): "6c218f31aee2a8ffc346d84ff6d42af002393ce5df7dd71f422f9920bf80c624",
+    ("sing", "--d", "4", "--family", "lambda"): "e54c9800a95ea8fbb1271d74936df2d54508d55c432b59ccb504ce83845ea930",
+    ("sing", "--d", "5", "--family", "all"): "4f2aaf7fcfbd0656b968e6d4eb01b2ca45fa982f4719c9ec4c0593a61637a66b",
+    ("sing", "--d", "5", "--family", "delta"): "db3635943a20e10f613a23cc7b96d04bfedb9534581b3856e7af307d817e1099",
+    ("sing", "--d", "5", "--family", "gamma"): "f4eecee8348f041e978c236fdd7259d1c42a8de9ad5b51be5103bdef5c92fd50",
+    ("sing", "--d", "5", "--family", "lambda"): "d19a98638e3b76582538b6db3a56b9e8c746dabf5c5babc37dc38ba4ba70fa21",
+}
+
+
+@pytest.mark.parametrize("argv", MARKDOWN_DIGESTS, ids=" ".join)
+def test_markdown_reports_unchanged(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MARKDOWN_DIGESTS[argv]
+
+
+def test_markdown_marks_a_skipped_check(capsys):
+    code, out = run(capsys, "aj")
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("- [skip]")]
+    assert line.startswith("- [skip] quadrature oracle ")
+    assert line.endswith("(raw 2D quadrature over the same membrane)")
+    assert out.endswith("\nresult: pass\n")
+
+
+def test_markdown_marks_a_failed_check(capsys, monkeypatch):
+    # a failed witness is marked FAIL with its failed clause under it, and
+    # the result line turns to FAIL
+    from hodge_degen import degeneration
+
+    monkeypatch.setattr(degeneration, "phi_rank_failure", lambda d, cols: "row sums")
+    code, out = run(capsys, "basis", "--d", "4")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line.split("  (")[0].rstrip() for line in lines if line.startswith("- [FAIL] ")]
+    assert failed == ["- [FAIL] component pairing rank d=4", "- [FAIL] kernel dimension d=4", "- [FAIL] kernel basis spans d=4"]
+    assert "    - failed: row sums" in lines
+    assert lines[-1] == "result: FAIL"
+
+
 # every value a report may hold: str (control characters, non-ASCII and
 # astral code points included), int (big ones included), finite float,
 # bool, None, and dicts, lists and tuples of them
@@ -561,6 +615,30 @@ class TestAjCommand:
         assert by_name["dilogarithm functional equations"]["data"]["max_residual"] == "nan"
         assert by_name["closed form vs membrane"]["status"] == "pass"
 
+    def test_mu_instances_reported(self, capsys):
+        code, out = run(capsys, "--format", "json", "aj")
+        assert code == 0
+        data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}["dilogarithm functional equations"]
+        assert data["mu_instances"] == periods.mu_instance_residuals()
+        assert list(data["mu_instances"]) == ["shift at -mu", "shift at -1/mu", "reflect at -mu", "reflect at -1/mu"]
+        assert all(r < 1e-12 for r in data["mu_instances"].values())
+
+    @pytest.mark.parametrize("bad", [1e-9, math.nan])
+    def test_mu_instance_residual_fails_the_check(self, capsys, monkeypatch, bad):
+        # one sixth-root instance off by more than the bound of acceptance
+        # criterion 7 fails the check, though every sampled residual holds
+        real = periods.mu_instance_residuals
+        monkeypatch.setattr(periods, "mu_instance_residuals", lambda: {**real(), "reflect at -mu": bad})
+        code, out = run(capsys, "--format", "json", "aj")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        check = checks["dilogarithm functional equations"]
+        assert check["status"] == "fail"
+        assert check["data"]["max_residual"] < 1e-12
+        assert check["data"]["mu_instances"]["reflect at -mu"] == ("nan" if math.isnan(bad) else bad)
+        assert [c["status"] for c in checks.values()] == ["pass", "pass", "pass", "fail", "skipped"]
+        assert run(capsys, "aj")[0] == 1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_stay_strict_json(self, capsys, monkeypatch, bad):
         # a non-finite metric is written as the text of the markdown report,
@@ -728,12 +806,10 @@ def test_report_path_runs_no_elimination():
 # enters, with the reason it is kept.  Code with no report path must be
 # listed here, so it shows up when it is added.
 UNREACHED = {
-    "arrangement.DegenerateIntersectionError.__init__": "error path: the tempered triangle is not degenerate",
     "cli.run": "process entry; the probe calls main() in-process",
     "cycles._label": "error path: names a cycle only when a witness fails",
     "cycles.threefold_boundary": "acceptance criterion 9",
     "limits.limit_of_pairing": "acceptance criterion 8",
-    "periods.mu_instance_residuals": "acceptance criterion 7",
     **{
         f"exactlin.QMatrix.{name}": "perfbench/tracer.py and the elimination oracle of the tests"
         for name in ("__init__", "rows", "cols", "mul_vector")
@@ -1036,14 +1112,14 @@ def test_report_data_holds_no_named_tuple():
     cli.run_aj(report, True)
     cli.run_pairing(report, 0)
     assert report.ok
-    found = [f"{c.name}: {p}" for c in report.checks for p in _records(c.data)]
+    found = [f"{c['name']}: {p}" for c in report.doc["checks"] for p in _records(c["data"])]
     assert not found, found
 
 
 # the classes the package defines, its exceptions aside: a result is handed
 # on as plain data, so a new record class must be added here on purpose,
 # as UNREACHED pins the code that no report enters
-CLASSES = {"exactlin.QMatrix", "cli.Check", "cli.Report"}
+CLASSES = {"exactlin.QMatrix", "cli.Report"}
 
 # Run in a fresh interpreter: prints every class statement of the package,
 # at any depth, unless it binds a module-level exception class.

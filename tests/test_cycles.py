@@ -178,6 +178,21 @@ class TestSingularity:
         with pytest.raises(ValueError):
             singularity_at_zero(4, key)
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ("lambda", (True, 2)),  # once read as lambda(1; 2)
+            ("gamma", (1, 2, 3.0, 1)),  # once the class of gamma(1,2,3; 1)
+            ("delta", (1, 1, 2, 3.5)),
+        ],
+    )
+    def test_non_int_index_refused(self, key):
+        # a bool or a float equals an int and would pass for it as a key
+        with pytest.raises(TypeError, match="indices must be ints"):
+            build_cycle(*key)
+        with pytest.raises(TypeError, match="indices must be ints"):
+            singularity_at_zero(4, key)
+
 
 class TestExpressInB:
     def test_gamma_quarter_pattern(self):
@@ -519,6 +534,13 @@ class TestThreefoldBoundary:
         side, lines = threefold_boundary(1, 2, 4, 3, side="M")
         assert side == "M"
         assert [c for _, c in lines] == [1, 1, -1]
+
+    @pytest.mark.parametrize("indices", [(1.5, 2, 3, 1), (1, 2, 3, True), (1, 2.0, 3, 1)])
+    def test_non_int_index_refused(self, indices):
+        # once lines over (1.5, 2, 1): the same rule as build_cycle
+        for side in ("L", "M"):
+            with pytest.raises(TypeError, match="indices must be ints"):
+                threefold_boundary(*indices, side=side)
 
     @pytest.mark.parametrize("indices", [(0, 1, 2, -5), (0, 1, 2, 1), (1, 2, 3, 0), (-2, -1, 0, 1)])
     def test_index_below_one_refused(self, indices):
