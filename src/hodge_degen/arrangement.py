@@ -47,9 +47,10 @@ def selectors(a: Sequence[Form]) -> list[FormSelector]:
 
 
 def form(a: Sequence[Form], sel: FormSelector) -> Form:
-    """The form of the arrangement a that the selector names."""
+    """The form of the arrangement a that the selector names.  The index
+    is an int: a bool or a float would pass for the int it equals."""
     sels = selectors(a)
-    if sel not in sels:
+    if sel not in sels or type(sel[1]) is not int:
         raise ValueError(f"bad form selector {sel}")
     return a[sels.index(sel)]
 
@@ -127,9 +128,9 @@ def intersection_point(a: Sequence[Form], f1: FormSelector, f2: FormSelector, f3
     integers: coordinate k is (-1)^k times the 3x3 minor of the forms'
     coefficients without column k.  Unnormalised."""
     sels = (f1, f2, f3)
+    rows = [form(a, sel) for sel in sels]
     if len(set(sels)) != 3:
         raise DegenerateIntersectionError(f"degenerate form triple: {sels}")
-    rows = [form(a, sel) for sel in sels]
     r, s, u = rows
     # the minors come for the column triples in lex order, which omit
     # columns 3, 2, 1, 0 in turn
@@ -185,8 +186,10 @@ def sweep_vertices(a: Sequence[Form], i: int, l: int, m: int, n: int):
 
     Returns [(x, y)] for the pairs (l,n), (l,m), (m,n) in that order: the
     common inner-bound edge is the M_n line, running through the first and
-    last vertices.  Each vertex must lie in the Z != 0 chart.
+    last vertices.  Each vertex must lie in the Z != 0 chart.  A bad index
+    (one that is not an int, say) raises ValueError from :func:`form`,
+    and a repeated M index DegenerateIntersectionError from
+    :func:`intersection_point`, before any vertex meets the chart.
     """
-    if len({l, m, n}) != 3:
-        raise DegenerateIntersectionError(f"degenerate form triple: {(('M', l), ('M', m), ('M', n))}")
-    return [chart_xy(intersection_point(a, ("L", i), ("M", p), ("M", q))) for p, q in ((l, n), (l, m), (m, n))]
+    points = [intersection_point(a, ("L", i), ("M", p), ("M", q)) for p, q in ((l, n), (l, m), (m, n))]
+    return [chart_xy(p) for p in points]

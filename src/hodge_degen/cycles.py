@@ -130,14 +130,6 @@ def singularity_at_zero(d: int, c: CycleKey) -> tuple:
     return reduce_raw(d, raw)
 
 
-def pair_kernel_class(d: int, i: int, j: int, l: int) -> tuple:
-    """sum_{l'} (e^{ij}_l - e^{ij}_{l'}) in canonical form, any 1 <= l <= d."""
-    raw = {("e", i, j, l): d}
-    for lp in range(1, d + 1):
-        raw[("e", i, j, lp)] = raw.get(("e", i, j, lp), 0) - 1
-    return reduce_raw(d, raw)
-
-
 def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
     """Exact coordinates of the class x over the distinguished kernel basis,
     or None when x lies off the kernel or the basis does not reassemble it.
@@ -154,7 +146,8 @@ def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
         c_{ijl} = x[e^{ij}_l] / d,   c_total = x[l_d] + sum_{i<d, l<d} c_{idl};
 
     the combination is then checked against x exactly, so a basis that
-    disagrees with the closed form gives None, not wrong coordinates.
+    disagrees with the closed form, or has another length, gives None, not
+    wrong coordinates.
     Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
     """
     basis = degeneration.hodge_kernel_basis(d)
@@ -169,7 +162,7 @@ def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
     }
     total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
     coeffs = (_exact(total), *pair.values())
-    if _combine(d, ((c, b) for c, b in zip(coeffs, basis) if c)) != x:
+    if len(coeffs) != len(basis) or _combine(d, ((c, b) for c, b in zip(coeffs, basis) if c)) != x:
         return None
     return coeffs
 
@@ -208,17 +201,6 @@ def pair_combination(d: int, i: int, j: int, l: int) -> list[tuple[int, CycleKey
     terms += [(-1, ("gamma", (i, k, j, l))) for k in range(i + 1, j)]
     terms += [(1, ("gamma", (i, j, k, l))) for k in range(j + 1, d + 1)]
     return terms
-
-
-def total_combination(d: int, l: int) -> list[tuple[int, CycleKey]]:
-    """lambda_1l + ... + lambda_dl, whose residue is the total class sum_i l_i
-    (every column sum of the lambda array is that class)."""
-    return [(1, ("lambda", (i, l))) for i in range(1, d + 1)]
-
-
-def replay(d: int, sing: dict[CycleKey, tuple], combination, target: tuple) -> bool:
-    """The combination of residue classes equals target, exactly."""
-    return _combine(d, ((c, sing[key]) for c, key in combination)) == target
 
 
 # the key of the total class T = sum_i l_i in the lambda spanning set
@@ -275,65 +257,50 @@ def membership_replays(d: int, family: str) -> list[tuple[CycleKey, list[tuple[i
 
 
 def _label(key: CycleKey) -> str:
-    """gamma(1,2,3;4), lambda(1;2), delta(1;2,3,4): a cycle as its report
-    names it."""
+    """gamma(1,2,3;4), lambda(1;2), delta(1;2,3,4), pair(1,2;3), total(3):
+    a cycle or a replay as its report names it."""
     kind, idx = key
     cut = 1 if kind == "delta" else len(idx) - 1
-    return f"{kind}({','.join(map(str, idx[:cut]))};{','.join(map(str, idx[cut:]))})"
+    return f"{kind}({';'.join(','.join(map(str, part)) for part in (idx[:cut], idx[cut:]) if part)})"
 
 
-def _kernel_span_failure(d: int, sing: dict[CycleKey, tuple], basis) -> tuple[str | None, bool]:
-    """The first clause of the both-families witness that fails, or None,
-    and whether the pair replays hold.  The kernel basis witness comes
-    first, since the replays read the basis; then :func:`pair_combination`
-    against the pair class B_(i,j,l) for l < d and :func:`pair_kernel_class`
-    for l = d, :func:`total_combination` against B_0, and membership of
-    every class in ker(phi)."""
-    failed = degeneration.kernel_basis_failure(d, basis)
-    if failed is not None:
-        return f"kernel basis {failed}", False
-    k = 0
-    for i, j in combinations(range(1, d + 1), 2):
-        for l in range(1, d + 1):
-            if l < d:
-                k += 1
-                target = basis[k]
-            else:
-                target = pair_kernel_class(d, i, j, l)
-            if not replay(d, sing, pair_combination(d, i, j, l), target):
-                return f"replay pair({i},{j};{l})", False
-    for l in range(1, d + 1):
-        if not replay(d, sing, total_combination(d, l), basis[0]):
-            return f"replay total({l})", True
-    if not all(in_kernel(d, cl) for cl in sing.values()):
-        return "membership", True
-    return None, True
-
-
-def _single_family_failure(d: int, sing: dict[CycleKey, tuple], owners, total: tuple | None, replays) -> str | None:
-    """The first clause of a single family's witness that fails: a replay
-    (one whose combination leaves the span found so far fails too), a
-    cycle that no replay reaches, or the diagonal certificate of S."""
-    known = {key for key, _ in owners}
-    if total is not None:
-        sing = {**sing, TOTAL: total}
-        known.add(TOTAL)
-    for key, combination in replays:
-        if not all(k in known for _, k in combination) or not replay(d, sing, combination, sing[key]):
+def _replay_failure(d: int, sing: dict[CycleKey, tuple], known, replays) -> str | None:
+    """The first replay (key, combination, target) whose combination reads
+    a key outside ``known`` and the keys replayed before it, or does not
+    sum to ``target`` exactly; else the first key of ``sing`` that no
+    replay reaches; else None.  A replayed key stands for its target."""
+    classes = {key: sing[key] for key in known}
+    for key, combination, target in replays:
+        try:
+            held = _combine(d, ((c, classes[k]) for c, k in combination)) == target
+        except KeyError:  # the combination reads a key neither known nor replayed
+            held = False
+        if not held:
             return f"replay {_label(key)}"
-        known.add(key)
-    missing = [key for key in sing if key not in known]
-    if missing:
-        return f"no replay of {_label(missing[0])}"
-    if not independence_certificate([sing[key] for key, _ in owners], [g for _, g in owners], total):
-        return "diagonal certificate"
-    return None
+        classes[key] = target
+    return next((f"no replay of {_label(key)}" for key in sing if key not in classes), None)
+
+
+def _kernel_replays(d: int, basis):
+    """The replays of the both-families witness: :func:`pair_combination`
+    against the pair class B_(i,j,l), for each pair i < j in lex order and
+    l = 1..d, then lambda(1;l) + ... + lambda(d;l) against the total class
+    B_0.  The pair classes of one pair sum to zero over l, since each is
+    sum_{l'} (e^{ij}_l - e^{ij}_{l'}); so the target at l = d is
+    -(B_(i,j,1) + ... + B_(i,j,d-1))."""
+    pairs = iter(basis[1:])
+    for i, j in combinations(range(1, d + 1), 2):
+        targets = [next(pairs) for _ in range(1, d)]
+        targets.append(_combine(d, ((-1, b) for b in targets)))
+        yield from ((("pair", (i, j, l)), pair_combination(d, i, j, l), t) for l, t in enumerate(targets, 1))
+    for l in range(1, d + 1):
+        yield ("total", (l,)), [(1, ("lambda", (i, l))) for i in range(1, d + 1)], basis[0]
 
 
 def span_rank(d: int, family: str = "both") -> tuple:
     """Rank of the singularity classes of a family, proved by a witness,
     against the family's own rank in closed form, as ``(rank, expected,
-    failed, witness, witness_size, pairs_replayed, residues)``.
+    failed, witness, witness_size, residues)``.
 
     The closed forms: "both" spans the kernel.  gamma: for fixed l < d the
     class of gamma(i<j<k; l) is the coboundary e^{ij}_l + e^{jk}_l - e^{ik}_l
@@ -349,26 +316,26 @@ def span_rank(d: int, family: str = "both") -> tuple:
 
     * the kernel basis B is a basis of ker(phi)
       (:func:`degeneration.kernel_basis_failure`);
+    * the replays of :func:`_kernel_replays` give every pair class
+      B_(i,j,l) and the total class B_0 from the classes, so B lies in
+      the span;
     * every class lies in ker(phi) (sparse product), so the span of the
-      classes lies in ker(phi);
-    * replaying :func:`pair_combination` gives the pair class B_(i,j,l) for
-      every l < d (and the pair class for l = d), and replaying
-      :func:`total_combination` gives the total class B_0, so B lies in
-      the span.
+      classes lies in ker(phi).
 
     The span is then ker(phi) and the rank is |B|.  For gamma and lambda
     the rank is |S|, S the :func:`spanning_set`: S lies in the span of
     the family (T is a column sum), :func:`membership_replays` puts every
-    class of the family in the span of S, and
+    class of the family in the span of S (a replay reads only S and the
+    classes replayed before it), and
     :func:`degeneration.independence_certificate` proves S independent.
     For delta the witness is "all classes zero" and the rank is 0.
 
-    When a clause fails, ``rank`` is None and ``failed`` names the clause:
-    a replay, "membership", "diagonal certificate", a nonzero delta class
-    or a clause of the kernel basis.  ``witness_size`` counts the replays
-    (the classes, for delta).  ``pairs_replayed`` records the pair replays
-    of "both" alone.  ``residues`` hands the (cycle key, class) pairs on,
-    so a report need not build them again.
+    One loop, :func:`_replay_failure`, checks every replay.  When a clause
+    fails, ``rank`` is None and ``failed`` names the first: a clause of
+    the kernel basis, a replay, a class no replay reaches, "membership",
+    "diagonal certificate" or a nonzero delta class.  ``witness_size``
+    counts the replays (the classes, for delta).  ``residues`` hands the
+    (cycle key, class) pairs on, so a report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(d, c)) for c in family_cycles(d, family))
     sing = dict(residues)
@@ -378,10 +345,12 @@ def span_rank(d: int, family: str = "both") -> tuple:
         "lambda": (d - 1) ** 2 + 1,
         "delta": 0,
     }[family]
-    pairs_replayed = True  # only "both" has pair replays
     if family == "both":
         basis = degeneration.hodge_kernel_basis(d)
-        failed, pairs_replayed = _kernel_span_failure(d, sing, basis)
+        if (failed := degeneration.kernel_basis_failure(d, basis)) is not None:
+            failed = f"kernel basis {failed}"
+        elif (failed := _replay_failure(d, sing, sing, _kernel_replays(d, basis))) is None:
+            failed = None if all(in_kernel(d, cl) for cl in sing.values()) else "membership"
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
     elif family == "delta":
         failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if cl), None)
@@ -389,12 +358,17 @@ def span_rank(d: int, family: str = "both") -> tuple:
     else:
         owners, total = spanning_set(d, family)
         replays = membership_replays(d, family)
-        failed = _single_family_failure(d, sing, owners, total, replays)
+        if total is not None:
+            sing[TOTAL] = total
+        known = [key for key, _ in owners] + [TOTAL] * (total is not None)
+        failed = _replay_failure(d, sing, known, [(key, combination, sing[key]) for key, combination in replays])
+        if failed is None and not independence_certificate([sing[k] for k, _ in owners], [g for _, g in owners], total):
+            failed = "diagonal certificate"
         kind = {"gamma": "cocycle replay", "lambda": "row and column sums"}[family] + " + diagonal certificate"
         rk, size = len(owners) + (total is not None), len(replays)
     if failed is not None:
         rk = None
-    return rk, expected, failed, kind, size, pairs_replayed, residues
+    return rk, expected, failed, kind, size, residues
 
 
 def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> tuple:

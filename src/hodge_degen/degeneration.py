@@ -192,12 +192,17 @@ def phi_rank_failure(d: int, columns: Mapping[Generator, Mapping[int, int]]) -> 
 
 
 def in_kernel(d: int, x: tuple) -> bool:
-    """phi x = 0, by the sparse product of x's coordinates with phi's columns."""
+    """phi x = 0, by the sparse product of x's coordinates with phi's
+    columns.  A generator without a column (e^{ij}_d, say, which canonical
+    form rewrites away) raises ValueError, naming it."""
     cols = _phi_columns(d)
     acc: dict[int, int | Fraction] = {}
-    for g, c in x:
-        for comp, v in cols[g].items():
-            acc[comp] = acc.get(comp, 0) + c * v
+    try:
+        for g, c in x:
+            for comp, v in cols[g].items():
+                acc[comp] = acc.get(comp, 0) + c * v
+    except KeyError as e:
+        raise ValueError(f"not a canonical generator for d={d}: {e.args[0]!r}") from None
     return not any(acc.values())
 
 

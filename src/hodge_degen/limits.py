@@ -129,9 +129,10 @@ def limit_type(L: float, dk: int, rng=None):
 
 def singular_type(i: int, dk: int, rng=None):
     """The model ("Ri", at) with R_i(t) = a0 e0 + a1 e1 + a2 e2 + i log(t) d_i
-    + sum_{j != i} b_j d_j; its pairings use Im(R_i / log t)."""
-    if not 1 <= i <= dk:
-        raise ValueError(f"singularity index out of range: {i}")
+    + sum_{j != i} b_j d_j; its pairings use Im(R_i / log t).  i is an
+    int in 1..dk: a bool or a float raises ValueError."""
+    if type(i) is not int or not 1 <= i <= dk:
+        raise ValueError(f"singularity index out of range: {i!r}")
     tails = _seeded_tails(rng, 3 + dk)
 
     def at(t: complex) -> FrameVector:
@@ -224,13 +225,13 @@ def limit_of_pairing(model, target) -> tuple[complex, tuple[float, ...]]:
     its Neville residuals.
 
     ``target`` is eta's ``at`` (:func:`eta`) or a 1-based d-class index,
-    an int in 1..dk; the limit is the matching entry of the model's row
-    in :func:`independence_matrix`, bit for bit.  See :func:`_extrapolate`
-    for the extrapolation and its convergence test.
+    an int in 1..dk and not a bool; the limit is the matching entry of the
+    model's row in :func:`independence_matrix`, bit for bit.  See
+    :func:`_extrapolate` for the extrapolation and its convergence test.
     """
     if callable(target):
         etas, col = [target(t) for t in T_SEQUENCE], 0
-    elif isinstance(target, int):
+    elif type(target) is int:
         etas, col = None, target - 1
     else:
         raise ValueError(f"neither eta nor a d-index: {target!r}")

@@ -110,9 +110,9 @@ def test_criterion_3_singularity_formulas():
 def test_criterion_4_spanning():
     start = time.monotonic()
     for d in range(3, 7):
-        rk, _, _, _, _, pairs_replayed, _ = span_rank(d, "both")
+        rk, _, failed, _, _, _ = span_rank(d, "both")
         assert rk == 1 + (d - 1) * (d * (d - 1) // 2), f"d={d} rank"
-        assert rk == kernel_dim(d) and pairs_replayed, f"d={d} combination"
+        assert rk == kernel_dim(d) and failed is None, f"d={d} combination"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(4, f"singularity span ranks + explicit combinations d=3..6, {elapsed:.2f}s")

@@ -181,9 +181,13 @@ class TestForms:
         assert [form(tempered, s) for s in sels] == list(tempered)
 
     def test_bad_selectors(self, tempered):
-        for bad in (("L", 0), ("M", 5), ("N", 1)):
+        # ("L", 1.0) and ("M", True) equal int selectors and once selected
+        # their forms; ("M", True) once made a triple with ("M", 1) degenerate
+        for bad in (("L", 0), ("M", 5), ("N", 1), ("L", 1.0), ("M", True)):
             with pytest.raises(ValueError, match="bad form selector"):
                 form(tempered, bad)
+            with pytest.raises(ValueError, match="bad form selector"):
+                intersection_point(tempered, ("L", 4), ("M", 1), bad)
 
     def test_unequal_families(self, tempered):
         for arr in (tempered[:7], tempered[:2]):
@@ -341,9 +345,18 @@ class TestTriangle:
         assert ys[1] == pytest.approx(complex(1.5, -0.8660254037844386))
         assert ys[2] == pytest.approx(complex(-0.5, 0.8660254037844386))
 
+    @pytest.mark.parametrize("indices", [(4.0, 1, 2, 3), (4, 1, True, 3), (4, 1, 2, 3.0)])
+    def test_non_int_index_refused(self, tempered, indices):
+        # (4.0, 1, 2, 3) once gave the tempered triangle
+        with pytest.raises(ValueError, match="bad form selector"):
+            sweep_vertices(tempered, *indices)
+
     def test_repeated_m_index(self, tempered):
         with pytest.raises(DegenerateIntersectionError):
             sweep_vertices(tempered, 4, 1, 1, 3)
+        # on the L3 plane, whose vertices miss the chart, too
+        with pytest.raises(DegenerateIntersectionError):
+            sweep_vertices(tempered, 3, 1, 2, 2)
 
     def test_chart_failure(self, tempered):
         # vertices on the L3 plane have Z = 0

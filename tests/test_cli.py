@@ -10,13 +10,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hodge_degen
-from hodge_degen import limits, periods
+from hodge_degen import cycles, degeneration, limits, periods
 from hodge_degen.cli import COMMANDS, _json, main
 from hodge_degen.degeneration import _combine, reduce_raw
 from hodge_degen.exactlin import QMatrix
@@ -508,7 +509,7 @@ class TestSingCommand:
         # rank of the classes agree
         from hodge_degen.cycles import span_rank
 
-        rk, expected, failed, _, _, _, residues = span_rank(d, family)
+        rk, expected, failed, _, _, residues = span_rank(d, family)
         assert failed is None
         nonzero = [dense(d, cl) for _, cl in residues if cl]
         assert rk == expected == rank(QMatrix(nonzero))
@@ -575,6 +576,98 @@ class TestSingCommand:
         table = checks["sample residue table d=4"]
         assert table["status"] == "fail"
         assert any(row["in_B"] is None for row in table["data"]["rows"])
+
+
+def _shift_residues(monkeypatch, shift):
+    """Every residue class plus shift(d, cycle)."""
+    real = cycles.singularity_at_zero
+    monkeypatch.setattr(cycles, "singularity_at_zero", lambda d, c: _combine(d, ((1, real(d, c)), (1, shift(d, c)))))
+
+
+def _patch_result(monkeypatch, module, name, change):
+    """module.name replaced by change(real, *args)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real, *args))
+
+
+def _flip_first(terms):
+    (c, key), *rest = terms
+    return [(-c, key), *rest]
+
+
+def _slip_pair_sign(monkeypatch):
+    _patch_result(monkeypatch, cycles, "pair_combination", lambda real, *a: _flip_first(real(*a)))
+
+
+def _drop_basis_class(monkeypatch):
+    _patch_result(monkeypatch, degeneration, "_kernel_basis", lambda real, d: real(d)[:-1])
+
+
+def _gammas_off_kernel(monkeypatch):
+    # l_1 times the boundary of the tetrahedron 1234 on the gammas with l = 2
+    signs = {(1, 2, 3, 2): 1, (1, 2, 4, 2): -1, (1, 3, 4, 2): 1, (2, 3, 4, 2): -1}
+    _shift_residues(monkeypatch, lambda d, c: reduce_raw(d, {("l", 1): signs.get(c[1], 0) if c[0] == "gamma" else 0}))
+
+
+def _lambdas_lose_total(monkeypatch):
+    # every lambda minus B_0 / d: the lambda column sums vanish
+    def shift(d, c):
+        return _combine(d, ((Fraction(-1, d), degeneration.hodge_kernel_basis(d)[0]),)) if c[0] == "lambda" else ()
+
+    _shift_residues(monkeypatch, shift)
+
+
+def _flip_cocycle_sign(monkeypatch):
+    _patch_result(monkeypatch, cycles, "cocycle_combination", lambda real, *a: _flip_first(real(*a)))
+
+
+def _drop_total(monkeypatch):
+    _patch_result(monkeypatch, cycles, "spanning_set", lambda real, d, family: (real(d, family)[0], None))
+
+
+def _drop_last_membership_replay(monkeypatch):
+    _patch_result(monkeypatch, cycles, "membership_replays", lambda real, d, family: real(d, family)[:-1])
+
+
+def _duplicate_owner(monkeypatch):
+    def duplicated(real, d, family):
+        owners, total = real(d, family)
+        return [*owners, owners[0]], total
+
+    _patch_result(monkeypatch, cycles, "spanning_set", duplicated)
+
+
+def _nonzero_delta(monkeypatch):
+    _shift_residues(monkeypatch, lambda d, c: reduce_raw(d, {("l", 1): int(c == ("delta", (2, 1, 2, 3)))}))
+
+
+# Each mutation of the sing witnesses: the job, the failed clause of its
+# rank check, and the status of every check of the report.
+SING_MUTATIONS = {
+    "pair sign slip": (_slip_pair_sign, 4, "all", "replay pair(1,2;1)", ("fail", "fail", "pass")),
+    "basis class dropped": (_drop_basis_class, 4, "all", "kernel basis count", ("fail", "fail", "fail")),
+    "gammas off the kernel": (_gammas_off_kernel, 5, "all", "membership", ("fail", "pass", "fail")),
+    "lambdas lose the total": (_lambdas_lose_total, 5, "all", "replay total(1)", ("fail", "fail", "pass")),
+    "cocycle sign flip": (_flip_cocycle_sign, 5, "gamma", "replay gamma(2,3,4;1)", ("fail",)),
+    "lambda without T": (_drop_total, 4, "lambda", "replay lambda(4;1)", ("fail",)),
+    "last membership replay dropped": (_drop_last_membership_replay, 4, "gamma", "no replay of gamma(2,3,4;4)", ("fail",)),
+    "duplicated gamma owner": (_duplicate_owner, 5, "gamma", "diagonal certificate", ("fail",)),
+    "duplicated lambda owner": (_duplicate_owner, 5, "lambda", "diagonal certificate", ("fail",)),
+    "nonzero delta class": (_nonzero_delta, 4, "delta", "nonzero class delta(2;1,2,3)", ("fail", "fail")),
+}
+
+
+@pytest.mark.parametrize("mutation", SING_MUTATIONS.values(), ids=SING_MUTATIONS)
+def test_sing_mutation_report(mutation, capsys, monkeypatch):
+    # the failed clause, and the status of every check in report order
+    patch, d, family, failed, statuses = mutation
+    patch(monkeypatch)
+    code, out = run(capsys, "--format", "json", "sing", "--d", str(d), "--family", family)
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    rank_check = checks[1] if family == "delta" else checks[0]
+    assert (rank_check["data"]["rank"], rank_check["data"]["failed"]) == (None, failed)
+    assert tuple(c["status"] for c in checks) == statuses
 
 
 class TestAjCommand:

@@ -19,16 +19,20 @@ from hodge_degen.cycles import (
     express_in_B,
     family_cycles,
     pair_combination,
-    pair_kernel_class,
-    replay,
     singularity_at_zero,
     span_rank,
     threefold_boundary,
-    total_combination,
 )
 from hodge_degen.degeneration import _combine, hodge_kernel_basis, reduce_raw
 from hodge_degen.exactlin import QMatrix
 from oracle import dense, in_span, phi_matrix, rank
+
+
+def pair_class(d, i, j, l):
+    """Oracle: the pair class sum_{l'} (e^{ij}_l - e^{ij}_{l'}), any 1 <= l <= d."""
+    raw = {("e", i, j, lp): -1 for lp in range(1, d + 1)}
+    raw["e", i, j, l] += d
+    return reduce_raw(d, raw)
 
 
 def gamma_closed_form(d, i, j, k, l):
@@ -241,6 +245,13 @@ class TestExpressInB:
         monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: tuple(basis))
         assert express_in_B(4, cls) is None
 
+    def test_basis_of_another_length_gives_none(self, monkeypatch):
+        # the basis without its last class: the 19 closed-form coordinates
+        # once checked against the 18 classes alone and came back
+        cls = singularity_at_zero(4, build_cycle("gamma", (1, 2, 3, 1)))
+        monkeypatch.setattr(degeneration, "hodge_kernel_basis", lambda d: hodge_kernel_basis(d)[:-1])
+        assert express_in_B(4, cls) is None
+
     def test_unknown_generator_is_named(self):
         # a hand-written class goes through reduce_raw: e^{12}_5 is no
         # generator at d = 4, and the error says which
@@ -271,9 +282,9 @@ class TestExpressInB:
 class TestSpanRank:
     @pytest.mark.parametrize("d,expected", [(3, 7), (4, 19), (5, 41)])
     def test_full_family_spans(self, d, expected):
-        rk, expected_rank, _, _, _, pairs_replayed, _ = span_rank(d, "both")
+        rk, expected_rank, failed, _, _, _ = span_rank(d, "both")
         assert rk == expected_rank == expected
-        assert rk == degeneration.kernel_dim(d) and pairs_replayed
+        assert rk == degeneration.kernel_dim(d) and failed is None
 
     def test_lambda_only_falls_short(self):
         rk = span_rank(4, "lambda")[0]
@@ -303,7 +314,7 @@ class TestSpanRank:
                 terms += [(-1, ("gamma", (i, k, j, l))) for k in range(i + 1, j)]
                 terms += [(1, ("gamma", (i, j, k, l))) for k in range(j + 1, d + 1)]
                 acc = _combine(d, ((c, singularity_at_zero(d, build_cycle(*key))) for c, key in terms))
-                assert acc == pair_kernel_class(d, i, j, l)
+                assert acc == pair_class(d, i, j, l)
 
 
 def residues(d):
@@ -313,7 +324,7 @@ def residues(d):
 class TestSpanWitness:
     @pytest.mark.parametrize("d", range(3, 11))
     def test_witness_rank_matches_elimination(self, d):
-        rk, expected, _, witness, witness_size, _, _ = span_rank(d, "both")
+        rk, expected, _, witness, witness_size, _ = span_rank(d, "both")
         assert witness == "replay + membership + diagonal certificate"
         assert witness_size == d * (d * (d - 1) // 2) + d
         nonzero = [dense(d, cl) for cl in residues(d).values() if cl]
@@ -324,19 +335,43 @@ class TestSpanWitness:
 
     def test_dropped_gamma_term_fails_replay(self):
         d, sing = 5, residues(5)
-        combo = pair_combination(d, 2, 4, 1)
-        assert replay(d, sing, combo, pair_kernel_class(d, 2, 4, 1))
+        combo, target = pair_combination(d, 2, 4, 1), pair_class(d, 2, 4, 1)
+        assert cycles._replay_failure(d, sing, sing, [(("pair", (2, 4, 1)), combo, target)]) is None
         for k, (_, key) in enumerate(combo):
             if key[0] == "gamma":
-                assert not replay(d, sing, combo[:k] + combo[k + 1 :], pair_kernel_class(d, 2, 4, 1))
+                dropped = [(("pair", (2, 4, 1)), combo[:k] + combo[k + 1 :], target)]
+                assert cycles._replay_failure(d, sing, sing, dropped) == "replay pair(2,4;1)"
 
     def test_total_replay_missing_lambda_fails(self):
         d, sing = 5, residues(5)
         total = hodge_kernel_basis(d)[0]
         for l in range(1, d + 1):
-            combo = total_combination(d, l)
-            assert replay(d, sing, combo, total)
-            assert not replay(d, sing, combo[1:], total)
+            combo = [(1, ("lambda", (i, l))) for i in range(1, d + 1)]
+            assert cycles._replay_failure(d, sing, sing, [(("total", (l,)), combo, total)]) is None
+            assert cycles._replay_failure(d, sing, sing, [(("total", (l,)), combo[1:], total)]) == f"replay total({l})"
+
+    def test_kernel_replays_in_order(self):
+        # every pair i < j in lex order with l = 1..d, then the totals; the
+        # target at l = d is the pair class there, by the sum-zero identity
+        d = 4
+        replays = list(cycles._kernel_replays(d, hodge_kernel_basis(d)))
+        pairs = [(i, j, l) for i, j in combinations(range(1, d + 1), 2) for l in range(1, d + 1)]
+        assert [key for key, _, _ in replays] == [("pair", p) for p in pairs] + [("total", (l,)) for l in range(1, d + 1)]
+        assert [target for _, _, target in replays[: len(pairs)]] == [pair_class(d, *p) for p in pairs]
+        assert len(replays) == span_rank(d, "both")[4]
+
+    def test_replay_reads_only_known_and_replayed_keys(self):
+        # a replayed key stands for its target; a key neither known nor
+        # replayed before fails the replay that reads it, and a key of sing
+        # that no replay reaches is named
+        d = 4
+        a, b, c = ("lambda", (1, 1)), ("lambda", (2, 1)), ("lambda", (3, 1))
+        sing = {key: singularity_at_zero(d, key) for key in (a, b, c)}
+        replays = [(b, [(1, a)], sing[a]), (c, [(1, b)], sing[a])]
+        assert cycles._replay_failure(d, sing, [a], replays) is None
+        assert cycles._replay_failure(d, sing, [a], replays[1:]) == "replay lambda(3;1)"
+        assert cycles._replay_failure(d, sing, [a], replays[:1]) == "no replay of lambda(3;1)"
+        assert cycles._replay_failure(d, sing, [a], [(b, [(1, a)], sing[b])]) == "replay lambda(2;1)"
 
     def tampered_rank(self, monkeypatch, d, shift):
         """span_rank over residues shifted by shift(d, cycle), and the
@@ -360,9 +395,8 @@ class TestSpanWitness:
             kind, indices = c
             return reduce_raw(d, {("l", 1): signs.get(indices, 0) if kind == "gamma" else 0})
 
-        (rk, expected, failed, _, _, pairs_replayed, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
-        assert pairs_replayed
-        assert failed == "membership"
+        (rk, expected, failed, _, _, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
+        assert failed == "membership"  # the kernel basis and every replay held
         assert rk is None
         assert oracle == expected + 1
 
@@ -372,8 +406,7 @@ class TestSpanWitness:
         def shift(d, c):
             return _combine(d, ((Fraction(-1, d), hodge_kernel_basis(d)[0]),)) if c[0] == "lambda" else ()
 
-        (rk, expected, failed, _, _, pairs_replayed, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
-        assert pairs_replayed
+        (rk, expected, failed, _, _, _), oracle = self.tampered_rank(monkeypatch, 5, shift)
         assert failed == "replay total(1)"
         assert rk is None
         assert oracle == expected - 1
@@ -387,8 +420,7 @@ class TestSpanWitness:
             return [(-c, key)] + real(d, i, j, l)[1:]
 
         monkeypatch.setattr(cycles, "pair_combination", slipped)
-        rk, _, failed, witness, _, pairs_replayed, _ = span_rank(4, "both")
-        assert not pairs_replayed
+        rk, _, failed, witness, _, _ = span_rank(4, "both")
         assert failed == "replay pair(1,2;1)"
         assert rk is None
         assert witness == "replay + membership + diagonal certificate"
@@ -396,16 +428,17 @@ class TestSpanWitness:
     def test_broken_kernel_basis_names_its_clause(self, monkeypatch):
         real = degeneration._kernel_basis
         monkeypatch.setattr(degeneration, "_kernel_basis", lambda d: real(d)[:-1])
-        rk, _, failed, _, _, pairs_replayed, _ = span_rank(4, "both")
+        # the replays read the basis, so they do not run
+        monkeypatch.setattr(cycles, "_kernel_replays", lambda d, basis: pytest.fail("replays ran"))
+        rk, _, failed, _, _, _ = span_rank(4, "both")
         assert failed == "kernel basis count" and rk is None
-        assert not pairs_replayed  # the replays read the basis, so they do not run
 
     def test_single_family_witness(self):
         for family, witness, rk in (
             ("gamma", "cocycle replay + diagonal certificate", 9),
             ("lambda", "row and column sums + diagonal certificate", 10),
         ):
-            got, _, failed, got_witness, _, _, _ = span_rank(4, family)
+            got, _, failed, got_witness, _, _ = span_rank(4, family)
             assert (got_witness, got, failed) == (witness, rk, None)
 
     @pytest.mark.parametrize("d", range(3, 8))
@@ -416,12 +449,12 @@ class TestSpanWitness:
             return _combine(d, ((1, real(d, c)), (int(c == ("delta", (2, 1, 2, 3))), reduce_raw(d, {("l", 1): 1}))))
 
         monkeypatch.setattr(cycles, "singularity_at_zero", shifted)
-        rk, _, failed, _, _, _, _ = span_rank(d, "delta")
+        rk, _, failed, _, _, _ = span_rank(d, "delta")
         assert failed == "nonzero class delta(2;1,2,3)" and rk is None
 
     @pytest.mark.parametrize("d", range(3, 8))
     def test_delta_rank_zero_without_elimination(self, d):
-        rk, _, _, witness, witness_size, _, residues = span_rank(d, "delta")
+        rk, _, _, witness, witness_size, residues = span_rank(d, "delta")
         assert rk == 0 and rk != degeneration.kernel_dim(d)
         assert witness == "all classes zero"
         assert witness_size == len(residues) == d * math.comb(d, 3)
@@ -442,7 +475,7 @@ class TestSingleFamilyWitness:
     @pytest.mark.parametrize("family,d", [("gamma", d) for d in range(3, 9)] + [("lambda", d) for d in range(2, 9)])
     def test_spanning_set_owns_its_generators(self, family, d):
         owners, total = cycles.spanning_set(d, family)
-        _, expected, _, _, _, _, residues = span_rank(d, family)
+        _, expected, _, _, _, residues = span_rank(d, family)
         assert len(owners) + (total is not None) == expected
         sing = dict(residues)
         for key, g in owners:
@@ -465,7 +498,7 @@ class TestSingleFamilyWitness:
             return [(-c, key), *rest]
 
         monkeypatch.setattr(cycles, "cocycle_combination", flipped)
-        rk, expected, failed, _, _, _, _ = span_rank(5, "gamma")
+        rk, expected, failed, _, _, _ = span_rank(5, "gamma")
         assert failed == "replay gamma(2,3,4;1)"
         assert rk is None and rk != expected
 
@@ -473,7 +506,7 @@ class TestSingleFamilyWitness:
         # without T the column sums leave span(S)
         real = cycles.spanning_set
         monkeypatch.setattr(cycles, "spanning_set", lambda d, family: (real(d, family)[0], None))
-        rk, _, failed, _, _, _, _ = span_rank(4, "lambda")
+        rk, _, failed, _, _, _ = span_rank(4, "lambda")
         assert failed == "replay lambda(4;1)" and rk is None
 
     @pytest.mark.parametrize("family", ["gamma", "lambda"])
@@ -485,7 +518,7 @@ class TestSingleFamilyWitness:
             return [*owners, owners[0]], total
 
         monkeypatch.setattr(cycles, "spanning_set", duplicated)
-        rk, _, failed, _, _, _, _ = span_rank(5, family)
+        rk, _, failed, _, _, _ = span_rank(5, family)
         assert failed == "diagonal certificate" and rk is None
 
     def test_replaced_element_leaves_a_class_outside_the_span(self, monkeypatch):
@@ -497,13 +530,13 @@ class TestSingleFamilyWitness:
             return [owners[0], *owners[:-1]], total
 
         monkeypatch.setattr(cycles, "spanning_set", replaced)
-        rk, _, failed, _, _, _, _ = span_rank(4, "gamma")
+        rk, _, failed, _, _, _ = span_rank(4, "gamma")
         assert failed == "replay gamma(2,3,4;3)" and rk is None
 
     def test_unreplayed_class_fails(self, monkeypatch):
         real = cycles.membership_replays
         monkeypatch.setattr(cycles, "membership_replays", lambda d, family: real(d, family)[:-1])
-        rk, _, failed, _, _, _, _ = span_rank(4, "lambda")
+        rk, _, failed, _, _, _ = span_rank(4, "lambda")
         assert failed == "no replay of lambda(4;4)" and rk is None
 
     def test_lambda_at_d2_builds_no_gamma(self, monkeypatch):
@@ -515,7 +548,7 @@ class TestSingleFamilyWitness:
             return real(d, family)
 
         monkeypatch.setattr(cycles, "family_cycles", recorded)
-        rk, expected, failed, _, _, _, _ = span_rank(2, "lambda")
+        rk, expected, failed, _, _, _ = span_rank(2, "lambda")
         assert families == ["lambda"]
         assert (rk, expected, rk == degeneration.kernel_dim(2), failed) == (2, 2, True, None)
 

@@ -209,6 +209,11 @@ class TestPhi:
                     x = _combine(d, ((rng.randint(-2, 2), b) for b in rng.sample(basis, 3)))
                 assert in_kernel(d, x) == (not any(phi_matrix(d).mul_vector(dense(d, x))))
 
+    def test_in_kernel_names_a_generator_without_column(self):
+        # e^{12}_4 is rewritten away at d = 4, and once raised a bare KeyError
+        with pytest.raises(ValueError, match=r"not a canonical generator for d=4: \('e', 1, 2, 4\)"):
+            in_kernel(4, ((("e", 1, 2, 4), 1),))
+
     def test_shape(self):
         m = phi_matrix(4)
         assert (m.rows, m.cols) == (4, 22)

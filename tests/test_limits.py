@@ -203,8 +203,9 @@ class TestModels:
             assert abs(got - (-L_VALUE)) < 1e-12
 
     def test_singular_index_range(self):
-        for i in (0, DEFAULT_DK + 1):
-            with pytest.raises(ValueError):
+        # True and 1.0 equal 1 and once built R_1
+        for i in (0, DEFAULT_DK + 1, True, 1.0):
+            with pytest.raises(ValueError, match="singularity index out of range"):
                 singular_type(i, DEFAULT_DK)
 
     def test_imaginary_part_bits_match_conjugation(self):
@@ -268,9 +269,9 @@ class TestPairingLimits:
         assert abs(value) < 10.0
         assert residuals[-1] < 1e-3
 
-    @pytest.mark.parametrize("target", [0, SMALL_DK + 1, 1.5, "1", None])
+    @pytest.mark.parametrize("target", [0, SMALL_DK + 1, 1.5, "1", None, True])
     def test_target_neither_eta_nor_d_index_refused(self, target):
-        # 1.5 once gave the d_1 limit, since int(1.5) is 1
+        # 1.5 once gave the d_1 limit, since int(1.5) is 1, and so did True
         model = singular_type(1, SMALL_DK, np.random.default_rng(15))
         with pytest.raises(ValueError):
             limit_of_pairing(model, target)
