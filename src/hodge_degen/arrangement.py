@@ -10,8 +10,11 @@ general position exactly by minor expansions over Z[mu], and computes the
 triple intersection points and, with :func:`sweep_vertices`, the chart
 coordinates of the period triangle in the order the membrane integral
 sweeps them.  A point stays a homogeneous quadruple of Z[mu] integers,
-unnormalised; :func:`chart_xy` is the one division, X conj(Z) / N(Z) and
-Y conj(Z) / N(Z) by the positive integer N(Z).  The distinguished d = 4
+unnormalised.  A chart point (:func:`chart_xy`) is (X/Z, Y/Z) kept as
+integers too: the Z[mu] numerators X conj(Z) and Y conj(Z) over the
+positive integer N(Z), so that it is exact without a Fraction, and
+``exactlin.cyclo_embed(x, n)`` makes the one division, correctly
+rounded, when it embeds a coordinate.  The distinguished d = 4
 arrangement is built by :func:`tempered_arrangement`.
 """
 
@@ -20,13 +23,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 
-from .exactlin import _ratio
-
 FormSelector = tuple[str, int]  # ("L", i) or ("M", l), 1-based
 ZMu = tuple[int, int]  # a + b*mu in Z[mu], with mu^2 = mu - 1
 Form = tuple[ZMu, ZMu, ZMu, ZMu]  # the coefficients of X, Y, Z, W
 ZMuPoint = tuple[ZMu, ZMu, ZMu, ZMu]  # homogeneous [X : Y : Z : W]
-QMu = tuple  # a + b*mu in Q(mu) as (a, b), each an exact scalar int | Fraction
+ChartPoint = tuple[ZMu, ZMu, int]  # (X conj(Z), Y conj(Z), N(Z)): (X/Z, Y/Z) over N(Z)
 
 
 class DegenerateIntersectionError(ValueError):
@@ -145,18 +146,18 @@ def intersection_point(a: Sequence[Form], f1: FormSelector, f2: FormSelector, f3
     return point
 
 
-def chart_xy(point: ZMuPoint) -> tuple[QMu, QMu]:
-    """(X/Z, Y/Z) of a homogeneous Z[mu] point, as X conj(Z) / N(Z) and
-    Y conj(Z) / N(Z): conj(a + b mu) = (a + b) - b mu and
-    N(a + b mu) = Z conj(Z) = a^2 + a b + b^2, a positive integer unless
-    Z = 0, which misses the chart.  Each coordinate is a pair of exact
-    scalars, an int when integral and a Fraction otherwise."""
+def chart_xy(point: ZMuPoint) -> ChartPoint:
+    """(X/Z, Y/Z) of a homogeneous Z[mu] point as (X conj(Z), Y conj(Z),
+    N(Z)): two Z[mu] numerators over one positive integer, with
+    conj(a + b mu) = (a + b) - b mu and N(a + b mu) = Z conj(Z) =
+    a^2 + a b + b^2, positive unless Z = 0, which misses the chart.  The
+    quotients are not reduced; ``cyclo_embed(x, n)`` embeds x / n."""
     x, y, (a, b), _ = point
     n = a * a + a * b + b * b
     if n == 0:
         raise ChartError(f"point {point} has Z = 0")
     conj = (a + b, -b)
-    return tuple(tuple(_ratio(v, n) for v in _signed_sum(((1, c, conj),))) for c in (x, y))
+    return (_signed_sum(((1, x, conj),)), _signed_sum(((1, y, conj),)), n)
 
 
 def tempered_arrangement() -> tuple[Form, ...]:
@@ -184,9 +185,10 @@ def sweep_vertices(a: Sequence[Form], i: int, l: int, m: int, n: int):
     """Chart coordinates of the triangle cut on the i-th L-plane by M_l,
     M_m, M_n, in the order of the iterated period integral.
 
-    Returns [(x, y)] for the pairs (l,n), (l,m), (m,n) in that order: the
-    common inner-bound edge is the M_n line, running through the first and
-    last vertices.  Each vertex must lie in the Z != 0 chart.  A bad index
+    Returns the chart points (:func:`chart_xy`) of the pairs (l,n), (l,m),
+    (m,n) in that order: the common inner-bound edge is the M_n line,
+    running through the first and last vertices.  Each vertex must lie in
+    the Z != 0 chart.  A bad index
     (one that is not an int, say) raises ValueError from :func:`form`,
     and a repeated M index DegenerateIntersectionError from
     :func:`intersection_point`, before any vertex meets the chart.

@@ -5,13 +5,15 @@ One rule decides what an exact rational is, for the whole package
 stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
 float, a string or any other inexact value raises TypeError.  Every
 store follows it (``QMatrix`` entries, the coefficients of a class in
-``degeneration``, the parts of ``arrangement.chart_xy``), so ``Fraction``
-appears only for a genuinely rational value; a quotient n/d is
-:func:`_ratio`.  The ``fractions`` module, too, is imported only once
-such a value occurs: a job whose scalars all stay integral never loads
-it.  An element a + b*mu of Q(mu), mu a primitive 6th root of unity, is
-the pair (a, b); its arithmetic lives in ``arrangement``, and
-:func:`cyclo_embed` maps it into the complex plane.
+``degeneration``), so ``Fraction`` appears only for a genuinely rational
+value; a quotient n/d is :func:`_ratio`.  The ``fractions`` module, too,
+is imported only once such a value occurs: a job whose scalars all stay
+integral never loads it.  An element a + b*mu of Z[mu], mu a primitive
+6th root of unity, is the pair (a, b); its arithmetic lives in
+``arrangement``.  An element of Q(mu) that only needs embedding, such as
+a chart point of ``arrangement.chart_xy``, stays a Z[mu] numerator over
+a positive int n, and :func:`cyclo_embed` maps the quotient into the
+complex plane with int true division, so it creates no ``Fraction``.
 
 The package computes no rank by elimination: every rank it states has a
 witness that is checked in closed form, and a witness that fails fails
@@ -54,10 +56,12 @@ def _ratio(n, d: int) -> int | Fraction:
     return _exact(Fraction(n, d))
 
 
-def cyclo_embed(x: tuple[int | Fraction, int | Fraction]) -> complex:
-    """Numerical embedding of a + b*mu, given as the pair (a, b) of exact
-    scalars, sending mu to 0.5 + (sqrt(3)/2) i."""
-    a, b = map(float, x)
+def cyclo_embed(x: tuple[int, int], n: int = 1) -> complex:
+    """Numerical embedding of (a + b*mu) / n, for the pair x = (a, b) of
+    ints and a positive int n, sending mu to 0.5 + (sqrt(3)/2) i.  Each of
+    a / n and b / n is int true division, which is correctly rounded: the
+    float of the exact quotient, as ``float(Fraction(a, n))`` gives it."""
+    a, b = x[0] / n, x[1] / n
     return complex(a + 0.5 * b, _SQRT3_2 * b)
 
 

@@ -10,9 +10,13 @@ vector less 3.
 A holomorphic tail is the coefficient tuple of a low-degree polynomial
 in t.  A normal-function model is the pair (kind, at): kind "R" for the
 limit-type model R and "Ri" for a singular-type model R_i, and at(t) its
-frame vector at t.  Models are evaluated at small complex t, their
-imaginary parts paired against the real frame vector eta and the
-d-classes, and the limits extrapolated along a shrinking |t| sequence.
+frame vector at t, all its tails evaluated in one Horner pass.  Models
+are evaluated at small complex t, their imaginary parts paired against
+the real frame vector eta and the d-classes, and the limits extrapolated
+along a shrinking |t| sequence.  A d-class is real and Q is the identity
+on the d-classes, so the pairing with d_j is the imaginary part of one
+complex coordinate, a real number: those columns are sampled and
+extrapolated as floats, and only the eta column is complex.
 The (1 + dk) square matrix of limits is lower triangular up to
 extrapolation error with -L in the corner, so its determinant witnesses
 linear independence whenever the limit invariant L is nonzero.
@@ -81,46 +85,51 @@ def pair(u: FrameVector, v: FrameVector) -> complex:
     return complex(u[1] * v[1] - u[0] * v[2] - u[2] * v[0] + d_part)
 
 
-def _poly(coeffs: tuple[complex, ...], t: complex) -> complex:
-    """The tail with coefficients ``coeffs`` (constant first) at t, by Horner."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-_ZERO_TAIL = (0j,)
-
-
-def _seeded_tails(rng, count: int) -> list[tuple[complex, ...]]:
-    """Cubic tails with coefficients drawn by rng.uniform(lo, hi), real
-    parts first; without rng, the zero tail."""
+def _seeded_tails(rng, count: int) -> list[tuple[complex, ...]] | None:
+    """Cubic tails with coefficients -0.7 + 1.4 rng.random(), the draws of
+    rng.uniform(-0.7, 0.7) bit for bit, real parts first; without rng,
+    None: the zero tails."""
     if rng is None:
-        return [_ZERO_TAIL] * count
-    out = []
-    for _ in range(count):
-        re = [rng.uniform(-0.7, 0.7) for _ in range(4)]
-        im = [rng.uniform(-0.7, 0.7) for _ in range(4)]
-        out.append(tuple(map(complex, re, im)))
-    return out
+        return None
+    draws = [-0.7 + 1.4 * rng.random() for _ in range(8 * count)]
+    return [tuple(map(complex, draws[k : k + 4], draws[k + 4 : k + 8])) for k in range(0, 8 * count, 8)]
+
+
+def _tails(rng, count: int):
+    """t -> the values at t of ``count`` tails drawn by :func:`_seeded_tails`,
+    all in one Horner pass over their coefficients; zero tails cost no
+    arithmetic."""
+    tails = _seeded_tails(rng, count)
+    if tails is None:
+        zeros = (0j,) * count
+        return lambda t: zeros
+    c0, c1, c2, c3 = zip(*tails)
+
+    def at(t: complex) -> list[complex]:
+        acc = [a * t + b for a, b in zip(c3, c2)]
+        acc = [a * t + b for a, b in zip(acc, c1)]
+        return [a * t + b for a, b in zip(acc, c0)]
+
+    return at
 
 
 def eta(dk: int, rng=None):
     """eta = e2 + i Im(l) e1 + g(t) e0 + sum h_i(t) d_i, as its at(t)."""
-    g, *h = _seeded_tails(rng, 1 + dk)
+    tails = _tails(rng, 1 + dk)
 
     def at(t: complex) -> FrameVector:
-        return (_poly(g, t), 1j * imag_log_coeff(t), 1 + 0j, *(_poly(c, t) for c in h))
+        g, *h = tails(t)
+        return (g, 1j * imag_log_coeff(t), 1 + 0j, *h)
 
     return at
 
 
 def limit_type(L: float, dk: int, rng=None):
     """The model ("R", at) with R(t) = i L e0 + t (a0 e0 + a1 e1 + a2 e2 + sum b_j d_j)."""
-    tails = _seeded_tails(rng, 3 + dk)
+    tails = _tails(rng, 3 + dk)
 
     def at(t: complex) -> FrameVector:
-        v = [_poly(c, t) * t for c in tails]
+        v = [x * t for x in tails(t)]
         v[0] += 1j * L
         return tuple(v)
 
@@ -133,24 +142,14 @@ def singular_type(i: int, dk: int, rng=None):
     int in 1..dk: a bool or a float raises ValueError."""
     if type(i) is not int or not 1 <= i <= dk:
         raise ValueError(f"singularity index out of range: {i!r}")
-    tails = _seeded_tails(rng, 3 + dk)
+    tails = _tails(rng, 3 + dk)
 
     def at(t: complex) -> FrameVector:
-        v = [_poly(c, t) for c in tails]
+        v = list(tails(t))
         v[2 + i] = 1j * cmath.log(t)
         return tuple(v)
 
     return ("Ri", at)
-
-
-def _pairing_vector(model, t: complex) -> FrameVector:
-    """Im R(t) for the limit type, Im(R_i(t)/log t) for the singular."""
-    kind, at = model
-    v = at(t)
-    if kind == "Ri":
-        log_t = cmath.log(t)
-        v = [x / log_t for x in v]
-    return imaginary_part(v, t)
 
 
 # the extrapolation variable at each sample: 1/log|t| for the singular
@@ -161,7 +160,7 @@ _XS = {
 }
 
 
-def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex]]):
+def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex | float]]):
     """Neville tableaux to x = 0 of every column of ``samples`` at once.
 
     ``samples[i]`` holds the value of each column at ``xs[i]``.  Returns
@@ -182,7 +181,7 @@ def _neville_diagonal(xs: Sequence[float], samples: Sequence[Sequence[complex]])
     return diag
 
 
-def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[tuple[complex, tuple[float, ...]]]:
+def _extrapolate(kind: str, samples: Sequence[Sequence[complex | float]]) -> list[tuple[complex, tuple[float, ...]]]:
     """Neville extrapolation to t = 0 of pairing values sampled along
     :data:`T_SEQUENCE`, one (limit, residuals) pair per column of
     ``samples``.
@@ -204,20 +203,31 @@ def _extrapolate(kind: str, samples: Sequence[Sequence[complex]]) -> list[tuple[
     for value, residuals in zip(diag[-1], zip(*steps)):
         if not residuals[-1] <= 1e-3 * max(1.0, abs(value)):  # also catches NaN
             raise ExtrapolationError(f"pairing limit not converging: residuals {list(residuals)}")
-        out.append((value, residuals))
+        # a real d-column limit becomes a complex entry like the others
+        out.append((complex(value), residuals))
     return out
 
 
-def _pairing_samples(model, etas=None) -> list[tuple[complex, ...]]:
+def _pairing_rows(model, etas=None) -> list[tuple]:
     """The model's pairings along :data:`T_SEQUENCE`, one row per t: with
     eta first when ``etas`` holds eta at each t, then with d_1..d_dk.
-    All come from one pairing vector per t, since pairing with the unit
-    class d_j reads off coordinate 2 + j."""
-    samples = []
+
+    The pairing vector is Im R(t) for the limit type and Im(R_i(t)/log t)
+    for the singular type.  Pairing it with the real unit class d_j reads
+    off its coordinate 2 + j, which is the imaginary part of one complex
+    coordinate: a real number, ``x.imag``, with the bits of
+    :func:`imaginary_part`'s real part.  So only e0, e1, e2 go through
+    :func:`imaginary_part`, and the d-columns are real."""
+    kind, at = model
+    rows = []
     for k, t in enumerate(T_SEQUENCE):
-        v = _pairing_vector(model, t)
-        samples.append(v[3:] if etas is None else (pair(v, etas[k]), *v[3:]))
-    return samples
+        v = at(t)
+        if kind == "Ri":
+            log_t = cmath.log(t)
+            v = [x / log_t for x in v]
+        ds = [x.imag for x in v[3:]]
+        rows.append(ds if etas is None else (pair((*imaginary_part(v[:3], t), *ds), etas[k]), *ds))
+    return rows
 
 
 def limit_of_pairing(model, target) -> tuple[complex, tuple[float, ...]]:
@@ -235,7 +245,7 @@ def limit_of_pairing(model, target) -> tuple[complex, tuple[float, ...]]:
         etas, col = None, target - 1
     else:
         raise ValueError(f"neither eta nor a d-index: {target!r}")
-    samples = _pairing_samples(model, etas)
+    samples = _pairing_rows(model, etas)
     # a row holds the dk d-class pairings, after the eta pairing if any
     if not 0 <= col < len(samples[0]):
         raise ValueError(f"d-index out of range: {target}")
@@ -279,7 +289,7 @@ def independence_matrix(L: float, seed: int | None = None, dk: int = DEFAULT_DK)
     eta_at = eta(dk, rng)
     models = [limit_type(L, dk, rng)] + [singular_type(i, dk, rng) for i in range(1, dk + 1)]
     etas = [eta_at(t) for t in T_SEQUENCE]
-    entries = [_extrapolate(m[0], _pairing_samples(m, etas)) for m in models]
+    entries = [_extrapolate(m[0], _pairing_rows(m, etas)) for m in models]
     matrix = tuple(tuple(value for value, _ in row) for row in entries)
     max_residual = max(residuals[-1] for row in entries for _, residuals in row)
     return matrix, _det(matrix), max_residual

@@ -17,16 +17,34 @@ integral that the package takes in closed form (:func:`log_membrane`).
 
 The monodromy logarithm N of the limiting frame (:func:`monodromy`), for
 the nilpotent-orbit form of the frame conjugation.
+
+The limit matrix by the complex full-vector path
+(:func:`reference_independence_matrix`, :func:`reference_limit_of_pairing`):
+each model's whole pairing vector through ``limits.imaginary_part``, the
+eta column by ``limits.pair``, and every column complex in one joint
+Neville tableau; the package samples its d-columns as real numbers.
 """
 
 from __future__ import annotations
 
 import cmath
+import random
 from collections.abc import Sequence
 from math import gcd, lcm
 
 from hodge_degen.degeneration import canonical_generators, phi_columns
 from hodge_degen.exactlin import QMatrix, QVector, _exact, _ratio
+from hodge_degen.limits import (
+    DEFAULT_DK,
+    T_SEQUENCE,
+    _det,
+    _extrapolate,
+    eta,
+    imaginary_part,
+    limit_type,
+    pair,
+    singular_type,
+)
 from hodge_degen.periods import _membrane_legs
 from hodge_degen.quadrature import adaptive_quad
 
@@ -177,3 +195,44 @@ def log_membrane(vertices, tol: float = 1e-12) -> complex:
 def monodromy(v: tuple[complex, ...]) -> tuple[complex, ...]:
     """N on a frame vector of ``hodge_degen.limits``: e2 -> e1 -> e0 -> 0, d_i -> 0."""
     return (v[1], v[2]) + (0j,) * (len(v) - 2)
+
+
+def pairing_vector(model, t: complex) -> tuple[complex, ...]:
+    """Im R(t) for the limit type, Im(R_i(t)/log t) for the singular, as a
+    whole complex frame vector."""
+    kind, at = model
+    v = at(t)
+    if kind == "Ri":
+        log_t = cmath.log(t)
+        v = [x / log_t for x in v]
+    return imaginary_part(v, t)
+
+
+def _reference_samples(model, etas=None) -> list[tuple[complex, ...]]:
+    """One complex row per t: the pairing with eta when ``etas`` holds eta
+    at each t, then the d-coordinates of the pairing vector."""
+    samples = []
+    for k, t in enumerate(T_SEQUENCE):
+        v = pairing_vector(model, t)
+        samples.append(tuple(v[3:]) if etas is None else (pair(v, etas[k]), *v[3:]))
+    return samples
+
+
+def reference_limit_of_pairing(model, target):
+    """``limits.limit_of_pairing`` for a target eta's ``at`` or a d-index in
+    1..dk, by the complex full-vector path."""
+    etas, col = ([target(t) for t in T_SEQUENCE], 0) if callable(target) else (None, target - 1)
+    return _extrapolate(model[0], [(row[col],) for row in _reference_samples(model, etas)])[0]
+
+
+def reference_independence_matrix(L: float, seed: int | None = None, dk: int = DEFAULT_DK):
+    """``limits.independence_matrix`` by the complex full-vector path, with
+    the same models drawn in the same order."""
+    rng = None if seed is None else random.Random(seed)
+    eta_at = eta(dk, rng)
+    models = [limit_type(L, dk, rng)] + [singular_type(i, dk, rng) for i in range(1, dk + 1)]
+    etas = [eta_at(t) for t in T_SEQUENCE]
+    entries = [_extrapolate(m[0], _reference_samples(m, etas)) for m in models]
+    matrix = tuple(tuple(value for value, _ in row) for row in entries)
+    max_residual = max(residuals[-1] for row in entries for _, residuals in row)
+    return matrix, _det(matrix), max_residual

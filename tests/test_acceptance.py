@@ -128,7 +128,7 @@ def test_criterion_5_delta_triviality():
 def test_criterion_6_period_closed_form():
     start = time.monotonic()
     arr = tempered_arrangement()
-    verts = [(cyclo_embed(x), cyclo_embed(y)) for x, y in sweep_vertices(arr, 4, 1, 2, 3)]
+    verts = [(cyclo_embed(x, n), cyclo_embed(y, n)) for x, y, n in sweep_vertices(arr, 4, 1, 2, 3)]
     closed = aj_closed_form()
     membrane = membrane_integral(verts)
     assert abs(membrane + closed) < 1e-8

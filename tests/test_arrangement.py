@@ -57,6 +57,15 @@ def from_field(x):
     return (int(re - b / 2), int(b))
 
 
+def quotients(chart_point):
+    """The exact coordinates (X/Z, Y/Z) of a chart point (x, y, n), each
+    numerator over the positive int n as a pair of Fractions."""
+    x, y, n = chart_point
+    assert type(n) is int and n > 0
+    assert all(type(v) is int for v in (*x, *y))
+    return tuple(tuple(Fraction(v, n) for v in z) for z in (x, y))
+
+
 def field_matrix(rows):
     """A matrix of Z[mu] pairs as a sympy DomainMatrix over Q(sqrt(-3))."""
     return DomainMatrix([[to_field(x) for x in row] for row in rows], (len(rows), len(rows[0])), QMU)
@@ -264,9 +273,9 @@ class TestIntersectionPoint:
 
     def test_root_of_unity_vertices(self, tempered):
         # the M2/M3 point is (2 mu - 1, mu - 1); M1/M3 is ((1+mu)/3, (1-2mu)/3)
-        x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 2), ("M", 3)))
+        x, y = quotients(chart_xy(intersection_point(tempered, ("L", 4), ("M", 2), ("M", 3))))
         assert x == (-1, 2) and y == (-1, 1)
-        x, y = chart_xy(intersection_point(tempered, ("L", 4), ("M", 1), ("M", 3)))
+        x, y = quotients(chart_xy(intersection_point(tempered, ("L", 4), ("M", 1), ("M", 3))))
         assert x == (THIRD, THIRD) and y == (THIRD, Fraction(-2, 3))
 
     def test_axis_planes(self):
@@ -316,7 +325,7 @@ class TestIntersectionPoint:
                 with pytest.raises(ChartError):
                     chart_xy(p)
             else:
-                x, y = map(to_field, chart_xy(p))
+                x, y = map(to_field, quotients(chart_xy(p)))
                 assert x * Z == X and y * Z == Y
 
 
@@ -328,18 +337,18 @@ class TestTriangle:
             ((-1, 2), (-1, 1)),  # (2 mu - 1, mu - 1)
             ((THIRD, THIRD), (THIRD, Fraction(-2, 3))),
         }
-        assert set(got) == expected
+        assert {quotients(v) for v in got} == expected
 
     def test_matches_intersection_point(self, tempered):
         verts = sweep_vertices(tempered, 4, 1, 2, 3)
         pairs = [(1, 3), (1, 2), (2, 3)]
-        for (x, y), (p, q) in zip(verts, pairs):
+        for v, (p, q) in zip(verts, pairs):
             pt = intersection_point(tempered, ("L", 4), ("M", p), ("M", q))
-            assert (x, y) == chart_xy(pt)
+            assert v == chart_xy(pt)
 
     def test_sweep_order(self, tempered):
         verts = sweep_vertices(tempered, 4, 1, 2, 3)
-        ys = [cyclo_embed(y) for _, y in verts]
+        ys = [cyclo_embed(y, n) for _, y, n in verts]
         # sweep runs -i/sqrt(3) -> 2 - mu -> mu^2
         assert ys[0] == pytest.approx(complex(0, -0.5773502691896257))
         assert ys[1] == pytest.approx(complex(1.5, -0.8660254037844386))

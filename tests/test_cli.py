@@ -864,6 +864,35 @@ class TestPairingCommand:
         assert code == 1
         assert [c["status"] for c in json.loads(out)["checks"]] == ["fail", "fail"]
 
+    @pytest.mark.parametrize("settled", [0, 1 + limits.DEFAULT_DK])
+    def test_unsettled_limit_is_a_failed_check(self, capsys, monkeypatch, settled):
+        # an ExtrapolationError fails the check of its matrix, named as ever
+        # and carrying the message, and the report still prints; ``settled``
+        # rows extrapolate first, so 20 let the zero-tail matrix pass
+        real, calls = limits._extrapolate, []
+        message = "pairing limit not converging: residuals [1.0]"
+
+        def unsettled(kind, samples):
+            calls.append(kind)
+            if len(calls) > settled:
+                raise limits.ExtrapolationError(message)
+            return real(kind, samples)
+
+        monkeypatch.setattr(limits, "_extrapolate", unsettled)
+        names = ["structural determinant (zero tails)", "seeded limit matrix"]
+        code, out = run(capsys, "--format", "json", "pairing", "--seed", "3")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == names
+        failed = checks[1:] if settled else checks
+        assert all(c["status"] == "fail" and c["data"] == {"error": message} for c in failed)
+        assert settled == 0 or checks[0]["status"] == "pass"
+        calls.clear()
+        code, out = run(capsys, "pairing", "--seed", "3")
+        assert code == 1
+        assert f"    - error: {message}" in out.splitlines()
+        assert out.endswith("\nresult: FAIL\n")
+
     def test_L_is_the_aj_invariant(self, capsys):
         # one source of L: the pairing value is the aj imaginary part, bit for bit
         _, out = run(capsys, "--format", "json", "pairing")
@@ -1149,13 +1178,15 @@ def test_cli_start_path_loads_every_layer_and_no_machinery():
 
 # the stdlib modules a job may load, beyond what the interpreter has loaded
 # before it imports the package: a report is written without json, and
-# fractions (which imports decimal) only once a scalar is not integral
+# fractions (which imports decimal) only once a scalar is not integral; a
+# chart point of aj is integral, numerators over N(Z)
 IMPORT_BUDGET = {
     ("--help",): set(),
     ("basis", "--d", "4"): set(),
     ("sing", "--d", "4", "--family", "delta"): set(),
     ("pairing", "--seed", "0"): set(),
-    ("aj",): {"fractions", "decimal"},
+    ("aj",): set(),
+    ("aj", "--oracle"): set(),
     ("sing", "--d", "4", "--family", "all"): {"fractions", "decimal"},
 }
 

@@ -9,6 +9,7 @@ independent of it.
 """
 
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 import sympy
@@ -75,17 +76,29 @@ class TestCycloNumber:
         assert cyclo_embed((0, 1)) == pytest.approx(complex(0.5, 0.8660254037844386))
         assert cyclo_embed((-1, 1)) == pytest.approx(complex(-0.5, 0.8660254037844386))  # mu^2 = mu - 1
         assert cyclo_embed((2, -1)) == pytest.approx(complex(1.5, -0.8660254037844386))
-        assert cyclo_embed((Fraction(1, 3), Fraction(1, 3))) == pytest.approx(complex(0.5, 0.28867513459481287))
+        assert cyclo_embed((1, 1), 3) == pytest.approx(complex(0.5, 0.28867513459481287))
         assert cyclo_embed((0, 1)) ** 2 == pytest.approx(cyclo_embed((-1, 1)))
 
-    @given(a=small_fraction, b=small_fraction, c=small_fraction, d=small_fraction)
+    @given(*[st.integers(-24, 24)] * 4, *[st.integers(1, 6)] * 2)
     @settings(max_examples=60, deadline=None)
-    def test_embed_is_ring_hom(self, a, b, c, d):
-        # against the package's one Z[mu] product, which is bilinear and so
-        # multiplies rational pairs too
+    def test_embed_is_ring_hom(self, a, b, c, d, n, m):
+        # x / n and y / m against the package's one Z[mu] product, over n m
         x, y = (a, b), (c, d)
-        assert abs(cyclo_embed(_signed_sum(((1, x, y),))) - cyclo_embed(x) * cyclo_embed(y)) < 1e-12
-        assert abs(cyclo_embed((a + c, b + d)) - (cyclo_embed(x) + cyclo_embed(y))) < 1e-12
+        assert abs(cyclo_embed(_signed_sum(((1, x, y),)), n * m) - cyclo_embed(x, n) * cyclo_embed(y, m)) < 1e-12
+        sum_xy = (a * m + c * n, b * m + d * n)
+        assert abs(cyclo_embed(sum_xy, n * m) - (cyclo_embed(x, n) + cyclo_embed(y, m))) < 1e-12
+
+    @given(*[st.integers(-(10**30), 10**30)] * 2, st.integers(1, 10**20))
+    @example(1, 1, 3)
+    @example(10**30 + 1, -(10**30) + 7, 10**20 - 3)
+    @example(3 * (2**53 + 1), 1, 3)  # float(a) / n would round twice
+    @settings(max_examples=100, deadline=None)
+    def test_embed_keeps_the_bits_of_fractions(self, a, b, n):
+        # int true division is correctly rounded, so the embedding of the
+        # numerators over n is the embedding of the float of each Fraction
+        fa, fb = float(Fraction(a, n)), float(Fraction(b, n))
+        want = complex(fa + 0.5 * fb, sqrt(3.0) / 2.0 * fb)
+        assert repr(cyclo_embed((a, b), n)) == repr(want)
 
 
 class TestRankKernel:
@@ -247,7 +260,9 @@ class TestOneScalarFormat:
     @given(zmu, zmu, zmu.filter(lambda z: z != (0, 0)), zmu)
     @settings(max_examples=80, deadline=None)
     def test_chart_xy_parts(self, x, y, z, w):
-        assert all(one_format(v) for coord in chart_xy((x, y, z, w)) for v in coord)
+        # a chart point holds ints only: two Z[mu] numerators and N(Z) > 0
+        cx, cy, n = chart_xy((x, y, z, w))
+        assert all(type(v) is int for v in (*cx, *cy, n)) and n > 0
 
     @given(exact_scalar, exact_scalar, exact_scalar)
     @settings(max_examples=80, deadline=None)

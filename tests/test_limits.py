@@ -24,7 +24,7 @@ from hodge_degen.limits import (
     pair,
     singular_type,
 )
-from oracle import monodromy
+from oracle import monodromy, reference_independence_matrix, reference_limit_of_pairing
 
 L_VALUE = 4.0597664256386145
 T_UNIT = cmath.exp(-2 * math.pi)  # |t| with Im(l) = 1
@@ -433,16 +433,46 @@ class TestIndependenceMatrix:
         assert 0 < max_residual < 1e-3
 
     def test_one_pairing_vector_per_model_and_t(self, monkeypatch):
+        # each model is evaluated once per t, its row shared by every column
         calls = []
-        real = limits._pairing_vector
 
-        def counted(model, t):
-            calls.append((model, t))
-            return real(model, t)
+        def counted(build):
+            def built(*args):
+                kind, at = build(*args)
 
-        monkeypatch.setattr(limits, "_pairing_vector", counted)
+                def counted_at(t):
+                    calls.append((at, t))
+                    return at(t)
+
+                return kind, counted_at
+
+            return built
+
+        for name in ("limit_type", "singular_type"):
+            monkeypatch.setattr(limits, name, counted(getattr(limits, name)))
         independence_matrix(L_VALUE, seed=0)
         assert len(calls) == len(set(calls)) == (1 + DEFAULT_DK) * len(T_SEQUENCE)
+
+    @pytest.mark.parametrize("dk", [DEFAULT_DK, SMALL_DK])
+    @pytest.mark.parametrize("seed", [None, *range(10)])
+    def test_matches_complex_reference(self, seed, dk):
+        # the real d-columns give the matrix of the complex full-vector path:
+        # equal entries (a zero imaginary part may differ in sign), and the
+        # determinant and worst residual to the last bit
+        matrix, det, max_residual = independence_matrix(L_VALUE, seed=seed, dk=dk)
+        want, want_det, want_residual = reference_independence_matrix(L_VALUE, seed=seed, dk=dk)
+        assert len(matrix) == len(want) and all(len(row) == len(w) for row, w in zip(matrix, want))
+        assert all(x == y for row, w in zip(matrix, want) for x, y in zip(row, w))
+        assert repr(det) == repr(want_det)
+        assert repr(max_residual) == repr(want_residual)
+        rng = None if seed is None else random.Random(seed)
+        eta_at = eta(dk, rng)
+        models = [limit_type(L_VALUE, dk, rng), singular_type(1, dk, rng), singular_type(dk, dk, rng)]
+        for model in models:
+            for target in (eta_at, *range(1, dk + 1)):
+                got, residuals = limit_of_pairing(model, target)
+                value, want_residuals = reference_limit_of_pairing(model, target)
+                assert got == value and residuals == want_residuals
 
 
 class TestDeterminant:

@@ -66,7 +66,7 @@ def series_dilog(z, terms=300):
 @pytest.fixture(scope="module")
 def tempered_verts():
     arr = tempered_arrangement()
-    return [(cyclo_embed(x), cyclo_embed(y)) for x, y in sweep_vertices(arr, 4, 1, 2, 3)]
+    return [(cyclo_embed(x, n), cyclo_embed(y, n)) for x, y, n in sweep_vertices(arr, 4, 1, 2, 3)]
 
 
 class TestDilog:
@@ -425,7 +425,7 @@ class TestMembraneClosedForm:
     def test_tempered_delta_triangles(self, planes):
         # the two delta triangles on the fourth L-plane that the chart routes
         arr = tempered_arrangement()
-        verts = [(cyclo_embed(x), cyclo_embed(y)) for x, y in sweep_vertices(arr, 4, *planes)]
+        verts = [(cyclo_embed(x, n), cyclo_embed(y, n)) for x, y, n in sweep_vertices(arr, 4, *planes)]
         assert abs(membrane_integral(verts) - membrane_quadrature(verts)) <= 1e-9
 
 
