@@ -181,6 +181,13 @@ def _witnessed(kind: str, size: int, failed: str | None = None) -> dict:
     return {"witness": kind, "witness_size": size} | ({} if failed is None else {"failed": failed})
 
 
+def _quotient(n: int, d: int) -> str:
+    """The exact quotient n/d of ints, d > 0, as ``str(Fraction(n, d))``
+    writes it: "2", "0", "-1/7"."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def run_basis(report: Report, d: int) -> None:
     gens, relations, dim = degeneration.presentation(d)
     failed = None if degeneration.relation_block_holds(d, gens, relations) else "block"
@@ -268,12 +275,13 @@ def run_sing(report: Report, d: int, family: str) -> None:
         )
         table = []
         for (kind, indices), cls in residues[:6]:
-            coeffs = express_in_B(d, cls)
+            # the coordinates of d * cls, written as coordinates of cls
+            scaled = express_in_B(d, cls)
             table.append(
                 {
                     "cycle": {"kind": kind, "indices": list(indices)},
                     "class": degeneration.class_json(d, cls),
-                    "in_B": [str(x) for x in coeffs] if coeffs is not None else None,
+                    "in_B": [_quotient(n, d) for n in scaled] if scaled is not None else None,
                 }
             )
         report.add(
@@ -458,11 +466,16 @@ def _accepts(value) -> str:
 
 
 def _convert(value, text: str):
-    """The option value written as text; ValueError if text writes none."""
+    """The option value written as text; ValueError if text writes none.
+    An integer is an optional "-" and ASCII digits, nothing else: ``int``
+    would also read "1_0", "+4", " 4" and full-width digits."""
     if isinstance(value, tuple):
         if text not in value:
             raise ValueError(text)
         return text
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
     number = int(text)
     if value is not int and number < value:
         raise ValueError(text)

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import degeneration
 from .degeneration import Generator, _combine, in_kernel, independence_certificate, reduce_raw
-from .exactlin import _exact, _ratio
+from .exactlin import _exact
 
 class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
@@ -131,8 +131,10 @@ def singularity_at_zero(d: int, c: CycleKey) -> tuple:
 
 
 def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
-    """Exact coordinates of the class x over the distinguished kernel basis,
-    or None when x lies off the kernel or the basis does not reassemble it.
+    """The coordinates of d*x over the distinguished kernel basis, or None
+    when x lies off the kernel or the basis does not reassemble d*x.  The
+    coordinates of x itself are these over d; scaled by d, they are ints
+    for every integral class, so no report builds a ``Fraction``.
     x may list its (generator, coefficient) pairs in any order, a generator
     more than once: each pair is read through :func:`degeneration.reduce_raw`,
     whose ValueError names an unknown generator, and the pairs are summed.
@@ -143,11 +145,12 @@ def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
     carries e^{ij}_l (with coefficient d) and every pair class with j = d
     puts -1 on l_d:
 
-        c_{ijl} = x[e^{ij}_l] / d,   c_total = x[l_d] + sum_{i<d, l<d} c_{idl};
+        d*c_{ijl} = x[e^{ij}_l],   d*c_total = d*x[l_d] + sum_{i<d, l<d} x[e^{id}_l];
 
-    the combination is then checked against x exactly, so a basis that
+    the combination is then checked against d*x exactly, so a basis that
     disagrees with the closed form, or has another length, gives None, not
-    wrong coordinates.
+    wrong coordinates.  A rational x gives coordinates under the same
+    scalar rule: ints where integral.
     Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
     """
     basis = degeneration.hodge_kernel_basis(d)
@@ -156,13 +159,12 @@ def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
         return None
     cx = dict(x)
     pair = {
-        (i, j, l): _ratio(cx.get(("e", i, j, l), 0), d)
-        for i, j in combinations(range(1, d + 1), 2)
-        for l in range(1, d)
+        (i, j, l): cx.get(("e", i, j, l), 0) for i, j in combinations(range(1, d + 1), 2) for l in range(1, d)
     }
-    total = cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
+    total = d * cx.get(("l", d), 0) + sum(pair[i, d, l] for i in range(1, d) for l in range(1, d))
     coeffs = (_exact(total), *pair.values())
-    if len(coeffs) != len(basis) or _combine(d, ((c, b) for c, b in zip(coeffs, basis) if c)) != x:
+    scaled = _combine(d, [(d, x)])
+    if len(coeffs) != len(basis) or _combine(d, ((c, b) for c, b in zip(coeffs, basis) if c)) != scaled:
         return None
     return coeffs
 

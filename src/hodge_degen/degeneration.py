@@ -24,7 +24,9 @@ membership, the diagonal-block certificate and the dimension count
 (:func:`kernel_basis_failure`).  No rank is computed any other way: the
 ``*_failure`` functions name the clause of their witness that fails.
 Coefficients follow the one scalar rule of :mod:`exactlin`: ``int``
-unless a class is genuinely rational.
+unless a class is genuinely rational, which only a caller can pass in.
+No report path builds a ``Fraction``: every class here and in ``cycles``
+has int coefficients.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ stdlib ``fractions.Fraction``.  A ``bool`` is taken as an ``int``; a
 float, a string or any other inexact value raises TypeError.  Every
 store follows it (``QMatrix`` entries, the coefficients of a class in
 ``degeneration``), so ``Fraction`` appears only for a genuinely rational
-value; a quotient n/d is :func:`_ratio`.  The ``fractions`` module, too,
-is imported only once such a value occurs: a job whose scalars all stay
-integral never loads it.  An element a + b*mu of Z[mu], mu a primitive
+value that a caller passes in, and the ``fractions`` module is imported
+only then.  No report path builds a ``Fraction``: every class the CLI
+reads has int coefficients, the kernel coordinates of
+``cycles.express_in_B`` are scaled by d to stay ints, and no job loads
+``fractions`` or ``decimal``.  An element a + b*mu of Z[mu], mu a primitive
 6th root of unity, is the pair (a, b); its arithmetic lives in
 ``arrangement``.  An element of Q(mu) that only needs embedding, such as
 a chart point of ``arrangement.chart_xy``, stays a Z[mu] numerator over
@@ -44,16 +46,6 @@ def _exact(x) -> int | Fraction:
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def _ratio(n, d: int) -> int | Fraction:
-    """The exact scalar n/d, for n an exact scalar and d a nonzero int: an
-    int when d divides n, else a reduced Fraction."""
-    if type(n) is int and n % d == 0:
-        return n // d
-    from fractions import Fraction
-
-    return _exact(Fraction(n, d))
 
 
 def cyclo_embed(x: tuple[int, int], n: int = 1) -> complex:

@@ -30,10 +30,11 @@ from __future__ import annotations
 import cmath
 import random
 from collections.abc import Sequence
+from fractions import Fraction
 from math import gcd, lcm
 
 from hodge_degen.degeneration import canonical_generators, phi_columns
-from hodge_degen.exactlin import QMatrix, QVector, _exact, _ratio
+from hodge_degen.exactlin import QMatrix, QVector, _exact
 from hodge_degen.limits import (
     DEFAULT_DK,
     T_SEQUENCE,
@@ -47,6 +48,14 @@ from hodge_degen.limits import (
 )
 from hodge_degen.periods import _membrane_legs
 from hodge_degen.quadrature import adaptive_quad
+
+
+def _ratio(n, d: int) -> int | Fraction:
+    """The exact scalar n/d, for n an exact scalar and d a nonzero int: an
+    int when d divides n, else a reduced Fraction."""
+    if type(n) is int and n % d == 0:
+        return n // d
+    return _exact(Fraction(n, d))
 
 
 def phi_matrix(d: int) -> QMatrix:

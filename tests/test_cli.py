@@ -67,6 +67,12 @@ class TestExitCodes:
         "--d without a value": ["basis", "--d"],
         "--d not an integer": ["basis", "--d", "x"],
         "--d below 2": ["basis", "--d", "1"],
+        # int() reads each of these four, but an integer option is an
+        # optional "-" and ASCII digits only
+        "--d with an underscore": ["basis", "--d", "1_0"],
+        "--d in full-width digits": ["basis", "--d", "\uff14"],
+        "--d with a leading space": ["basis", "--d", " 4"],
+        "--d with a plus sign": ["basis", "--d", "+4"],
         "unknown family": ["sing", "--d", "4", "--family", "bogus"],
         "--seed not an integer": ["pairing", "--seed", "x"],
         "unknown format": ["--format", "xml", "basis", "--d", "3"],
@@ -87,10 +93,17 @@ class TestExitCodes:
         assert error.startswith("hodge-degen: error: ")
 
     def test_bad_value_message_names_the_option(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["basis", "--d", "x"])
-        err = capsys.readouterr().err
-        assert err.endswith("hodge-degen: error: argument --d: expected an integer >= 2, got 'x'\n")
+        for text in ("x", "1_0", "\uff14", " 4", "+4"):
+            with pytest.raises(SystemExit):
+                main(["basis", "--d", text])
+            err = capsys.readouterr().err
+            assert err.endswith(f"hodge-degen: error: argument --d: expected an integer >= 2, got {text!r}\n")
+
+    def test_negative_seed(self, capsys):
+        # a "-" before the digits is still an integer, written either way
+        first = run(capsys, "--format", "json", "pairing", "--seed", "-3")
+        assert first[0] == 0
+        assert run(capsys, "--format", "json", "pairing", "--seed=-3") == first
 
     def test_option_value_after_equals(self, capsys):
         assert run(capsys, "--format=json", "basis", "--d=5") == run(capsys, "--format", "json", "basis", "--d", "5")
@@ -551,6 +564,16 @@ class TestSingCommand:
             (check,) = json.loads(out)["checks"]
             assert check["status"] == "fail"
             assert (check["data"]["rank"], check["data"]["failed"]) == (None, failed)
+
+    def test_residue_table_writes_quotients_as_fractions(self):
+        # the table writes each coordinate n/d of a class from the int n
+        # that express_in_B gives for d times the class; the text is the
+        # one str(Fraction(n, d)) prints
+        from hodge_degen.cli import _quotient
+
+        for d in range(2, 31):
+            for n in range(-3 * d, 3 * d + 1):
+                assert _quotient(n, d) == str(Fraction(n, d)), (n, d)
 
     def test_broken_kernel_basis_fails_residue_table(self, capsys, monkeypatch):
         # a basis element off the kernel fails the span witness, and the
@@ -1187,7 +1210,10 @@ IMPORT_BUDGET = {
     ("pairing", "--seed", "0"): set(),
     ("aj",): set(),
     ("aj", "--oracle"): set(),
-    ("sing", "--d", "4", "--family", "all"): {"fractions", "decimal"},
+    ("sing", "--d", "4", "--family", "all"): set(),
+    ("sing", "--d", "4", "--family", "gamma"): set(),
+    ("sing", "--d", "4", "--family", "lambda"): set(),
+    ("verify-all",): set(),
 }
 
 

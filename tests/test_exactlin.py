@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from hodge_degen.arrangement import _signed_sum, chart_xy
 from hodge_degen.cycles import express_in_B, threefold_boundary
 from hodge_degen.degeneration import _combine, hodge_kernel_basis, reduce_raw
-from hodge_degen.exactlin import QMatrix, _exact, _ratio, cyclo_embed
-from oracle import dense, in_span, kernel_basis, phi_matrix, rank
+from hodge_degen.exactlin import QMatrix, _exact, cyclo_embed
+from oracle import _ratio, dense, in_span, kernel_basis, phi_matrix, rank
 
 
 def gauss_rank(rows):
@@ -274,9 +274,10 @@ class TestOneScalarFormat:
             assert all(one_format(v) for v in dense(3, z))
         basis = hodge_kernel_basis(3)
         k = _combine(3, ((a, basis[0]), (b, basis[1]), (c, basis[5])))
-        coords = express_in_B(3, k)
-        assert coords is not None and all(one_format(v) for v in coords)
-        assert coords[:2] == (a, b) and coords[5] == c
+        scaled = express_in_B(3, k)  # the coordinates of 3k
+        assert scaled is not None and all(one_format(v) for v in scaled)
+        coords = [Fraction(n, 3) for n in scaled]
+        assert coords[:2] == [a, b] and coords[5] == c
 
     @given(
         st.integers(-(10**30), 10**30) | st.fractions(max_denominator=10**6),
