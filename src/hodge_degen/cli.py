@@ -190,7 +190,7 @@ def _quotient(n: int, d: int) -> str:
 
 def run_basis(report: Report, d: int) -> None:
     gens, relations, dim = degeneration.presentation(d)
-    failed = None if degeneration.relation_block_holds(d, gens, relations) else "block"
+    failed = degeneration.relation_block_failure(d, gens, relations)
     relation_rank = len(relations) if failed is None else None
     report.add(
         f"presentation dimension d={d}",
@@ -235,7 +235,7 @@ def run_basis(report: Report, d: int) -> None:
 
 def run_sing(report: Report, d: int, family: str) -> None:
     if family in ("gamma", "delta", "all") and d < 3:
-        raise SystemExit("sing needs --d >= 3 for triple-index families")
+        raise SystemExit(_usage_error("sing", "sing needs --d >= 3 for triple-index families"))
     fam = "both" if family == "all" else family
     rank, expected, failed, witness, witness_size, residues = span_rank(d, fam)
     if fam == "delta":
@@ -534,15 +534,12 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; argv defaults to sys.argv[1:].  Returns the
-    exit status: 0 pass, 1 a failed check, 2 a usage error."""
+    exit status of the report: 0 pass, 1 a failed check.  A usage error
+    raises SystemExit(2) after printing the usage and the error to
+    stderr, and -h/--help SystemExit(0) after printing the help."""
     command, options = parse_args(sys.argv[1:] if argv is None else argv)
     report = Report(command, options["timing"])
-    try:
-        COMMANDS[command][2](report, options)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            return _usage_error(command, e.code)
-        raise
+    COMMANDS[command][2](report, options)
     return _emit(report, options["format"])
 
 

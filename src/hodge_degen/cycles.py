@@ -20,8 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import degeneration
-from .degeneration import Generator, _combine, in_kernel, independence_certificate, reduce_raw
-from .exactlin import _exact
+from .degeneration import _combine, in_kernel, independence_failure, reduce_raw
+from .exactlin import Exact, _exact
 
 class MarkerCancellationError(RuntimeError):
     """Vertical line markers failed to cancel in a boundary computation."""
@@ -130,7 +130,7 @@ def singularity_at_zero(d: int, c: CycleKey) -> tuple:
     return reduce_raw(d, raw)
 
 
-def express_in_B(d: int, x: tuple) -> tuple[int | Fraction, ...] | None:
+def express_in_B(d: int, x: tuple) -> tuple[Exact, ...] | None:
     """The coordinates of d*x over the distinguished kernel basis, or None
     when x lies off the kernel or the basis does not reassemble d*x.  The
     coordinates of x itself are these over d; scaled by d, they are ints
@@ -217,25 +217,12 @@ def cocycle_combination(i: int, j: int, k: int, l: int) -> list[tuple[int, Cycle
     return [(1, ("gamma", (1, j, k, l))), (-1, ("gamma", (1, i, k, l))), (1, ("gamma", (1, i, j, l)))]
 
 
-def spanning_set(d: int, family: str) -> tuple[list[tuple[CycleKey, Generator]], tuple | None]:
-    """The spanning set S of a single family's witness: its cycles, each
-    with the generator its class owns, and the total class T when S holds
-    it.
-
-    gamma: gamma(1,j,k; l) for 1 < j < k and l < d, owning e^{jk}_l.
-    lambda: lambda(i; l) for i, l < d, owning e^{id}_l, and
-    T = sum_i l_i, which has no e-coordinate.
-    """
-    if family == "gamma":
-        pairs = combinations(range(2, d + 1), 2)
-        return [(("gamma", (1, j, k, l)), ("e", j, k, l)) for j, k in pairs for l in range(1, d)], None
-    owners = [(("lambda", (i, l)), ("e", i, d, l)) for i in range(1, d) for l in range(1, d)]
-    return owners, reduce_raw(d, {("l", i): 1 for i in range(1, d + 1)})
-
-
 def membership_replays(d: int, family: str) -> list[tuple[CycleKey, list[tuple[int, CycleKey]]]]:
-    """Each cycle of a single family outside S, with a combination of S
-    and of the cycles listed before it whose class is the cycle's class.
+    """The replays of a single family's witness: cycles, each with a
+    combination whose class is the cycle's class.  A combination reads S,
+    the cycles that no replay defines, T for lambda, and the cycles
+    replayed before it.  S is derived, not listed: gamma(1,j,k; l) for
+    l < d, and lambda(i; l) for i, l < d.
 
     gamma: gamma(i,j,k; l) for 1 < i and l < d by
     :func:`cocycle_combination`, then each gamma(i,j,k; d) as minus the
@@ -266,12 +253,12 @@ def _label(key: CycleKey) -> str:
     return f"{kind}({';'.join(','.join(map(str, part)) for part in (idx[:cut], idx[cut:]) if part)})"
 
 
-def _replay_failure(d: int, sing: dict[CycleKey, tuple], known, replays) -> str | None:
+def _replay_failure(d: int, known, replays) -> str | None:
     """The first replay (key, combination, target) whose combination reads
-    a key outside ``known`` and the keys replayed before it, or does not
-    sum to ``target`` exactly; else the first key of ``sing`` that no
-    replay reaches; else None.  A replayed key stands for its target."""
-    classes = {key: sing[key] for key in known}
+    a key outside ``known`` (a map of keys to classes) and the keys
+    replayed before it, or does not sum to ``target`` exactly; else None.
+    A replayed key stands for its target."""
+    classes = dict(known)
     for key, combination, target in replays:
         try:
             held = _combine(d, ((c, classes[k]) for c, k in combination)) == target
@@ -280,7 +267,7 @@ def _replay_failure(d: int, sing: dict[CycleKey, tuple], known, replays) -> str 
         if not held:
             return f"replay {_label(key)}"
         classes[key] = target
-    return next((f"no replay of {_label(key)}" for key in sing if key not in classes), None)
+    return None
 
 
 def _kernel_replays(d: int, basis):
@@ -325,19 +312,21 @@ def span_rank(d: int, family: str = "both") -> tuple:
       classes lies in ker(phi).
 
     The span is then ker(phi) and the rank is |B|.  For gamma and lambda
-    the rank is |S|, S the :func:`spanning_set`: S lies in the span of
-    the family (T is a column sum), :func:`membership_replays` puts every
-    class of the family in the span of S (a replay reads only S and the
-    classes replayed before it), and
-    :func:`degeneration.independence_certificate` proves S independent.
+    the witness is the replays of :func:`membership_replays`, plus
+    T = sum_i l_i for lambda, and the rank is |S| (+1 for T), S the
+    cycles that no replay defines.  T is a column sum; the replays put
+    every class of the family in the span of S and T (a replay reads only
+    them and the classes replayed before it); and
+    :func:`degeneration.independence_failure` proves S and T independent.
+    A dropped replay moves its cycle into S, where the certificate fails.
     For delta the witness is "all classes zero" and the rank is 0.
 
     One loop, :func:`_replay_failure`, checks every replay.  When a clause
     fails, ``rank`` is None and ``failed`` names the first: a clause of
-    the kernel basis, a replay, a class no replay reaches, "membership",
-    "diagonal certificate" or a nonzero delta class.  ``witness_size``
-    counts the replays (the classes, for delta).  ``residues`` hands the
-    (cycle key, class) pairs on, so a report need not build them again.
+    the kernel basis, a replay, "membership", "diagonal certificate" or a
+    nonzero delta class.  ``witness_size`` counts the replays (the
+    classes, for delta).  ``residues`` hands the (cycle key, class) pairs
+    on, so a report need not build them again.
     """
     residues = tuple((c, singularity_at_zero(d, c)) for c in family_cycles(d, family))
     sing = dict(residues)
@@ -351,23 +340,23 @@ def span_rank(d: int, family: str = "both") -> tuple:
         basis = degeneration.hodge_kernel_basis(d)
         if (failed := degeneration.kernel_basis_failure(d, basis)) is not None:
             failed = f"kernel basis {failed}"
-        elif (failed := _replay_failure(d, sing, sing, _kernel_replays(d, basis))) is None:
+        elif (failed := _replay_failure(d, sing, _kernel_replays(d, basis))) is None:
             failed = None if all(in_kernel(d, cl) for cl in sing.values()) else "membership"
         rk, kind, size = len(basis), "replay + membership + diagonal certificate", d * (d * (d - 1) // 2) + d
     elif family == "delta":
         failed = next((f"nonzero class {_label(key)}" for key, cl in sing.items() if cl), None)
         rk, kind, size = 0, "all classes zero", len(residues)
     else:
-        owners, total = spanning_set(d, family)
         replays = membership_replays(d, family)
-        if total is not None:
-            sing[TOTAL] = total
-        known = [key for key, _ in owners] + [TOTAL] * (total is not None)
-        failed = _replay_failure(d, sing, known, [(key, combination, sing[key]) for key, combination in replays])
-        if failed is None and not independence_certificate([sing[k] for k, _ in owners], [g for _, g in owners], total):
-            failed = "diagonal certificate"
+        replayed = {key for key, _ in replays}
+        span = {key: cl for key, cl in residues if key not in replayed}
+        total = reduce_raw(d, {("l", i): 1 for i in range(1, d + 1)}) if family == "lambda" else None
+        known = span if total is None else {**span, TOTAL: total}
+        failed = _replay_failure(d, known, [(key, combination, sing[key]) for key, combination in replays])
+        if failed is None:
+            failed = independence_failure(list(span.values()), total)
         kind = {"gamma": "cocycle replay", "lambda": "row and column sums"}[family] + " + diagonal certificate"
-        rk, size = len(owners) + (total is not None), len(replays)
+        rk, size = len(known), len(replays)
     if failed is not None:
         rk = None
     return rk, expected, failed, kind, size, residues
@@ -384,12 +373,7 @@ def threefold_boundary(i: int, j: int, k: int, l: int, side: str = "L") -> tuple
     the index of the third form through the node.  Every index is an int,
     as in :func:`build_cycle`.
     """
-    if not all(type(x) is int for x in (i, j, k, l)):
-        raise TypeError(f"indices must be ints, got {(i, j, k, l)}")
-    if not i < j < k:
-        raise ValueError(f"need i < j < k, got {(i, j, k)}")
-    if min(i, l) < 1:
-        raise ValueError(f"indices must be >= 1: {(i, j, k, l)}")
+    build_cycle("gamma", (i, j, k, l))
     if side not in ("L", "M"):
         raise ValueError(f"side must be 'L' or 'M', got {side!r}")
     return side, (((i, j, l), 1), ((j, k, l), 1), ((i, k, l), -1))

@@ -18,11 +18,14 @@ by :func:`hodge_kernel_basis`.
 
 Every rank stated about these objects has a short exact witness, checked
 in closed form: the relations by a signed identity block
-(:func:`relation_block_holds`), phi by its zero row sum and d-1 unit
+(:func:`relation_block_failure`), phi by its zero row sum and d-1 unit
 difference columns (:func:`phi_rank_failure`), and the kernel basis by
 membership, the diagonal-block certificate and the dimension count
-(:func:`kernel_basis_failure`).  No rank is computed any other way: the
-``*_failure`` functions name the clause of their witness that fails.
+(:func:`kernel_basis_failure`).  The diagonal-block certificate
+(:func:`independence_failure`) derives the generator each class owns,
+so its witness is the classes alone.  No rank is computed any other
+way: each ``*_failure`` function names the clause of its witness that
+fails, or returns None.
 Coefficients follow the one scalar rule of :mod:`exactlin`: ``int``
 unless a class is genuinely rational, which only a caller can pass in.
 No report path builds a ``Fraction``: every class here and in ``cycles``
@@ -31,11 +34,13 @@ has int coefficients.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
-from .exactlin import _exact
+from .exactlin import Exact, _exact
 
 # Generator labels: ("l", i) or ("e", i, j, l) with 1 <= i < j <= d, 1 <= l <= d.
 Generator = tuple
@@ -72,7 +77,7 @@ def _combine(d: int, terms) -> tuple:
     """The class sum of c * x over the (c, x) terms, each x a class or a
     checked rewrite: its nonzero exact coefficients, in column order.
     The one accumulator behind every class built from others."""
-    acc: dict[Generator, int | Fraction] = {}
+    acc: dict[Generator, Exact] = {}
     for c, x in terms:
         for g, v in x:
             acc[g] = acc.get(g, 0) + c * v
@@ -106,7 +111,7 @@ def presentation(d: int):
     l_j - l_i - sum_l e^{ij}_l (the rewrite of e^{ij}_d in the generator
     table, minus e^{ij}_d itself), and dim = #generators - #relations, which
     is the dimension once the relations are independent
-    (:func:`relation_block_holds`).
+    (:func:`relation_block_failure`).
     """
     _require_d(d)
     table = _table(d)
@@ -114,16 +119,17 @@ def presentation(d: int):
     return list(table), relations, len(table) - len(relations)
 
 
-def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[Mapping]) -> bool:
-    """Witness that the relations are independent, so that their rank is
-    their number.
+def relation_block_failure(d: int, gens: Sequence[Generator], relations: Sequence[Mapping]) -> str | None:
+    """The failed clause of the witness that the relations are independent,
+    so that their rank is their number, or None when it holds.
 
-    With the pairs i < j in lex order, relation k must read -1 at the k-th
-    column e^{ij}_d and 0 at every other relation's e^{ij}_d column: those
-    columns of the relation matrix then form minus an identity block.
+    "block": with the pairs i < j in lex order, relation k must read -1 at
+    the k-th column e^{ij}_d and 0 at every other relation's e^{ij}_d
+    column: those columns of the relation matrix then form minus an
+    identity block.
     """
     block = [("e", i, j, d) for i, j in combinations(range(1, d + 1), 2)]
-    return (
+    if (
         len(block) == len(relations)
         and set(block) <= set(gens)
         and all(
@@ -131,10 +137,12 @@ def relation_block_holds(d: int, gens: Sequence[Generator], relations: Sequence[
             for k, rel in enumerate(relations)
             for m, g in enumerate(block)
         )
-    )
+    ):
+        return None
+    return "block"
 
 
-def reduce_raw(d: int, raw: Mapping[Generator, int | Fraction]) -> tuple:
+def reduce_raw(d: int, raw: Mapping[Generator, Exact]) -> tuple:
     """Rewrite a raw coefficient map into canonical form.
 
     Each generator is replaced by its rewrite in the generator table:
@@ -198,7 +206,7 @@ def in_kernel(d: int, x: tuple) -> bool:
     columns.  A generator without a column (e^{ij}_d, say, which canonical
     form rewrites away) raises ValueError, naming it."""
     cols = _phi_columns(d)
-    acc: dict[int, int | Fraction] = {}
+    acc: dict[int, Exact] = {}
     try:
         for g, c in x:
             for comp, v in cols[g].items():
@@ -242,9 +250,9 @@ def kernel_basis_failure(d: int, basis: Sequence[tuple]) -> str | None:
     phi has rank d - 1 (:func:`phi_rank_failure`), so ker(phi) has
     dimension cols - (d - 1); "count": the basis has that many elements;
     "membership": each lies in ker(phi) (:func:`in_kernel`); "diagonal
-    certificate": they are linearly independent, since basis[k] alone
-    owns the k-th exceptional generator and basis[0] is a nonzero class
-    without e-coordinates (:func:`independence_certificate`).
+    certificate": they are linearly independent, since each pair class
+    owns a generator that no other element carries and basis[0] is a
+    nonzero class (:func:`independence_failure`).
     """
     cols = phi_columns(d)
     if (failed := phi_rank_failure(d, cols)) is not None:
@@ -253,28 +261,29 @@ def kernel_basis_failure(d: int, basis: Sequence[tuple]) -> str | None:
         return "count"
     if not all(in_kernel(d, b) for b in basis):
         return "membership"
-    if not independence_certificate(basis[1:], canonical_generators(d)[d:], basis[0]):
-        return "diagonal certificate"
-    return None
+    return independence_failure(basis[1:], basis[0])
 
 
-def independence_certificate(
-    classes: Sequence[tuple], owned: Sequence[Generator], total: tuple | None = None
-) -> bool:
-    """Exact proof that the classes, and ``total`` when given, are
-    linearly independent.
+def independence_failure(classes: Sequence[tuple], total: tuple | None = None) -> str | None:
+    """The failed clause of the witness that the classes, and ``total``
+    when given, are linearly independent, or None when it holds.
 
-    classes[k] owns the generator owned[k]: it has a nonzero coordinate
-    there and every other class, total included, has none.  Then those
-    coordinates of the stacked vectors form a diagonal block, so in any
-    vanishing combination every coefficient of a class is 0; the total
-    is nonzero, so its coefficient is 0 too.
+    "diagonal certificate": every class owns a generator, one that it
+    carries (a class lists only its nonzero coordinates) and no other
+    class, total included, carries; and the total is nonzero.  The owned
+    coordinates of the stacked vectors then form a diagonal block, so in
+    any vanishing combination every coefficient of a class is 0, and then
+    that of the total too.  The owners are derived, not declared: one
+    pass counts the carriers of each generator.
     """
-    if len(classes) != len(owned) or (total is not None and not total):
-        return False
-    owners: dict[Generator, list[int]] = {g: [] for g in owned}
-    for k, x in enumerate([*classes, *([] if total is None else [total])]):
+    if total is not None and not total:
+        return "diagonal certificate"
+    carriers = Counter(map(itemgetter(0), chain(*classes, total or ())))
+    shared = {g for g, n in carriers.items() if n > 1}
+    for x in classes:
         for g, _ in x:
-            if g in owners:
-                owners[g].append(k)
-    return all(owners[g] == [k] for k, g in enumerate(owned))
+            if g not in shared:
+                break  # x owns g
+        else:
+            return "diagonal certificate"
+    return None

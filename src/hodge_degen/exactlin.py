@@ -29,12 +29,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from math import sqrt
 
-QVector = tuple  # of exact scalars, each int | Fraction
+# an exact scalar in annotations: an int, or a Fraction a caller passes in;
+# naming Fraction would load fractions only to resolve the hints
+Exact = object
+QVector = tuple  # of exact scalars
 
 _SQRT3_2 = sqrt(3.0) / 2.0
 
 
-def _exact(x) -> int | Fraction:
+def _exact(x) -> Exact:
     """x as an exact scalar: an int when integral, else a reduced Fraction.
     Floats, strings and other inexact values raise TypeError."""
     if type(x) is int:
@@ -77,7 +80,7 @@ class QMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def mul_vector(self, v: Sequence[int | Fraction]) -> QVector:
+    def mul_vector(self, v: Sequence[Exact]) -> QVector:
         """m v, summing only over the nonzero coordinates of v."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch")

@@ -83,6 +83,8 @@ class TestBuildCycle:
             keys = family_cycles(4, family)
             assert keys == [build_cycle(*key) for key in keys]
             assert len(set(keys)) == len(keys)
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            family_cycles(4, "bogus")
 
 
 class TestBoundary:
@@ -346,19 +348,19 @@ class TestSpanWitness:
     def test_dropped_gamma_term_fails_replay(self):
         d, sing = 5, residues(5)
         combo, target = pair_combination(d, 2, 4, 1), pair_class(d, 2, 4, 1)
-        assert cycles._replay_failure(d, sing, sing, [(("pair", (2, 4, 1)), combo, target)]) is None
+        assert cycles._replay_failure(d, sing, [(("pair", (2, 4, 1)), combo, target)]) is None
         for k, (_, key) in enumerate(combo):
             if key[0] == "gamma":
                 dropped = [(("pair", (2, 4, 1)), combo[:k] + combo[k + 1 :], target)]
-                assert cycles._replay_failure(d, sing, sing, dropped) == "replay pair(2,4;1)"
+                assert cycles._replay_failure(d, sing, dropped) == "replay pair(2,4;1)"
 
     def test_total_replay_missing_lambda_fails(self):
         d, sing = 5, residues(5)
         total = hodge_kernel_basis(d)[0]
         for l in range(1, d + 1):
             combo = [(1, ("lambda", (i, l))) for i in range(1, d + 1)]
-            assert cycles._replay_failure(d, sing, sing, [(("total", (l,)), combo, total)]) is None
-            assert cycles._replay_failure(d, sing, sing, [(("total", (l,)), combo[1:], total)]) == f"replay total({l})"
+            assert cycles._replay_failure(d, sing, [(("total", (l,)), combo, total)]) is None
+            assert cycles._replay_failure(d, sing, [(("total", (l,)), combo[1:], total)]) == f"replay total({l})"
 
     def test_kernel_replays_in_order(self):
         # every pair i < j in lex order with l = 1..d, then the totals; the
@@ -372,16 +374,17 @@ class TestSpanWitness:
 
     def test_replay_reads_only_known_and_replayed_keys(self):
         # a replayed key stands for its target; a key neither known nor
-        # replayed before fails the replay that reads it, and a key of sing
-        # that no replay reaches is named
+        # replayed before fails the replay that reads it, also when a later
+        # replay defines it
         d = 4
         a, b, c = ("lambda", (1, 1)), ("lambda", (2, 1)), ("lambda", (3, 1))
         sing = {key: singularity_at_zero(d, key) for key in (a, b, c)}
+        known = {a: sing[a]}
         replays = [(b, [(1, a)], sing[a]), (c, [(1, b)], sing[a])]
-        assert cycles._replay_failure(d, sing, [a], replays) is None
-        assert cycles._replay_failure(d, sing, [a], replays[1:]) == "replay lambda(3;1)"
-        assert cycles._replay_failure(d, sing, [a], replays[:1]) == "no replay of lambda(3;1)"
-        assert cycles._replay_failure(d, sing, [a], [(b, [(1, a)], sing[b])]) == "replay lambda(2;1)"
+        assert cycles._replay_failure(d, known, replays) is None
+        assert cycles._replay_failure(d, known, replays[1:]) == "replay lambda(3;1)"
+        assert cycles._replay_failure(d, known, replays[::-1]) == "replay lambda(3;1)"
+        assert cycles._replay_failure(d, known, [(b, [(1, a)], sing[b])]) == "replay lambda(2;1)"
 
     def tampered_rank(self, monkeypatch, d, shift):
         """span_rank over residues shifted by shift(d, cycle), and the
@@ -477,22 +480,44 @@ class TestSpanWitness:
                 assert all(type(key) is tuple and type(key[1]) is tuple for key in keys), (d, family)
 
 
+def derived_span(d, family):
+    """The cycles of a single family that no membership replay defines."""
+    replayed = {key for key, _ in cycles.membership_replays(d, family)}
+    return [key for key in family_cycles(d, family) if key not in replayed]
+
+
+def drop_replays(monkeypatch, keep):
+    """membership_replays cut down to the replays that keep(k, replays) keeps."""
+    real = cycles.membership_replays
+
+    def cut(d, family):
+        replays = real(d, family)
+        return [r for k, r in enumerate(replays) if keep(k, replays)]
+
+    monkeypatch.setattr(cycles, "membership_replays", cut)
+
+
 class TestSingleFamilyWitness:
-    """The gamma and lambda witnesses: a spanning set S of the closed-form
-    size, replays that put every class of the family in span(S), and the
-    diagonal certificate of S."""
+    """The gamma and lambda witnesses: the replays alone (and T for
+    lambda).  S is derived, the cycles no replay defines; the diagonal
+    certificate derives the generator each class of S owns."""
 
     @pytest.mark.parametrize("family,d", [("gamma", d) for d in range(3, 9)] + [("lambda", d) for d in range(2, 9)])
     def test_spanning_set_owns_its_generators(self, family, d):
-        owners, total = cycles.spanning_set(d, family)
-        _, expected, _, _, _, residues = span_rank(d, family)
-        assert len(owners) + (total is not None) == expected
+        # S is gamma(1,j,k; l) owning e^{jk}_l, or lambda(i; l) owning
+        # e^{id}_l, for l < d; T = sum_i l_i has no e-coordinate
+        span = derived_span(d, family)
+        rk, expected, failed, _, _, residues = span_rank(d, family)
+        assert rk == expected == len(span) + (family == "lambda") and failed is None
+        if family == "gamma":
+            pairs = combinations(range(2, d + 1), 2)
+            owners = {("gamma", (1, j, k, l)): ("e", j, k, l) for j, k in pairs for l in range(1, d)}
+        else:
+            owners = {("lambda", (i, l)): ("e", i, d, l) for i in range(1, d) for l in range(1, d)}
+        assert sorted(span) == sorted(owners)
         sing = dict(residues)
-        for key, g in owners:
-            assert dict(sing[key]).get(g)
-            assert [k for k, _ in owners if dict(sing[k]).get(g)] == [key]
-        if family == "lambda":
-            assert total == hodge_kernel_basis(d)[0]
+        for key, g in owners.items():
+            assert [k for k in span if dict(sing[k]).get(g)] == [key]
 
     @pytest.mark.parametrize("d", range(3, 11))
     def test_replay_counts(self, d):
@@ -513,41 +538,54 @@ class TestSingleFamilyWitness:
         assert rk is None and rk != expected
 
     def test_dropped_total_fails_the_replay(self, monkeypatch):
-        # without T the column sums leave span(S)
-        real = cycles.spanning_set
-        monkeypatch.setattr(cycles, "spanning_set", lambda d, family: (real(d, family)[0], None))
+        # without T the column sums leave the span of S
+        real = cycles.membership_replays
+
+        def without_total(d, family):
+            return [(key, [t for t in combination if t[1] != cycles.TOTAL]) for key, combination in real(d, family)]
+
+        monkeypatch.setattr(cycles, "membership_replays", without_total)
         rk, _, failed, _, _, _ = span_rank(4, "lambda")
         assert failed == "replay lambda(4;1)" and rk is None
 
     @pytest.mark.parametrize("family", ["gamma", "lambda"])
     def test_duplicated_element_fails_the_certificate(self, family, monkeypatch):
-        real = cycles.spanning_set
-
-        def duplicated(d, family):
-            owners, total = real(d, family)
-            return [*owners, owners[0]], total
-
-        monkeypatch.setattr(cycles, "spanning_set", duplicated)
+        # a class of S listed twice owns nothing; nor does the cycle of the
+        # first replay, which joins S once its replay is dropped: every
+        # generator it carries, another element carries too
+        sing = dict(span_rank(5, family)[-1])
+        classes = [sing[key] for key in derived_span(5, family)]
+        total = hodge_kernel_basis(5)[0] if family == "lambda" else None
+        assert degeneration.independence_failure(classes, total) is None
+        assert degeneration.independence_failure([*classes, classes[0]], total) == "diagonal certificate"
+        drop_replays(monkeypatch, lambda k, replays: k > 0)
         rk, _, failed, _, _, _ = span_rank(5, family)
         assert failed == "diagonal certificate" and rk is None
 
     def test_replaced_element_leaves_a_class_outside_the_span(self, monkeypatch):
-        real = cycles.spanning_set
-
-        def replaced(d, family):
-            # gamma(1,3,4;3), the last element, gives way to a second gamma(1,2,3;1)
-            owners, total = real(d, family)
-            return [owners[0], *owners[:-1]], total
-
-        monkeypatch.setattr(cycles, "spanning_set", replaced)
+        # a replay of gamma(1,3,4;3), appended last, takes it out of S; the
+        # replay of gamma(2,3,4;3), which reads it, then fails
+        real = cycles.membership_replays
+        moved = (("gamma", (1, 3, 4, 3)), [(1, ("gamma", (1, 2, 3, 1)))])
+        monkeypatch.setattr(cycles, "membership_replays", lambda d, family: [*real(d, family), moved])
         rk, _, failed, _, _, _ = span_rank(4, "gamma")
         assert failed == "replay gamma(2,3,4;3)" and rk is None
 
     def test_unreplayed_class_fails(self, monkeypatch):
-        real = cycles.membership_replays
-        monkeypatch.setattr(cycles, "membership_replays", lambda d, family: real(d, family)[:-1])
+        # lambda(4;4) joins S, where it owns no generator
+        drop_replays(monkeypatch, lambda k, replays: k < len(replays) - 1)
         rk, _, failed, _, _, _ = span_rank(4, "lambda")
-        assert failed == "no replay of lambda(4;4)" and rk is None
+        assert failed == "diagonal certificate" and rk is None
+
+    @pytest.mark.parametrize("family,d", [("gamma", 4), ("gamma", 5), ("lambda", 3), ("lambda", 5)])
+    def test_every_dropped_replay_fails(self, family, d, monkeypatch):
+        # whichever replay is dropped, its cycle joins S and the witness fails
+        count = len(cycles.membership_replays(d, family))
+        for dropped in range(count):
+            with monkeypatch.context() as m:
+                drop_replays(m, lambda k, replays: k != dropped)
+                rk, _, failed, _, _, _ = span_rank(d, family)
+            assert failed == "diagonal certificate" and rk is None, dropped
 
     def test_lambda_at_d2_builds_no_gamma(self, monkeypatch):
         families = []
@@ -577,6 +615,8 @@ class TestThreefoldBoundary:
         side, lines = threefold_boundary(1, 2, 4, 3, side="M")
         assert side == "M"
         assert [c for _, c in lines] == [1, 1, -1]
+        with pytest.raises(ValueError, match="side must be 'L' or 'M', got 'X'"):
+            threefold_boundary(1, 2, 4, 3, side="X")
 
     @pytest.mark.parametrize("indices", [(1.5, 2, 3, 1), (1, 2, 3, True), (1, 2.0, 3, 1)])
     def test_non_int_index_refused(self, indices):

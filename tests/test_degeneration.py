@@ -22,14 +22,14 @@ from hodge_degen.degeneration import (
     coordinate_dim,
     hodge_kernel_basis,
     in_kernel,
-    independence_certificate,
+    independence_failure,
     kernel_basis_failure,
     kernel_dim,
     phi_columns,
     phi_rank_failure,
     presentation,
     reduce_raw,
-    relation_block_holds,
+    relation_block_failure,
 )
 from hodge_degen.exactlin import QMatrix
 from oracle import dense, kernel_basis, phi_matrix, rank
@@ -49,9 +49,9 @@ def relation_rank(d):
 
 
 def certified(d, basis):
-    """The diagonal certificate of a candidate kernel basis: basis[k] owns
-    the k-th exceptional generator, and basis[0] is the total class."""
-    return independence_certificate(basis[1:], canonical_generators(d)[d:], basis[0])
+    """The diagonal certificate of a candidate kernel basis, basis[0] the
+    total class: True when it holds."""
+    return independence_failure(basis[1:], basis[0]) is None
 
 
 class TestPresentation:
@@ -66,19 +66,19 @@ class TestPresentation:
         ngens, rk = relation_rank(d)
         gens, relations, dim = presentation(d)
         assert rk == len(relations)  # relations independent
-        assert relation_block_holds(d, gens, relations)  # and the witness says so
+        assert relation_block_failure(d, gens, relations) is None  # and the witness says so
         assert dim == ngens - rk
 
     def test_relation_sign_slip_breaks_block(self):
         # relation 2 is the pair (1, 4); +1 at its own e^{14}_4 column
         gens, relations, _ = presentation(4)
         relations[2] = {**relations[2], ("e", 1, 4, 4): 1}
-        assert not relation_block_holds(4, gens, relations)
+        assert relation_block_failure(4, gens, relations) == "block"
 
     def test_duplicated_relation_breaks_block(self):
         gens, relations, _ = presentation(4)
         relations[1] = relations[0]
-        assert not relation_block_holds(4, gens, relations)
+        assert relation_block_failure(4, gens, relations) == "block"
 
     def test_d2_generators(self):
         gens, relations, dim = presentation(2)
@@ -305,19 +305,31 @@ class TestIndependenceCertificate:
         assert not certified(4, basis)
 
     def test_rejects_wrong_length(self):
-        assert not certified(4, hodge_kernel_basis(4)[:-1])
+        # a short basis is still independent: its length is the count clause's
+        basis = hodge_kernel_basis(4)[:-1]
+        assert certified(4, basis)
+        assert kernel_basis_failure(4, basis) == "count"
 
     def test_total_is_optional(self):
-        assert independence_certificate(hodge_kernel_basis(4)[1:], canonical_generators(4)[4:])
+        assert independence_failure(hodge_kernel_basis(4)[1:]) is None
 
     def test_rejects_generator_owned_twice(self):
-        pairs, owned = hodge_kernel_basis(4)[1:], canonical_generators(4)[4:]
-        assert not independence_certificate([*pairs, pairs[0]], [*owned, owned[0]])
+        pairs = hodge_kernel_basis(4)[1:]
+        assert independence_failure([*pairs, pairs[0]]) == "diagonal certificate"
 
     def test_rejects_class_off_its_generator(self):
-        # each class claims its neighbour's generator
-        pairs, owned = hodge_kernel_basis(4)[1:], canonical_generators(4)[4:]
-        assert not independence_certificate(pairs, [*owned[1:], owned[0]])
+        # pairs[0] becomes pairs[1] + pairs[2]: it carries no generator of
+        # its own, and nothing carries the one it owned
+        pairs = list(hodge_kernel_basis(4)[1:])
+        pairs[0] = _combine(4, ((1, pairs[1]), (1, pairs[2])))
+        assert rank(QMatrix([dense(4, b) for b in pairs])) < len(pairs)
+        assert independence_failure(pairs) == "diagonal certificate"
+
+    def test_owners_are_derived_in_any_order(self):
+        # no class is told its generator: a shuffled basis still passes
+        basis = hodge_kernel_basis(5)
+        assert independence_failure(basis[:0:-1], basis[0]) is None
+        assert independence_failure(basis[1:], ()) == "diagonal certificate"
 
 
 class TestClassTuples:

@@ -76,6 +76,9 @@ def test_tol_below_roundoff_returns():
     proc = subprocess.run([sys.executable, "-c", BELOW_ROUNDOFF], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+    # at tol 0 every panel ends at the roundoff floor and leaves the queue;
+    # the sum still counts it
+    assert adaptive_quad(math.exp, 0.0, 1.0, 0.0) == pytest.approx(math.e - 1, abs=1e-15)
 
 
 @pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.nan if x > 0.9 else 1.0])
