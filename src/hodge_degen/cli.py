@@ -7,7 +7,8 @@ functional equations; the 2D quadrature oracle runs only under
 ``--oracle``), ``pairing`` (the limit matrix determinant), and
 ``verify-all``.  Reports render as
 markdown or deterministic, strict JSON; exit status 0 means every check
-passed, 1 a failed check, 2 a usage error.
+passed, 1 a failed check, 2 a usage error, 3 an internal error (an
+exception that escaped a suite).
 
 Every rank that ``basis`` and ``sing`` state is proved by a short exact
 witness (see :mod:`hodge_degen.degeneration` and
@@ -39,6 +40,7 @@ from .exactlin import cyclo_embed
 TOOL = "hodge-degen"
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 # significant digits of the abs_diff values of the aj report
 ABS_DIFF_DIGITS = 12
@@ -242,7 +244,7 @@ def run_sing(report: Report, d: int, family: str) -> None:
         report.add(
             f"delta residues vanish d={d}",
             "swapped-family cycles are regular at the degenerate fiber",
-            not any(cl for _, cl in residues),
+            failed is None,
             cycles=len(residues),
         )
         report.add(
@@ -449,7 +451,7 @@ def _help(command: str | None) -> str:
         options.append((_spelled(name, value), about))
     width = max(len(spelled) for spelled, _ in options) + 2
     lines += ["", "options:"] + [f"  {spelled:<{width}}{about}" for spelled, about in options]
-    lines += ["", "exit status: 0 when every check passes, 1 on a failed check, 2 on a usage error"]
+    lines += ["", "exit status: 0 when every check passes, 1 on a failed check, 2 on a usage error, 3 on an internal error"]
     return "\n".join(lines)
 
 
@@ -536,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; argv defaults to sys.argv[1:].  Returns the
     exit status of the report: 0 pass, 1 a failed check.  A usage error
     raises SystemExit(2) after printing the usage and the error to
-    stderr, and -h/--help SystemExit(0) after printing the help."""
+    stderr, and -h/--help SystemExit(0) after printing the help.  Any
+    other exception propagates; :func:`run` turns it into exit status 3."""
     command, options = parse_args(sys.argv[1:] if argv is None else argv)
     report = Report(command, options["timing"])
     COMMANDS[command][2](report, options)
@@ -546,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """The process entry of ``python -m hodge_degen.cli`` and of the
     ``hodge-degen`` script: :func:`main` after freezing the start-up heap.
+    An exception that escapes :func:`main` is an internal error: one line
+    ``hodge-degen: internal error: <type>: <message>`` on stderr and exit
+    status 3, no traceback.  ``SystemExit`` passes through.
 
     Interpreter shutdown runs full collections.  Frozen objects sit
     outside every generation, so shutdown skips the ~11,650 objects that
@@ -553,7 +559,11 @@ def run() -> int:
     Shutdown is otherwise unchanged.  :func:`main` itself changes no
     process-wide state, so callers in-process never freeze."""
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except Exception as e:
+        print(f"{TOOL}: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -132,9 +132,9 @@ def singularity_at_zero(d: int, c: CycleKey) -> tuple:
 
 def express_in_B(d: int, x: tuple) -> tuple[Exact, ...] | None:
     """The coordinates of d*x over the distinguished kernel basis, or None
-    when x lies off the kernel or the basis does not reassemble d*x.  The
-    coordinates of x itself are these over d; scaled by d, they are ints
-    for every integral class, so no report builds a ``Fraction``.
+    when the basis does not reassemble d*x.  The coordinates of x itself
+    are these over d; scaled by d, they are ints for every integral class,
+    so no report builds a ``Fraction``.
     x may list its (generator, coefficient) pairs in any order, a generator
     more than once: each pair is read through :func:`degeneration.reduce_raw`,
     whose ValueError names an unknown generator, and the pairs are summed.
@@ -149,14 +149,12 @@ def express_in_B(d: int, x: tuple) -> tuple[Exact, ...] | None:
 
     the combination is then checked against d*x exactly, so a basis that
     disagrees with the closed form, or has another length, gives None, not
-    wrong coordinates.  A rational x gives coordinates under the same
-    scalar rule: ints where integral.
-    Kernel membership is the sparse product of :func:`degeneration.in_kernel`.
+    wrong coordinates.  Every basis class lies in ker(phi), so an x off the
+    kernel is never reassembled and gives None too.  A rational x gives
+    coordinates under the same scalar rule: ints where integral.
     """
     basis = degeneration.hodge_kernel_basis(d)
     x = _combine(d, ((c, reduce_raw(d, {g: 1})) for g, c in x))
-    if not in_kernel(d, x):
-        return None
     cx = dict(x)
     pair = {
         (i, j, l): cx.get(("e", i, j, l), 0) for i, j in combinations(range(1, d + 1), 2) for l in range(1, d)

@@ -1152,6 +1152,30 @@ def test_process_entry_exit_statuses():
     assert proc.stderr.splitlines()[-1].startswith("hodge-degen: error: ")
 
 
+def test_internal_error_exits_3():
+    # an exception that escapes a suite is not a failed check: the process
+    # entry prints one line and exits 3; a usage error still exits 2
+    def basis(d):
+        code = (
+            "import sys\n"
+            "from hodge_degen import cli, degeneration\n"
+            "def broken(d):\n"
+            "    raise RuntimeError('no presentation')\n"
+            "degeneration.presentation = broken\n"
+            f"sys.argv = ['hodge-degen', 'basis', '--d', '{d}']\n"
+            "sys.exit(cli.run())\n"
+        )
+        return run_fresh(code)
+
+    proc = basis(4)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "hodge-degen: internal error: RuntimeError: no presentation\n"
+    proc = basis(1)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("hodge-degen: error: ")
+
+
 def test_package_import_loads_no_submodule():
     # the package re-exports nothing; callers import the modules they use
     code = (
